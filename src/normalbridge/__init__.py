@@ -1,17 +1,14 @@
 """normalbridge: a desk-scale lab for normal-bridged 3D generation.
 
-Subpackages
------------
+Modules
+-------
 tensorcore  reverse-mode autodiff, layers, AdamW, seeded RNG, checkpoints
 freq        2-D spectra, radial power profiles, per-frequency SNR curves
 maps        heightfields, normal maps and their file encodings
 toydata     procedural shaded-scene generator with real/synthetic label domains
 nirne       dual-stream noise-injected normal regressor and its training stages
-norld       heightfield VAE + normal-regularized rectified-flow generator
 geom        meshes, multi-view normal rasterization, sharp-edge statistics
 metrics     normal angle error, Canny/dilate edge masks, sharp normal error
-pipeline    staged data-curation pipeline with file-backed mock generators
-cli         command-line entry point wiring the above into seeded runs
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,17 @@
 """Triangle meshes: I/O, normals, multi-view rasterization, edge statistics.
 
-The rasterizer is a plain z-buffer over pixel centers. Coverage uses
-edge functions (all three same-signed, boundaries inclusive), depth and
+The rasterizer is a z-buffer over pixel centers, evaluated as one array
+pass per view. Every face in front of the camera plane expands into
+(face, pixel) fragments over its clipped pixel box. Coverage uses edge
+functions (all three same-signed, boundaries inclusive); depth and
 normals interpolate barycentrically (perspective-correct when the
-camera is perspective), and the nearest positive-depth fragment wins
-with strict less-than, so triangle submission order breaks exact ties.
-Tests hold it bit-equal to a per-pixel nearest-triangle oracle.
+camera is perspective). Per pixel the nearest positive-depth fragment
+wins; a stable sort on (pixel, depth) gives exact depth ties to the
+face submitted first, the same result as a sequential strict less-than
+z-test. Faces go in submission order, in chunks of at most
+``_FRAGMENT_CAP`` fragments that each z-test against the buffer the
+earlier chunks left. Tests hold it bit-equal to a per-pixel
+nearest-triangle oracle.
 """
 
 from __future__ import annotations
@@ -75,6 +81,12 @@ def load_obj(source) -> TriMesh:
     Degenerate faces (repeated vertices or zero area) are dropped and
     counted on the returned mesh. Malformed input raises with its line
     number.
+
+    Each vertex takes the normal that its face corners name (``f v//vn``
+    or ``f v/vt/vn``). When some face corner names no normal, or corners
+    name two different normals for one vertex, ``vertex_norms`` is None
+    and callers recompute area-weighted normals. Vertices that no face
+    uses get +z.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -88,7 +100,17 @@ def load_obj(source) -> TriMesh:
     verts: list[list[float]] = []
     norms: list[list[float]] = []
     face_idx: list[tuple[int, int, int]] = []
+    corner_normal: dict[int, int] = {}  # vertex -> the vn its corners name
+    normals_bound = True
     dropped = 0
+
+    def index(tok: str, n: int, what: str) -> int:
+        idx = int(tok)
+        if idx < 0:
+            idx = n + 1 + idx
+        if not 1 <= idx <= n:
+            raise ValueError(f"{what} index {tok} out of range")
+        return idx - 1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -110,13 +132,13 @@ def load_obj(source) -> TriMesh:
                     raise ValueError("face needs at least 3 vertices")
                 ids = []
                 for tok in parts[1:]:
-                    vid = tok.split("/", 1)[0]
-                    idx = int(vid)
-                    if idx < 0:
-                        idx = len(verts) + 1 + idx
-                    if not 1 <= idx <= len(verts):
-                        raise ValueError(f"vertex index {vid} out of range")
-                    ids.append(idx - 1)
+                    fields = tok.split("/")
+                    ids.append(index(fields[0], len(verts), "vertex"))
+                    if len(fields) == 3 and fields[2]:
+                        nid = index(fields[2], len(norms), "normal")
+                        normals_bound &= corner_normal.setdefault(ids[-1], nid) == nid
+                    else:
+                        normals_bound = False
                 for k in range(1, len(ids) - 1):  # fan split
                     face_idx.append((ids[0], ids[k], ids[k + 1]))
             # other tags ignored
@@ -135,13 +157,16 @@ def load_obj(source) -> TriMesh:
             dropped += 1
             continue
         kept.append(f)
-    mesh = TriMesh(
+    vertex_norms = None
+    if normals_bound and corner_normal:
+        vertex_norms = np.tile([0.0, 0.0, 1.0], (len(v), 1))
+        vertex_norms[list(corner_normal)] = np.asarray(norms, dtype=np.float64)[list(corner_normal.values())]
+    return TriMesh(
         v,
         np.asarray(kept, dtype=np.int64).reshape(-1, 3),
-        vertex_norms=np.asarray(norms, dtype=np.float64).reshape(-1, 3) if len(norms) == len(verts) else None,
+        vertex_norms=vertex_norms,
         n_dropped_faces=dropped,
     )
-    return mesh
 
 
 def save_obj(path, mesh: TriMesh) -> None:
@@ -287,84 +312,111 @@ def viewpoints(
 # -- rasterizer ----------------------------------------------------------------
 
 
+# Upper bound on the (face, pixel) fragments held at once. Temporaries
+# take about 170 bytes per fragment (measured peak growth of a 1200 x 1200
+# view), so a full chunk holds about 170 MB whatever the mesh size; only
+# a single face whose box exceeds the cap makes a larger chunk.
+_FRAGMENT_CAP = 1 << 20
+
+
 def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
     """Render camera-space normals of ``mesh`` with a z-buffer.
 
     Per-pixel normals are barycentric interpolations of vertex normals,
     renormalized; background pixels carry mask False and the sentinel
     normal. Fragments at depth <= 0 (behind the camera plane) are culled.
+    A mesh with a non-finite vertex raises ValueError.
     """
     h_px, w_px = camera.resolution
-    zbuf = np.full((h_px, w_px), np.inf)
-    nbuf = np.zeros((h_px, w_px, 3))
-    nbuf[..., 2] = 1.0
-    mask = np.zeros((h_px, w_px), dtype=bool)
-    if mesh.n_faces == 0:
-        return RenderView(NormalMap(nbuf, mask), zbuf, camera)
-
-    px, py, depth = camera.project(mesh.vertices)
-    n_cam = camera.to_camera_normals(
-        mesh.vertex_norms if mesh.vertex_norms is not None else vertex_normals(mesh)
-    )
-    persp = camera.mode == "perspective"
-
-    for f in mesh.faces:
-        i0, i1, i2 = int(f[0]), int(f[1]), int(f[2])
-        d0, d1, d2 = depth[i0], depth[i1], depth[i2]
-        if d0 <= 0.0 and d1 <= 0.0 and d2 <= 0.0:
-            continue
-        x0, y0 = px[i0], py[i0]
-        x1, y1 = px[i1], py[i1]
-        x2, y2 = px[i2], py[i2]
-        lo_x = max(0, int(math.ceil(min(x0, x1, x2))))
-        hi_x = min(w_px - 1, int(math.floor(max(x0, x1, x2))))
-        lo_y = max(0, int(math.ceil(min(y0, y1, y2))))
-        hi_y = min(h_px - 1, int(math.floor(max(y0, y1, y2))))
-        if lo_x > hi_x or lo_y > hi_y:
-            continue
-        gx, gy = np.meshgrid(
-            np.arange(lo_x, hi_x + 1, dtype=np.float64),
-            np.arange(lo_y, hi_y + 1, dtype=np.float64),
+    zbuf = np.full(h_px * w_px, np.inf)
+    nbuf = np.zeros((h_px * w_px, 3))
+    mask = np.zeros(h_px * w_px, dtype=bool)
+    if mesh.n_faces:
+        if not np.isfinite(mesh.vertices).all():
+            raise ValueError("mesh vertices must be finite")
+        px, py, depth = camera.project(mesh.vertices)
+        n_cam = camera.to_camera_normals(
+            mesh.vertex_norms if mesh.vertex_norms is not None else vertex_normals(mesh)
         )
-        w0 = (x2 - x1) * (gy - y1) - (y2 - y1) * (gx - x1)
-        w1 = (x0 - x2) * (gy - y2) - (y0 - y2) * (gx - x2)
-        w2 = (x1 - x0) * (gy - y0) - (y1 - y0) * (gx - x0)
-        inside = ((w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)) | ((w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0))
-        wsum = w0 + w1 + w2
-        inside &= wsum != 0.0
-        if not inside.any():
-            continue
-        l0 = np.where(inside, w0 / np.where(wsum == 0.0, 1.0, wsum), 0.0)
-        l1 = np.where(inside, w1 / np.where(wsum == 0.0, 1.0, wsum), 0.0)
-        l2 = np.where(inside, w2 / np.where(wsum == 0.0, 1.0, wsum), 0.0)
-        if persp:
-            # perspective-correct: interpolate attributes over 1/depth
-            q0 = l0 / d0
-            q1 = l1 / d1
-            q2 = l2 / d2
-            qs = q0 + q1 + q2
-            qs_safe = np.where(qs == 0.0, 1.0, qs)
-            frag_depth = np.where(qs != 0.0, 1.0 / qs_safe, np.inf)
-            a0, a1, a2 = q0 / qs_safe, q1 / qs_safe, q2 / qs_safe
-        else:
-            frag_depth = l0 * d0 + l1 * d1 + l2 * d2
-            a0, a1, a2 = l0, l1, l2
-        update = inside & (frag_depth > 0.0) & (frag_depth < zbuf[lo_y : hi_y + 1, lo_x : hi_x + 1])
-        if not update.any():
-            continue
-        nx = a0 * n_cam[i0, 0] + a1 * n_cam[i1, 0] + a2 * n_cam[i2, 0]
-        ny = a0 * n_cam[i0, 1] + a1 * n_cam[i1, 1] + a2 * n_cam[i2, 1]
-        nz = a0 * n_cam[i0, 2] + a1 * n_cam[i1, 2] + a2 * n_cam[i2, 2]
-        nlen = np.sqrt(nx * nx + ny * ny + nz * nz)
-        nlen = np.where(nlen == 0.0, 1.0, nlen)
-        sub = (slice(lo_y, hi_y + 1), slice(lo_x, hi_x + 1))
-        zbuf[sub] = np.where(update, frag_depth, zbuf[sub])
-        for c, comp in enumerate((nx / nlen, ny / nlen, nz / nlen)):
-            nbuf[sub + (c,)] = np.where(update, comp, nbuf[sub + (c,)])
-        mask[sub] |= update
+        persp = camera.mode == "perspective"
+
+        # clipped pixel box of every face; drop faces wholly behind the
+        # camera plane and faces whose box holds no pixel center
+        fx, fy, fd = px[mesh.faces], py[mesh.faces], depth[mesh.faces]
+        lo_x = np.maximum(np.ceil(fx.min(axis=1)), 0.0)
+        hi_x = np.minimum(np.floor(fx.max(axis=1)), w_px - 1.0)
+        lo_y = np.maximum(np.ceil(fy.min(axis=1)), 0.0)
+        hi_y = np.minimum(np.floor(fy.max(axis=1)), h_px - 1.0)
+        live = np.flatnonzero((fd > 0.0).any(axis=1) & (lo_x <= hi_x) & (lo_y <= hi_y))
+        verts = mesh.faces[live]
+        (x0, x1, x2), (y0, y1, y2), (d0, d1, d2) = fx[live].T, fy[live].T, fd[live].T
+        lo_x, lo_y = lo_x[live].astype(np.int64), lo_y[live].astype(np.int64)
+        width = hi_x[live].astype(np.int64) - lo_x + 1
+        sizes = width * (hi_y[live].astype(np.int64) - lo_y + 1)
+        ends = np.cumsum(sizes)
+
+        # faces go in submission order, in chunks of at most _FRAGMENT_CAP
+        # fragments (a larger face goes alone)
+        start = 0
+        while start < len(live):
+            base = ends[start] - sizes[start]
+            stop = max(start + 1, int(np.searchsorted(ends, base + _FRAGMENT_CAP, side="right")))
+            n = sizes[start:stop]
+            fid = np.repeat(np.arange(start, stop), n)
+            off = np.arange(len(fid)) - np.repeat(np.cumsum(n) - n, n)  # row-major within the box
+            gyi = lo_y[fid] + off // width[fid]
+            gxi = lo_x[fid] + off % width[fid]
+            gx, gy = gxi.astype(np.float64), gyi.astype(np.float64)
+
+            # edge functions, in the expression order of the scalar form
+            w0 = (x2 - x1)[fid] * (gy - y1[fid]) - (y2 - y1)[fid] * (gx - x1[fid])
+            w1 = (x0 - x2)[fid] * (gy - y2[fid]) - (y0 - y2)[fid] * (gx - x2[fid])
+            w2 = (x1 - x0)[fid] * (gy - y0[fid]) - (y1 - y0)[fid] * (gx - x0[fid])
+            wsum = w0 + w1 + w2
+            inside = ((w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)) | ((w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0))
+            hit = np.flatnonzero(inside & (wsum != 0.0))
+            fid, pix = fid[hit], gyi[hit] * w_px + gxi[hit]
+            wsum = wsum[hit]
+            l0, l1, l2 = w0[hit] / wsum, w1[hit] / wsum, w2[hit] / wsum
+            if persp:
+                # perspective-correct: interpolate attributes over 1/depth
+                q0 = l0 / d0[fid]
+                q1 = l1 / d1[fid]
+                q2 = l2 / d2[fid]
+                qs = q0 + q1 + q2
+                qs_safe = np.where(qs == 0.0, 1.0, qs)
+                frag_depth = np.where(qs != 0.0, 1.0 / qs_safe, np.inf)
+            else:
+                frag_depth = l0 * d0[fid] + l1 * d1[fid] + l2 * d2[fid]
+
+            # z-test against earlier chunks, then the nearest fragment per
+            # pixel; the sort is stable, so an exact tie goes to the face
+            # submitted first, as a sequential strict less-than would
+            cand = np.flatnonzero((frag_depth > 0.0) & (frag_depth < zbuf[pix]))
+            order = cand[np.lexsort((frag_depth[cand], pix[cand]))]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = pix[order[1:]] != pix[order[:-1]]
+            win = order[first]
+            if persp:
+                a0, a1, a2 = q0[win] / qs_safe[win], q1[win] / qs_safe[win], q2[win] / qs_safe[win]
+            else:
+                a0, a1, a2 = l0[win], l1[win], l2[win]
+            nc = n_cam[verts[fid[win]]]  # (n, corner, xyz)
+            nx = a0 * nc[:, 0, 0] + a1 * nc[:, 1, 0] + a2 * nc[:, 2, 0]
+            ny = a0 * nc[:, 0, 1] + a1 * nc[:, 1, 1] + a2 * nc[:, 2, 1]
+            nz = a0 * nc[:, 0, 2] + a1 * nc[:, 1, 2] + a2 * nc[:, 2, 2]
+            nlen = np.sqrt(nx * nx + ny * ny + nz * nz)
+            nlen = np.where(nlen == 0.0, 1.0, nlen)
+            p = pix[win]
+            zbuf[p] = frag_depth[win]
+            nbuf[p] = np.stack([nx / nlen, ny / nlen, nz / nlen], axis=1)
+            mask[p] = True
+            start = stop
 
     nbuf[~mask] = [0.0, 0.0, 1.0]
-    return RenderView(NormalMap(nbuf, mask), zbuf, camera)
+    return RenderView(
+        NormalMap(nbuf.reshape(h_px, w_px, 3), mask.reshape(h_px, w_px)), zbuf.reshape(h_px, w_px), camera
+    )
 
 
 # -- sharp edges ----------------------------------------------------------------
@@ -389,34 +441,33 @@ def sharp_edge_report(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> Sh
     if not 0.0 < dihedral_threshold_deg < 180.0:
         raise ValueError("threshold must be in (0, 180) degrees")
     fn = face_normals(mesh)
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, (a, b, c) in enumerate(mesh.faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(u), int(v)) if u < v else (int(v), int(u))
-            edge_faces.setdefault(key, []).append(fi)
 
-    sharp = nonmanifold_sharp = interior = boundary = nonmanifold = 0
-    for faces in edge_faces.values():
-        if len(faces) == 1:
-            boundary += 1
-            continue
-        if len(faces) == 2:
-            interior += 1
-            dot = float(np.clip(np.dot(fn[faces[0]], fn[faces[1]]), -1.0, 1.0))
-            if math.degrees(math.acos(dot)) > dihedral_threshold_deg:
-                sharp += 1
-            continue
-        nonmanifold += 1
-        exceeded = False
-        for i in range(len(faces)):
-            for j in range(i + 1, len(faces)):
-                dot = float(np.clip(np.dot(fn[faces[i]], fn[faces[j]]), -1.0, 1.0))
-                if math.degrees(math.acos(dot)) > dihedral_threshold_deg:
-                    exceeded = True
-        if exceeded:
-            sharp += 1
-            nonmanifold_sharp += 1
-    return SharpEdgeReport(sharp, nonmanifold_sharp, interior, boundary, nonmanifold)
+    def sharp(fa, fb):
+        dot = np.clip(np.sum(fn[fa] * fn[fb], axis=-1), -1.0, 1.0)
+        return np.degrees(np.arccos(dot)) > dihedral_threshold_deg
+
+    # one key per undirected edge, grouped by a stable sort: the faces of
+    # an edge end up adjacent, in submission order
+    u = mesh.faces.ravel()
+    v = mesh.faces[:, [1, 2, 0]].ravel()
+    keys = np.minimum(u, v) * mesh.n_vertices + np.maximum(u, v)
+    order = np.argsort(keys, kind="stable")
+    face_of = order // 3
+    _, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+
+    pairs = starts[counts == 2]
+    sharp_count = int(np.count_nonzero(sharp(face_of[pairs], face_of[pairs + 1])))
+    nonmanifold_sharp = 0
+    for s, n in zip(starts[counts > 2], counts[counts > 2]):
+        fa, fb = np.triu_indices(n, 1)
+        nonmanifold_sharp += bool(sharp(face_of[s + fa], face_of[s + fb]).any())
+    return SharpEdgeReport(
+        sharp_count + nonmanifold_sharp,
+        nonmanifold_sharp,
+        len(pairs),
+        int(np.count_nonzero(counts == 1)),
+        int(np.count_nonzero(counts > 2)),
+    )
 
 
 def count_sharp_edges(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> int:
@@ -543,12 +594,14 @@ def heightfield_to_mesh(hf) -> TriMesh:
     y = ((h - 1) / 2.0 - rows) * cell
     v = np.stack([x.ravel(), y.ravel(), hf.heights.ravel()], axis=1)
 
-    def vid(r, c):
-        return r * w + c
-
-    faces = []
-    for r in range(h - 1):
-        for c in range(w - 1):
-            faces.append((vid(r, c), vid(r + 1, c), vid(r, c + 1)))
-            faces.append((vid(r + 1, c), vid(r + 1, c + 1), vid(r, c + 1)))
-    return TriMesh(v, np.array(faces))
+    # cell (r, c) splits into (r, c)-(r+1, c)-(r, c+1) and
+    # (r+1, c)-(r+1, c+1)-(r, c+1), row by row
+    vid = np.arange(h * w).reshape(h, w)
+    top_left, bottom_left = vid[:-1, :-1], vid[1:, :-1]
+    top_right, bottom_right = vid[:-1, 1:], vid[1:, 1:]
+    faces = np.stack(
+        [np.stack([top_left, bottom_left, top_right], axis=-1),
+         np.stack([bottom_left, bottom_right, top_right], axis=-1)],
+        axis=2,
+    )
+    return TriMesh(v, faces.reshape(-1, 3))

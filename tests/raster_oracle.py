@@ -3,7 +3,9 @@
 Pixel-major: for every pixel center, test every triangle and keep the
 nearest positive-depth hit. Written with scalar float arithmetic in the
 same expression order as the production rasterizer so agreement must be
-bit-exact, while the traversal/z-buffer logic is independent.
+bit-exact, while the traversal/z-buffer logic is independent. A
+perspective camera interpolates over 1/depth, in the production
+rasterizer's q/qs order.
 """
 
 import math
@@ -22,6 +24,7 @@ def rasterize_oracle(mesh: TriMesh, camera: Camera):
     mask = np.zeros((h_px, w_px), dtype=bool)
 
     px, py, depth = camera.project(mesh.vertices)
+    persp = camera.mode == "perspective"
     n_cam = camera.to_camera_normals(
         mesh.vertex_norms if mesh.vertex_norms is not None else vertex_normals(mesh)
     )
@@ -55,6 +58,16 @@ def rasterize_oracle(mesh: TriMesh, camera: Camera):
                 l1 = w1 / wsum
                 l2 = w2 / wsum
                 frag_depth = l0 * depth[i0] + l1 * depth[i1] + l2 * depth[i2]
+                if persp:
+                    # numpy scalars: a zero depth gives inf or nan, not an exception
+                    q0 = l0 / depth[i0]
+                    q1 = l1 / depth[i1]
+                    q2 = l2 / depth[i2]
+                    qs = q0 + q1 + q2
+                    if qs == 0.0:
+                        continue  # infinite depth never passes the z-test
+                    frag_depth = 1.0 / qs
+                    l0, l1, l2 = q0 / qs, q1 / qs, q2 / qs  # normals take these weights
                 if frag_depth <= 0.0 or not frag_depth < best:
                     continue
                 nx = l0 * n_cam[i0, 0] + l1 * n_cam[i1, 0] + l2 * n_cam[i2, 0]
