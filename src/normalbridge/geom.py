@@ -437,14 +437,17 @@ def sharp_edge_report(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> Sh
     Interior edges (2 faces) count as sharp above the threshold; boundary
     edges are excluded; non-manifold edges (>2 faces) count once if any
     adjacent face pair exceeds the threshold and are reported separately.
+    A zero-area face has no normal, so no pair with one is ever sharp.
     """
     if not 0.0 < dihedral_threshold_deg < 180.0:
         raise ValueError("threshold must be in (0, 180) degrees")
     fn = face_normals(mesh)
+    has_normal = np.einsum("ij,ij->i", fn, fn) > 0.0  # face_normals gives zero-area faces 0
 
     def sharp(fa, fb):
         dot = np.clip(np.sum(fn[fa] * fn[fb], axis=-1), -1.0, 1.0)
-        return np.degrees(np.arccos(dot)) > dihedral_threshold_deg
+        angle_exceeded = np.degrees(np.arccos(dot)) > dihedral_threshold_deg
+        return angle_exceeded & has_normal[fa] & has_normal[fb]
 
     # one key per undirected edge, grouped by a stable sort: the faces of
     # an edge end up adjacent, in submission order

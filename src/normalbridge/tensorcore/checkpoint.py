@@ -15,6 +15,7 @@ Round-trips are bit-exact; tests compare raw float bits.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -43,25 +44,42 @@ def save_checkpoint(path, params: dict[str, Tensor | np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint into ``{name: float64 array}``.
+
+    Raises ``ValueError`` naming the path on a bad magic, on a file that
+    ends inside a record (naming the parameter being read, or its
+    position when the cut falls inside its name), on a name that is not
+    UTF-8 and on a repeated name.
+    """
     path = Path(path)
-    blob = path.read_bytes()
+    blob = memoryview(path.read_bytes())
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
     off = len(MAGIC)
     out: dict[str, np.ndarray] = {}
+
+    def take(nbytes: int, what: str) -> memoryview:
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint, the file ends inside the {what} of {label}")
+        chunk = blob[off : off + nbytes]
+        off += nbytes
+        return chunk
+
     while off < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
-        out[name] = arr.astype(np.float64)
+        label = f"parameter #{len(out)}"
+        (nlen,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = bytes(take(nlen, "name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: the name of {label} is not UTF-8") from None
+        label = f"parameter {name!r}"
+        if name in out:
+            raise ValueError(f"{path}: duplicate {label}")
+        (rank,) = struct.unpack("<I", take(4, "rank"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape"))
+        payload = take(8 * math.prod(shape), "payload")
+        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     return out
 
 

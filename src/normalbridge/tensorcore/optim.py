@@ -32,12 +32,11 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, grads: dict | None 
 
     ``grads`` defaults to each parameter's accumulated ``.grad``. Weight
     decay is decoupled (applied directly to the weights, not the moment
-    estimates). Raises if any gradient is non-finite, naming the tensor.
+    estimates). Every gradient is checked before anything is updated: a
+    missing or non-finite one raises, naming the parameter, and leaves
+    the parameters, the moments and ``step_count`` as they were.
     """
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    checked = {}
     for name, p in params.items():
         g = grads[name] if grads is not None else p.grad
         if g is None:
@@ -45,6 +44,14 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, grads: dict | None 
         g = np.asarray(g, dtype=np.float64)
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+        checked[name] = g
+
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = checked[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

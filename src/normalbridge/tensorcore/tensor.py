@@ -5,6 +5,16 @@ tensor; ``backward()`` assembles the tape (a topologically ordered list
 of records), seeds the scalar loss with gradient 1 and walks the tape
 in reverse, visiting each node exactly once.
 
+Graph lifetime. A result gets a backward closure only when it is
+tracked (it has parents, so gradients can flow through it); ``no_grad``
+results and results of constants carry none. A closure reads its output
+tensor's ``grad``, so a tracked node and its closure form a reference
+cycle; ``backward()`` breaks it by dropping each interior node's closure
+and ``grad`` as soon as the closure has run, and only leaves keep
+``grad``. Graphs are therefore freed by reference counting, without
+waiting for the cyclic garbage collector. A graph can be walked once: a
+second ``backward`` through an already walked node raises.
+
 Conventions fixed here once and relied on by tests:
   * all buffers are float64,
   * ``conv2d`` computes cross-correlation (no kernel flip),
@@ -14,9 +24,10 @@ Conventions fixed here once and relied on by tests:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +45,9 @@ __all__ = [
     "bce_with_logits",
 ]
 
-_grad_enabled = True
+# per thread (and per asyncio task): a no_grad block in one does not stop
+# graph recording in another
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 _node_counter = itertools.count()
 
 
@@ -42,17 +55,14 @@ class no_grad:
     """Context manager that suspends graph recording (inference mode)."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 def _as_array(value) -> np.ndarray:
@@ -86,7 +96,7 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], op: str) -> "Tensor":
-        track = _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+        track = _grad_enabled.get() and any(p.requires_grad or p._parents for p in parents)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.requires_grad = False
@@ -96,6 +106,11 @@ class Tensor:
         out._op = op
         out._id = next(_node_counter)
         return out
+
+    def _set_backward(self, fn: Callable[[], None]) -> None:
+        """Attach ``fn`` to a tracked result; an untracked one never runs it."""
+        if self._parents:
+            self._backward_fn = fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -156,14 +171,14 @@ class Tensor:
             self._accumulate(Tensor._unbroadcast(out.grad, self.shape))
             other._accumulate(Tensor._unbroadcast(out.grad, other.shape))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
         out = Tensor._result(-self.data, (self,), "neg")
-        out._backward_fn = lambda: self._accumulate(-out.grad)
+        out._set_backward(lambda: self._accumulate(-out.grad))
         return out
 
     def __sub__(self, other):
@@ -174,7 +189,7 @@ class Tensor:
             self._accumulate(Tensor._unbroadcast(out.grad, self.shape))
             other._accumulate(Tensor._unbroadcast(-out.grad, other.shape))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     def __rsub__(self, other):
@@ -188,7 +203,7 @@ class Tensor:
             self._accumulate(Tensor._unbroadcast(out.grad * other.data, self.shape))
             other._accumulate(Tensor._unbroadcast(out.grad * self.data, other.shape))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     __rmul__ = __mul__
@@ -203,7 +218,7 @@ class Tensor:
                 Tensor._unbroadcast(-out.grad * self.data / (other.data * other.data), other.shape)
             )
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     def __rtruediv__(self, other):
@@ -216,34 +231,34 @@ class Tensor:
         def bwd():
             self._accumulate(out.grad * p * self.data ** (p - 1.0))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     # -- elementwise functions ------------------------------------------
 
     def exp(self):
         out = Tensor._result(np.exp(self.data), (self,), "exp")
-        out._backward_fn = lambda: self._accumulate(out.grad * out.data)
+        out._set_backward(lambda: self._accumulate(out.grad * out.data))
         return out
 
     def log(self):
         out = Tensor._result(np.log(self.data), (self,), "log")
-        out._backward_fn = lambda: self._accumulate(out.grad / self.data)
+        out._set_backward(lambda: self._accumulate(out.grad / self.data))
         return out
 
     def sqrt(self):
         out = Tensor._result(np.sqrt(self.data), (self,), "sqrt")
-        out._backward_fn = lambda: self._accumulate(out.grad * 0.5 / out.data)
+        out._set_backward(lambda: self._accumulate(out.grad * 0.5 / out.data))
         return out
 
     def sigmoid(self):
         out = Tensor._result(1.0 / (1.0 + np.exp(-self.data)), (self,), "sigmoid")
-        out._backward_fn = lambda: self._accumulate(out.grad * out.data * (1.0 - out.data))
+        out._set_backward(lambda: self._accumulate(out.grad * out.data * (1.0 - out.data)))
         return out
 
     def tanh(self):
         out = Tensor._result(np.tanh(self.data), (self,), "tanh")
-        out._backward_fn = lambda: self._accumulate(out.grad * (1.0 - out.data * out.data))
+        out._set_backward(lambda: self._accumulate(out.grad * (1.0 - out.data * out.data)))
         return out
 
     def relu(self):
@@ -252,7 +267,7 @@ class Tensor:
         def bwd():
             self._accumulate(out.grad * (self.data > 0.0))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     def leaky_relu(self, slope: float = 0.01):
@@ -262,7 +277,7 @@ class Tensor:
         def bwd():
             self._accumulate(out.grad * np.where(self.data > 0.0, 1.0, slope))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     # -- reductions -------------------------------------------------------
@@ -278,7 +293,7 @@ class Tensor:
                 g = np.expand_dims(g, tuple(sorted(axes)))
             self._accumulate(np.broadcast_to(g, self.shape))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     def mean(self, axis=None, keepdims: bool = False):
@@ -295,7 +310,7 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out = Tensor._result(self.data.reshape(shape), (self,), "reshape")
-        out._backward_fn = lambda: self._accumulate(out.grad.reshape(self.shape))
+        out._set_backward(lambda: self._accumulate(out.grad.reshape(self.shape)))
         return out
 
     def transpose(self, *axes):
@@ -305,7 +320,7 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         inv = tuple(np.argsort(axes))
         out = Tensor._result(self.data.transpose(axes), (self,), "transpose")
-        out._backward_fn = lambda: self._accumulate(out.grad.transpose(inv))
+        out._set_backward(lambda: self._accumulate(out.grad.transpose(inv)))
         return out
 
     def __getitem__(self, idx):
@@ -316,7 +331,7 @@ class Tensor:
             buf[idx] += out.grad
             self._accumulate(buf)
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
     def __matmul__(self, other):
@@ -334,7 +349,7 @@ class Tensor:
                 db = np.matmul(np.swapaxes(self.data, -1, -2), g)
                 other._accumulate(Tensor._unbroadcast(db, other.shape))
 
-        out._backward_fn = bwd
+        out._set_backward(bwd)
         return out
 
 
@@ -356,27 +371,29 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             t._accumulate(out.grad[tuple(idx)])
             start = stop
 
-    out._backward_fn = bwd
+    out._set_backward(bwd)
     return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+def _phase_blocks(h: int, w: int, stride: int, padding: int):
+    """Where each input pixel sits in the phase grid of a strided, padded conv.
 
+    Padded pixel ``(r, c)`` goes to phase ``(r % stride, c % stride)`` at
+    ``(r // stride, c // stride)``. Yields, per phase, the grid index and
+    the input index of the block of real (non-padding) pixels; every input
+    pixel lands in exactly one block.
+    """
+    def span(a, extent):
+        first = -((a - padding) // stride)  # ceil((padding - a) / stride), >= 0 as a < stride
+        src = first * stride + a - padding
+        count = len(range(src, extent, stride))
+        return slice(first, first + count), slice(src, extent, stride)
 
-def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c = xp_shape[:2]
-    buf = np.zeros(xp_shape, dtype=np.float64)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-    return buf
+    for a in range(stride):
+        rows_q, rows_x = span(a, h)
+        for b in range(stride):
+            cols_q, cols_x = span(b, w)
+            yield (a, b, Ellipsis, rows_q, cols_q), (Ellipsis, rows_x, cols_x)
 
 
 def conv2d(
@@ -391,6 +408,20 @@ def conv2d(
     Differentiable w.r.t. input, kernel and bias. The kernel is applied
     as stored (cross-correlation); tests pin that definition against a
     nested-loop oracle.
+
+    Shifted-slice scheme, one path for every stride, padding and kernel
+    size. The zero-padded input is split into ``stride x stride`` phase
+    images (one when the stride is 1), each flattened per (sample,
+    channel) into rows of width ``wq = ceil((W + 2*padding) / stride)``
+    with a short zero tail. Kernel tap ``(i, j)`` then reads one
+    contiguous slice of phase ``(i % stride, j % stride)`` starting at
+    ``(i // stride) * wq + j // stride``, so the output is a sum of
+    ``kh * kw`` matrix products ``kernel[:, :, i, j] @ slice`` over
+    ``(N, K, OH * wq)``, of which the last ``wq - OW`` columns of each row
+    are dropped. Backward runs the same slices the other way: the kernel
+    gradient of a tap is ``grad @ slice.T`` summed over the batch, and
+    ``kernel[:, :, i, j].T @ grad`` adds into the phase-image gradient,
+    which is mapped back onto the input.
     """
     x = Tensor._coerce(x)
     kernel = Tensor._coerce(kernel)
@@ -404,35 +435,64 @@ def conv2d(
         raise ValueError(
             f"conv2d spatial dims too small: input {h}x{w}, pad {padding}, kernel {kh}x{kw}"
         )
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    s = stride
+    oh = (h + 2 * padding - kh) // s + 1
+    ow = (w + 2 * padding - kw) // s + 1
+    hq = -(-(h + 2 * padding) // s)
+    wq = -(-(w + 2 * padding) // s)
+    span = oh * wq
+    # the last tap's slice runs at most (kw - 1) // s columns past the grid
+    phases = np.zeros((s, s, n, c, hq * wq + (kw - 1) // s))
+    grid = phases[..., : hq * wq].reshape(s, s, n, c, hq, wq)
+    blocks = list(_phase_blocks(h, w, s, padding))
+    for at_q, at_x in blocks:
+        grid[at_q] = x.data[at_x]
+    taps = [(i, j, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    wtaps = kernel.data.transpose(2, 3, 0, 1).copy()  # (kh, kw, K, C)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)  # (N, C*kh*kw, OH*OW)
-    wmat = kernel.data.reshape(k, c * kh * kw)
-    out_data = np.matmul(wmat, cols).reshape(n, k, oh, ow)
+    acc = np.empty((n, k, span))
+    tmp = np.empty_like(acc)
+    for t, (i, j, off) in enumerate(taps):
+        sl = phases[i % s, j % s, ..., off : off + span]
+        if t == 0:
+            np.matmul(wtaps[i, j], sl, out=acc)
+        else:
+            acc += np.matmul(wtaps[i, j], sl, out=tmp)
+    out_data = acc.reshape(n, k, oh, wq)[..., :ow]
     if bias is not None:
         bias = Tensor._coerce(bias)
         out_data = out_data + bias.data.reshape(1, k, 1, 1)
+    else:
+        out_data = np.ascontiguousarray(out_data)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = Tensor._result(out_data, parents, "conv2d")
 
     def bwd():
-        g = out.grad.reshape(n, k, oh * ow)
+        g = np.zeros((n, k, oh, wq))
+        g[..., :ow] = out.grad
+        g = g.reshape(n, k, span)
         if kernel.requires_grad or kernel._parents:
-            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+            dw = np.empty(kernel.shape)
+            for i, j, off in taps:
+                sl = phases[i % s, j % s, ..., off : off + span]
+                dw[:, :, i, j] = np.matmul(g, sl.transpose(0, 2, 1)).sum(axis=0)
             kernel._accumulate(dw)
         if x.requires_grad or x._parents:
-            dcols = np.matmul(wmat.T, g)
-            dxp = _col2im(dcols, xp.shape, kh, kw, stride, oh, ow)
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + w]
-            x._accumulate(dxp)
+            dphases = np.zeros_like(phases)
+            wtaps_t = wtaps.transpose(0, 1, 3, 2).copy()  # (kh, kw, C, K)
+            dtmp = np.empty((n, c, span))
+            for i, j, off in taps:
+                dphases[i % s, j % s, ..., off : off + span] += np.matmul(wtaps_t[i, j], g, out=dtmp)
+            dgrid = dphases[..., : hq * wq].reshape(s, s, n, c, hq, wq)
+            dx = np.empty_like(x.data)
+            for at_q, at_x in blocks:
+                dx[at_x] = dgrid[at_q]
+            x._accumulate(dx)
         if bias is not None and (bias.requires_grad or bias._parents):
-            bias._accumulate(g.sum(axis=(0, 2)))
+            bias._accumulate(out.grad.reshape(n, k, oh * ow).sum(axis=(0, 2)))
 
-    out._backward_fn = bwd
+    out._set_backward(bwd)
     return out
 
 
@@ -450,7 +510,7 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
         g = out.grad.reshape(n, c, h, f, w, f).sum(axis=(3, 5))
         x._accumulate(g)
 
-    out._backward_fn = bwd
+    out._set_backward(bwd)
     return out
 
 
@@ -477,7 +537,7 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         out_grad = out.grad  # scalar
         logits._accumulate(out_grad * (sig - t) / z.size)
 
-    out._backward_fn = bwd
+    out._set_backward(bwd)
     return out
 
 
@@ -495,24 +555,27 @@ class Tape:
     """Topologically ordered record of the ops reaching one scalar loss.
 
     Built by :func:`backward`; parents always precede children, and the
-    reverse walk calls each node's backward closure exactly once.
+    reverse walk calls each node's backward closure exactly once. The
+    tape holds records only, not tensors, so keeping it does not keep the
+    graph alive.
     """
 
     def __init__(self, nodes: list[Tensor]):
-        self._nodes = nodes
         self.records = [
             TapeRecord(n._op, tuple(p._id for p in n._parents), n._id) for n in nodes
         ]
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.records)
 
 
 def backward(loss: Tensor) -> Tape:
     """Run reverse-mode differentiation from a scalar ``loss``.
 
     Populates ``grad`` on every reachable tensor with ``requires_grad``
-    set. Returns the tape for introspection.
+    set and frees the graph as it goes: each interior node loses its
+    closure and its ``grad`` once the closure has run. Returns the tape
+    for introspection.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -530,6 +593,10 @@ def backward(loss: Tensor) -> Tape:
             continue
         if node._id in seen:
             continue
+        if node._parents and node._backward_fn is None:
+            raise ValueError(
+                f"backward reached a {node._op!r} node whose graph an earlier backward freed"
+            )
         seen.add(node._id)
         stack.append((node, True))
         for p in node._parents:
@@ -537,10 +604,11 @@ def backward(loss: Tensor) -> Tape:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    visited: set[int] = set()
     for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            assert node._id not in visited, "tape node visited twice"
-            visited.add(node._id)
+        if not node._parents:
+            continue  # a leaf: it keeps its grad
+        if node.grad is not None:
             node._backward_fn()
+        node._backward_fn = None
+        node.grad = None
     return Tape(order)

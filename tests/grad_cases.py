@@ -166,6 +166,22 @@ def case_conv2d_stride(rng):
     return lambda tx, tw: p(tc.conv2d(tx, tw, stride=2, padding=0)), [x, w]
 
 
+def case_conv2d_stride2_pad1_odd(rng):
+    x = rng.normal((2, 2, 7, 5))
+    w = rng.normal((3, 2, 3, 3)) * 0.5
+    b = rng.normal((3,))
+    p = _proj(rng, (2, 3, 4, 3))
+    return lambda tx, tw, tb: p(tc.conv2d(tx, tw, tb, stride=2, padding=1)), [x, w, b]
+
+
+def case_conv2d_nonsquare_kernel(rng):
+    x = rng.normal((2, 2, 5, 6))
+    w = rng.normal((3, 2, 2, 3)) * 0.5
+    b = rng.normal((3,))
+    p = _proj(rng, (2, 3, 6, 6))
+    return lambda tx, tw, tb: p(tc.conv2d(tx, tw, tb, stride=1, padding=1)), [x, w, b]
+
+
 def case_upsample(rng):
     x = rng.normal((1, 2, 3, 3))
     p = _proj(rng, (1, 2, 6, 6))
@@ -231,6 +247,8 @@ CASES = [
     ("linear_relu", case_linear_relu),
     ("conv2d", case_conv2d),
     ("conv2d_stride", case_conv2d_stride),
+    ("conv2d_stride2_pad1_odd", case_conv2d_stride2_pad1_odd),
+    ("conv2d_nonsquare_kernel", case_conv2d_nonsquare_kernel),
     ("upsample_nearest", case_upsample),
     ("group_norm", case_group_norm),
     ("mse_loss", case_mse),

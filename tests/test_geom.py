@@ -310,6 +310,14 @@ class TestSharpEdges:
         )
         assert geom.count_sharp_edges(mesh) == 0
 
+    def test_zero_area_face_is_never_sharp(self):
+        # two coplanar triangles plus a sliver (0, 4, 2) on their shared diagonal
+        v = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]])
+        mesh = TriMesh(v, np.array([[0, 1, 2], [0, 2, 3], [0, 4, 2]]))
+        rep = geom.sharp_edge_report(mesh, 30.0)
+        assert rep.nonmanifold_edges == 1
+        assert rep.sharp_count == 0 and rep.nonmanifold_sharp_count == 0
+
     def test_icosahedron_is_thirty(self):
         mesh = geom.icosahedron_mesh()
         rep = geom.sharp_edge_report(mesh, 30.0)

@@ -1,3 +1,8 @@
+import gc
+import struct
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -63,6 +68,20 @@ class TestConv2d:
             got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad).data
             want = conv2d_oracle(x, w, b, stride=stride, padding=pad)
             assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_oracle_sweep_strides_pads_kernels(self):
+        rng = SeededRng(4)
+        for hw in [(7, 9), (8, 6), (5, 10)]:
+            for kh, kw in [(3, 3), (2, 3), (3, 1), (1, 1)]:
+                x = rng.normal((2, 3) + hw)
+                w = rng.normal((4, 3, kh, kw))
+                b = rng.normal((4,))
+                for stride in (1, 2, 3):
+                    for pad in (0, 1, 2):
+                        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad).data
+                        want = conv2d_oracle(x, w, b, stride=stride, padding=pad)
+                        assert got.shape == want.shape, (hw, kh, kw, stride, pad)
+                        assert np.max(np.abs(got - want)) < 1e-12, (hw, kh, kw, stride, pad)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="channel mismatch"):
@@ -131,6 +150,123 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [8.0])
 
 
+@pytest.fixture
+def no_cyclic_gc():
+    """Run with the cyclic collector off, so only reference counting frees."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _small_net(x, w, gamma, beta):
+    h = conv2d(x, w, padding=1).leaky_relu(0.1)
+    return tc.l2_normalize(tc.group_norm(h, 1, gamma, beta), axis=1)
+
+
+class TestGraphLifetime:
+    @staticmethod
+    def _params():
+        rng = SeededRng(8)
+        x = Tensor(rng.normal((2, 2, 6, 6)))
+        w = Tensor(rng.normal((3, 2, 3, 3)), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
+        return x, w, gamma, beta
+
+    def test_training_graph_freed_by_refcount(self, no_cyclic_gc):
+        x, w, gamma, beta = self._params()
+        out = _small_net(x, w, gamma, beta)
+        buf = weakref.ref(out.data)
+        loss = (out * out).sum()
+        backward(loss)
+        del out, loss
+        assert buf() is None
+        assert w.grad is not None and gamma.grad is not None
+
+    def test_no_grad_graph_freed_by_refcount(self, no_cyclic_gc):
+        x, w, gamma, beta = self._params()
+        with tc.no_grad():
+            out = _small_net(x, w, gamma, beta)
+        assert out._backward_fn is None and out._parents == ()
+        buf = weakref.ref(out.data)
+        del out
+        assert buf() is None
+
+    def test_returned_tape_does_not_pin_graph(self, no_cyclic_gc):
+        x, w, gamma, beta = self._params()
+        out = _small_net(x, w, gamma, beta)
+        buf = weakref.ref(out.data)
+        tape = backward(out.sum())
+        del out
+        assert buf() is None
+        assert len(tape) == len(tape.records) > 0
+
+    def test_untracked_results_get_no_closure(self):
+        a = Tensor(np.ones(3))
+        b = (a * 2.0 + 1.0).exp()
+        assert b._parents == () and b._backward_fn is None
+
+    def test_interior_grads_dropped_leaf_grads_kept(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        s = y + x
+        z = s.sum()
+        backward(z)
+        for node in (y, s, z):
+            assert node.grad is None and node._backward_fn is None
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
+
+    def test_second_backward_through_freed_graph_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        backward(y.sum())
+        before = x.grad.copy()
+        with pytest.raises(ValueError, match="freed"):
+            backward((y * y).sum())
+        np.testing.assert_array_equal(x.grad, before)
+
+
+class TestNoGradThreads:
+    def test_no_grad_in_one_thread_does_not_stop_recording_in_another(self):
+        held = threading.Event()
+        checked = threading.Event()
+        seen = {}
+
+        def inference():
+            with tc.no_grad():
+                seen["inference_enabled"] = tc.grad_enabled()
+                held.set()
+                checked.wait(timeout=10)
+                seen["inference_parents"] = (Tensor(np.ones(2), requires_grad=True) * 2.0)._parents
+
+        def training():
+            held.wait(timeout=10)
+            seen["training_enabled"] = tc.grad_enabled()
+            seen["training_parents"] = (Tensor(np.ones(2), requires_grad=True) * 2.0)._parents
+            checked.set()
+
+        threads = [threading.Thread(target=inference), threading.Thread(target=training)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert seen["inference_enabled"] is False and seen["inference_parents"] == ()
+        assert seen["training_enabled"] is True and len(seen["training_parents"]) == 2
+        assert tc.grad_enabled()
+
+    def test_no_grad_restores_on_exit(self):
+        with tc.no_grad():
+            with tc.no_grad():
+                assert not tc.grad_enabled()
+            assert not tc.grad_enabled()
+        assert tc.grad_enabled()
+
+
 class TestGradChecks:
     @pytest.mark.parametrize("name,builder", CASES, ids=[c[0] for c in CASES])
     def test_analytic_matches_fd(self, name, builder):
@@ -168,6 +304,29 @@ class TestAdamW:
         p.grad = np.array([np.nan, 0.0])
         with pytest.raises(FloatingPointError, match="'p'"):
             adamw_step({"p": p}, AdamWState())
+
+    @staticmethod
+    def _two_params_after_one_step():
+        rng = SeededRng(9)
+        params = {"a": Tensor(rng.normal((3,)), requires_grad=True),
+                  "b": Tensor(rng.normal((2, 2)), requires_grad=True)}
+        st = AdamWState()
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        adamw_step(params, st)
+        return params, st
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, None])
+    def test_failing_step_leaves_state_unchanged(self, bad):
+        params, st = self._two_params_after_one_step()
+        params["a"].grad = np.full(3, 0.5)
+        params["b"].grad = None if bad is None else np.array([[0.1, bad], [0.2, 0.3]])
+        before = {k: (p.data.tobytes(), st.m[k].tobytes(), st.v[k].tobytes()) for k, p in params.items()}
+        with pytest.raises((FloatingPointError, ValueError), match="'b'"):
+            adamw_step(params, st)
+        assert st.step_count == 1
+        for k, p in params.items():
+            assert (p.data.tobytes(), st.m[k].tobytes(), st.v[k].tobytes()) == before[k]
 
     def test_decoupled_weight_decay(self):
         p = Tensor(np.array([10.0]), requires_grad=True)
@@ -250,6 +409,50 @@ class TestCheckpoint:
         for name, p in params.items():
             assert loaded[name].tobytes() == p.data.tobytes()
             assert loaded[name].shape == p.data.shape
+
+    @staticmethod
+    def _two_param_file(tmp_path):
+        params = {"enc.w": Tensor(np.arange(6.0).reshape(2, 3)), "enc.b": Tensor(np.arange(3.0))}
+        path = tmp_path / "model.nblb"
+        save_checkpoint(path, params)
+        # second record: u32 name length, b"enc.b", u32 rank, u32 extent, 3 * f64
+        second = path.stat().st_size - (4 + 5 + 4 + 4 + 24)
+        return path, path.read_bytes(), second
+
+    @pytest.mark.parametrize("cut,names", [
+        (4 + 2, "parameter #1"),       # inside the name
+        (4 + 5 + 4 + 2, "'enc.b'"),    # inside the shape
+        (4 + 5 + 4 + 4 + 12, "'enc.b'"),  # inside the payload
+    ])
+    def test_truncated_file_names_path_and_parameter(self, tmp_path, cut, names):
+        path, blob, second = self._two_param_file(tmp_path)
+        path.write_bytes(blob[: second + cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and names in str(err.value)
+
+    def test_truncated_first_payload(self, tmp_path):
+        path, blob, second = self._two_param_file(tmp_path)
+        path.write_bytes(blob[: second - 1])
+        with pytest.raises(ValueError, match="'enc.w'"):
+            load_checkpoint(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "one.nblb"
+        save_checkpoint(path, {"w": Tensor(np.ones(2))})
+        record = path.read_bytes()[len(tc.checkpoint.MAGIC):]
+        assert struct.unpack_from("<I", record)[0] == 1
+        path.write_bytes(tc.checkpoint.MAGIC + record + record)
+        with pytest.raises(ValueError, match="duplicate parameter 'w'"):
+            load_checkpoint(path)
+
+    def test_non_utf8_name_names_path(self, tmp_path):
+        path = tmp_path / "bad_name.nblb"
+        record = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0) + struct.pack("<d", 1.0)
+        path.write_bytes(tc.checkpoint.MAGIC + record)
+        with pytest.raises(ValueError, match="parameter #0 is not UTF-8") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.bin"
