@@ -589,7 +589,10 @@ def uv_sphere_mesh(n_lat: int = 24, n_lon: int = 48, radius: float = 1.0) -> Tri
 
 
 def heightfield_to_mesh(hf) -> TriMesh:
-    """Triangulate a heightfield grid (x right, y up, z = height)."""
+    """Triangulate a heightfield grid (x right, y up, z = height).
+
+    The mesh carries its area-weighted ``vertex_normals``.
+    """
     h, w = hf.shape
     cell = hf.cell_size
     cols, rows = np.meshgrid(np.arange(w), np.arange(h))
@@ -607,4 +610,6 @@ def heightfield_to_mesh(hf) -> TriMesh:
          np.stack([bottom_left, bottom_right, top_right], axis=-1)],
         axis=2,
     )
-    return TriMesh(v, faces.reshape(-1, 3))
+    mesh = TriMesh(v, faces.reshape(-1, 3))
+    mesh.vertex_norms = vertex_normals(mesh)  # stored, so renders do not recompute them
+    return mesh

@@ -7,6 +7,18 @@ Chebyshev ball, intersected with the foreground.
 
 The Canny gradient magnitude is normalized to max 1 before thresholding,
 so ``low``/``high`` are relative thresholds on unit-scaled gradients.
+
+Canny works on all channels at once, as one (C, H, W) stack: Gaussian
+blur, Sobel, magnitude and the per-channel peak scaling are whole-stack
+array passes, in the same per-pixel float expressions as a loop over
+channels, so the mask does not depend on how many channels share the
+pass. Non-maximum suppression looks only at the pixels that clear
+``low``. Hysteresis labels the weak pixels once by 8-connected component
+within their channel (hooking plus pointer jumping over the neighbour
+pairs) and keeps each component that holds a strong pixel; this is the
+fixed point of growing the strong pixels through weak ones, without a
+full-image dilation per step. The square dilation is separable: the OR of
+2r+1 row shifts, then of 2r+1 column shifts.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ __all__ = [
     "normal_error",
     "canny",
     "dilate",
+    "gaussian_blur",
     "sharp_normal_error",
     "multiview_report",
     "scaled_dilation_radius",
@@ -101,67 +114,100 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _convolve_sep(img: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Separable 2-d convolution with reflect padding."""
+def gaussian_blur(img: np.ndarray, sigma: float, mode: str) -> np.ndarray:
+    """Separable Gaussian blur of the first two axes, taps ``ceil(3 sigma)`` each side.
+
+    ``mode`` is the ``np.pad`` mode of the borders. Trailing axes, such as
+    channels, are blurred independently. Each pass sums its taps left to
+    right, so the result does not depend on how many channels ride along.
+    """
+    k = _gaussian_kernel1d(sigma)
     r = len(k) // 2
-    pad = np.pad(img, ((r, r), (0, 0)), mode="reflect")
-    out = np.zeros_like(img)
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape[:2]
+    rest = ((0, 0),) * (img.ndim - 2)
+    pad = np.pad(img, ((r, r), (0, 0)) + rest, mode=mode)
+    out = np.zeros(img.shape)
     for i, kv in enumerate(k):
-        out += kv * pad[i : i + img.shape[0], :]
-    pad = np.pad(out, ((0, 0), (r, r)), mode="reflect")
-    out2 = np.zeros_like(img)
+        out += kv * pad[i : i + h]
+    pad = np.pad(out, ((0, 0), (r, r)) + rest, mode=mode)
+    out = np.zeros(img.shape)
     for i, kv in enumerate(k):
-        out2 += kv * pad[:, i : i + img.shape[1]]
-    return out2
-
-
-def _conv3(img: np.ndarray, k3: np.ndarray) -> np.ndarray:
-    pad = np.pad(img, 1, mode="reflect")
-    out = np.zeros_like(img)
-    h, w = img.shape
-    for i in range(3):
-        for j in range(3):
-            out += k3[i, j] * pad[i : i + h, j : j + w]
+        out += kv * pad[:, i : i + w]
     return out
 
 
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-_SOBEL_Y = _SOBEL_X.T
+# sector s of the quantized gradient direction compares a pixel with its
+# neighbours at +-(dy, dx)
+_NMS_OFFSETS = ((0, 1), (-1, 1), (-1, 0), (-1, -1))
 
 
-def _canny_channel(gray: np.ndarray, low: float, high: float, sigma: float = 1.4) -> np.ndarray:
-    blur = _convolve_sep(gray.astype(np.float64), _gaussian_kernel1d(sigma))
-    gx = _conv3(blur, _SOBEL_X)
-    gy = _conv3(blur, _SOBEL_Y)
-    mag = np.hypot(gx, gy)
-    peak = mag.max()
-    if peak <= 0:
-        return np.zeros_like(gray, dtype=bool)
-    mag = mag / peak  # unit-scaled gradients
+def _sobel(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 Sobel (gx, gy) of a (C, H, W) stack, reflect-padded.
 
-    # non-maximum suppression along the quantized gradient direction;
-    # the asymmetric (>, >=) pair keeps exactly one pixel on plateau ties
-    ang = np.mod(np.arctan2(gy, gx), np.pi)
-    sector = np.floor((ang + np.pi / 8) / (np.pi / 4)).astype(int) % 4
-    offsets = {0: (0, 1), 1: (-1, 1), 2: (-1, 0), 3: (-1, -1)}
-    padm = np.pad(mag, 1, mode="constant")
-    h, w = gray.shape
-    nms = np.zeros((h, w), dtype=bool)
-    for s, (dy, dx) in offsets.items():
-        ahead = padm[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-        behind = padm[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
-        keep = (mag > behind) & (mag >= ahead)
-        nms |= keep & (sector == s)
+    The nonzero taps of the kernels are added in row-major order; the
+    zero taps are skipped, and the +-1 and +-2 products are exact.
+    """
+    _, h, w = stack.shape
+    p = np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="reflect")
 
-    strong = nms & (mag >= high)
-    weak = nms & (mag >= low)
-    # hysteresis: grow strong seeds through 8-connected weak pixels
-    result = strong.copy()
+    def tap(i, j):
+        return p[:, i : i + h, j : j + w]
+
+    gx = tap(0, 2) - tap(0, 0)
+    gx -= 2.0 * tap(1, 0)
+    gx += 2.0 * tap(1, 2)
+    gx -= tap(2, 0)
+    gx += tap(2, 2)
+    gy = -tap(0, 0)
+    gy -= 2.0 * tap(0, 1)
+    gy -= tap(0, 2)
+    gy += tap(2, 0)
+    gy += 2.0 * tap(2, 1)
+    gy += tap(2, 2)
+    return gx, gy
+
+
+def _hysteresis(weak: np.ndarray, mag: np.ndarray, row: int, high: float) -> np.ndarray:
+    """The weak pixels 8-connected, through weak pixels, to a strong one.
+
+    ``mag`` is the flat, zero-bordered magnitude stack with rows of
+    ``row`` entries, and ``weak`` the sorted flat indices of the weak
+    pixels in it; a strong pixel is a weak one with magnitude ``>= high``.
+    The weak pixels are labelled by connected component: each pair of
+    8-neighbours is an edge, every round hooks the larger root of each
+    edge whose ends still disagree onto the smaller one, and pointer
+    jumping then flattens the forest to its roots. Returns the indices of
+    the components that hold a strong pixel.
+    """
+    is_weak = np.zeros(mag.size, dtype=bool)
+    is_weak[weak] = True
+    # the zero border keeps neighbour pairs inside one row and one channel;
+    # the forward half of the 8-neighbourhood lists each pair once
+    us, vs = [], []
+    for off in (1, row - 1, row, row + 1):
+        hit = is_weak[weak + off]
+        us.append(np.flatnonzero(hit))
+        vs.append(np.searchsorted(weak, weak[hit] + off))
+    u, v = np.concatenate(us), np.concatenate(vs)
+
+    label = np.arange(weak.size)
     while True:
-        grown = _dilate_bool(result, 1) & weak
-        if np.array_equal(grown, result):
-            return result
-        result = grown
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            break
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+
+    seeded = np.zeros(weak.size, dtype=bool)
+    seeded[label[mag[weak] >= high]] = True
+    return weak[seeded[label]]
 
 
 def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HIGH) -> EdgeMask:
@@ -169,7 +215,8 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
 
     Accepts a NormalMap, an HxWx3 float image in [0,1], or an HxW gray
     image. Per-channel masks are unioned so pure-direction discontinuities
-    with equal luminance still register.
+    with equal luminance still register. A channel whose gradient is zero
+    everywhere adds nothing.
     """
     if not (0.0 < low < high):
         raise ValueError("need 0 < low < high")
@@ -177,36 +224,56 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
         img = encode_normal_image(source).astype(np.float64) / 255.0
     else:
         img = np.asarray(source, dtype=np.float64)
-    if img.ndim == 2:
-        channels = [img]
-    elif img.ndim == 3:
-        channels = [img[..., c] for c in range(img.shape[2])]
-    else:
+    if img.ndim not in (2, 3):
         raise ValueError(f"unsupported image shape {img.shape}")
-    mask = np.zeros(img.shape[:2], dtype=bool)
-    for ch in channels:
-        mask |= _canny_channel(ch, low, high)
-    return EdgeMask(mask, canny_low=low, canny_high=high, dilation_radius=0)
+    out = np.zeros(img.shape[:2], dtype=bool)
+    blur = gaussian_blur(img, 1.4, "reflect")
+    gx, gy = _sobel(blur[None] if blur.ndim == 2 else np.moveaxis(blur, 2, 0))
+    mag = np.hypot(gx, gy)
+    peak = mag.max(axis=(1, 2))
+    live = peak > 0
+    if not live.any():
+        return EdgeMask(out, canny_low=low, canny_high=high)
+    mag = mag[live] / peak[live, None, None]  # unit-scaled gradients
 
+    # non-maximum suppression along the quantized gradient direction, at
+    # the pixels that clear ``low`` (no other can be weak); the asymmetric
+    # (>, >=) pair keeps exactly one pixel on plateau ties
+    _, h, w = mag.shape
+    row = w + 2
+    padm = np.pad(mag, ((0, 0), (1, 1), (1, 1)), mode="constant").ravel()
+    cand = mag >= low
+    at = np.flatnonzero(padm >= low)  # the same pixels, in the bordered stack
+    ang = np.mod(np.arctan2(gy[live][cand], gx[live][cand]), np.pi)
+    sector = np.floor((ang + np.pi / 8) / (np.pi / 4)).astype(int) % 4
+    step = np.array([dy * row + dx for dy, dx in _NMS_OFFSETS])[sector]
+    m = padm[at]
+    weak = at[(m > padm[at - step]) & (m >= padm[at + step])]
 
-def _dilate_bool(mask: np.ndarray, radius: int) -> np.ndarray:
-    if radius <= 0:
-        return mask.copy()
-    h, w = mask.shape
-    pad = np.pad(mask, radius, mode="constant")
-    out = np.zeros((h, w), dtype=bool)
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            out |= pad[dy : dy + h, dx : dx + w]
-    return out
+    edges = _hysteresis(weak, padm, row, high)
+    out[edges % ((h + 2) * row) // row - 1, edges % row - 1] = True
+    return EdgeMask(out, canny_low=low, canny_high=high, dilation_radius=0)
 
 
 def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
-    """Chebyshev-ball (square) dilation; radius 0 is the identity."""
+    """Chebyshev-ball (square) dilation; radius 0 is the identity.
+
+    The square is separable: the OR of the 2r+1 row shifts, then of the
+    2r+1 column shifts of that.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    m = mask.mask
+    h, w = m.shape
+    pad = np.pad(m, radius, mode="constant")
+    rows = pad[:h].copy()
+    for d in range(1, 2 * radius + 1):
+        rows |= pad[d : d + h]
+    out = rows[:, :w].copy()
+    for d in range(1, 2 * radius + 1):
+        out |= rows[:, d : d + w]
     return EdgeMask(
-        _dilate_bool(mask.mask, radius),
+        out,
         canny_low=mask.canny_low,
         canny_high=mask.canny_high,
         dilation_radius=mask.dilation_radius + radius,

@@ -385,7 +385,16 @@ def predict(model: DualStreamModel, image, mask: np.ndarray | None = None) -> No
 
 
 def predict_batch(model: DualStreamModel, samples: list[DomainSample],
-                  batch_size: int = 16) -> list[NormalMap]:
+                  batch_size: int = 4) -> list[NormalMap]:
+    """Noise-free predictions for ``samples``, ``batch_size`` images per forward pass.
+
+    Every op of the forward pass works per sample (conv2d runs one matrix
+    product per sample and tap, group norm normalizes within a sample), so
+    the predictions are bit-identical at any ``batch_size``; it only sets
+    speed. The default of 4 keeps one chunk's activations in a 2 MiB L2
+    cache at 64x64: an 8-channel float64 tensor is 1 MiB at 4 images and
+    4 MiB at 16.
+    """
     out = []
     with no_grad():
         for start in range(0, len(samples), batch_size):

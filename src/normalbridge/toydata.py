@@ -231,18 +231,6 @@ def shade_image(
 # -- real-domain label corruption -------------------------------------------
 
 
-def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    radius = int(np.ceil(3.0 * sigma))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    k /= k.sum()
-    out = img.astype(np.float64)
-    pad = np.pad(out, ((radius, radius), (0, 0)) + ((0, 0),) * (img.ndim - 2), mode="edge")
-    out = sum(k[i] * pad[i : i + img.shape[0]] for i in range(len(k)))
-    pad = np.pad(out, ((0, 0), (radius, radius)) + ((0, 0),) * (img.ndim - 2), mode="edge")
-    return sum(k[i] * pad[:, i : i + img.shape[1]] for i in range(len(k)))
-
-
 def corrupt_labels_real_domain(
     sample: DomainSample,
     seed: int,
@@ -261,7 +249,7 @@ def corrupt_labels_real_domain(
     band = metrics.dilate(metrics.canny(nm), band_radius).mask
     vec = nm.vectors.copy()
     if band.any():
-        blurred = _gaussian_blur(nm.vectors, blur_sigma)
+        blurred = metrics.gaussian_blur(nm.vectors, blur_sigma, "edge")
         vec[band] = blurred[band]
         rng = SeededRng(seed, _STREAM_CORRUPT)
         n = vec[band]

@@ -461,6 +461,18 @@ class TestHeightfieldMesh:
                 loop.append(((r + 1) * w + c, (r + 1) * w + c + 1, r * w + c + 1))
         np.testing.assert_array_equal(mesh.faces, loop)
 
+    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
+    def test_stored_vertex_normals_render_like_recomputed(self, mode):
+        mesh = bumpy_heightfield_mesh(seed=11, size=12)
+        np.testing.assert_array_equal(mesh.vertex_norms, geom.vertex_normals(mesh))
+        bare = TriMesh(mesh.vertices, mesh.faces)
+        for cam in geom.viewpoints(3, mode=mode, resolution=(24, 28)):
+            a, b = geom.rasterize_normals(mesh, cam), geom.rasterize_normals(bare, cam)
+            assert a.mask.any()
+            np.testing.assert_array_equal(a.normal_map.vectors, b.normal_map.vectors)
+            np.testing.assert_array_equal(a.mask, b.mask)
+            np.testing.assert_array_equal(a.depth, b.depth)
+
     def test_obj_round_trip(self, tmp_path):
         mesh = geom.icosahedron_mesh()
         geom.save_obj(tmp_path / "ico.obj", mesh)

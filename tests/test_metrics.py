@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from normalbridge import metrics
+from normalbridge import geom, metrics, toydata
 from normalbridge.maps import NormalMap
 from normalbridge.tensorcore import SeededRng
+
+from canny_oracle import canny_oracle, dilate_loop
 
 
 def flat_map(h, w, vec=(0.0, 0.0, 1.0), mask=None):
@@ -84,7 +86,89 @@ class TestCanny:
             metrics.canny(flat_map(8, 8), 0.3, 0.2)
 
 
+ORACLE_PAIRS = ((0.1, 0.2), (0.05, 0.5), (0.1, 1.0))
+
+
+def assert_canny_matches_oracle(source):
+    for low, high in ORACLE_PAIRS:
+        np.testing.assert_array_equal(
+            metrics.canny(source, low, high).mask, canny_oracle(source, low, high), err_msg=f"({low}, {high})"
+        )
+
+
+def winding_chain(h=21, w=151, amp=2.0, period=40.0, level=0.3):
+    """A step edge that winds along a gentle sine across the whole width.
+
+    Its slope stays under tan(22.5 deg), so every edge pixel survives
+    non-maximum suppression and the edge is one 8-connected chain. The
+    contrast is ``level`` until it rises to 1 over the last columns, so at
+    ``high=1`` the one strong pixel sits at the far right end.
+    """
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    contrast = level + (1.0 - level) * np.clip((xx - (w - 14)) / 10.0, 0.0, 1.0)
+    return contrast * np.clip(h / 2 + amp * np.sin(2 * np.pi * xx / period) - yy, 0.0, 1.0)
+
+
+class TestCannyOracle:
+    def test_rendered_mesh_views(self):
+        hf = toydata.generate_scene(0, 6, size=16, cell_size=2.0 / 15)
+        mesh = geom.heightfield_to_mesh(hf)
+        for cam in geom.viewpoints(4, resolution=(96, 96)):
+            assert_canny_matches_oracle(geom.rasterize_normals(mesh, cam).normal_map)
+
+    def test_toydata_heightfield_normals(self):
+        for seed in range(6):
+            assert_canny_matches_oracle(toydata.heightfield_normals(toydata.generate_scene(seed, 2 + seed)))
+
+    @pytest.mark.parametrize("shape", [(13, 29, 3), (31, 17, 3), (9, 45), (27, 11)])
+    def test_random_images_odd_non_square(self, shape):
+        assert_canny_matches_oracle(SeededRng(7).uniform(0, 1, shape))
+
+    def test_constant_channel_adds_nothing(self):
+        img = SeededRng(8).uniform(0, 1, (19, 23, 3))
+        img[..., 1] = 0.5  # zero gradient, so its peak is 0
+        assert_canny_matches_oracle(img)
+        for low, high in ORACLE_PAIRS:
+            got = metrics.canny(img, low, high).mask
+            others = metrics.canny(img[..., 0], low, high).mask | metrics.canny(img[..., 2], low, high).mask
+            assert got.any()
+            np.testing.assert_array_equal(got, others)
+
+    def test_plateau_ties(self):
+        # a step along a diagonal: the blurred magnitude is bit-equal along
+        # each anti-diagonal, so neighbours tie exactly
+        yy, xx = np.mgrid[0:23, 0:31]
+        down = np.where(xx + yy >= 26, 1.0, 0.0)
+        up = np.where(xx - yy >= 5, 0.8, 0.1)
+        for img in (down, up, np.dstack([down, up, down])):
+            assert_canny_matches_oracle(img)
+
+    def test_long_winding_chain_from_one_strong_pixel(self):
+        img = winding_chain()
+        assert_canny_matches_oracle(img)
+        assert metrics.canny(img, 1.0 - 1e-9, 1.0).count == 1  # the one strong pixel
+        edges = metrics.canny(img, 0.1, 1.0).mask
+        assert edges.sum() == img.shape[1] and edges[:, 0].any()  # grown across the full width
+
+    def test_weak_pixels_without_strong_pixel_dropped(self):
+        img = np.zeros((31, 37))
+        img[:10] = 1.0  # strong edge near row 10
+        img[20:] = 0.3  # a weak edge near row 20, not connected to it
+        assert_canny_matches_oracle(img)
+        edges = metrics.canny(img, 0.1, 0.5).mask
+        assert edges[:15].any() and not edges[15:].any()
+        assert metrics.canny(img, 0.1, 0.2).mask[15:].any()
+
+
 class TestDilate:
+    @pytest.mark.parametrize("radius", range(7))
+    def test_matches_square_loop(self, radius):
+        rng = SeededRng(9)
+        for k, shape in enumerate([(17, 29), (30, 9)]):
+            m = rng.stream_rng(k).uniform(0, 1, shape) > 0.9
+            m[0, 3] = m[-1, -1] = m[5, 0] = m[2, -1] = True  # every border
+            np.testing.assert_array_equal(metrics.dilate(metrics.EdgeMask(m), radius).mask, dilate_loop(m, radius))
+
     def test_single_pixel_radius_one(self):
         m = np.zeros((7, 7), bool)
         m[3, 3] = True

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from normalbridge import nirne, toydata
@@ -76,3 +77,17 @@ class TestStage2Freezing:
         params = model.named_parameters()
         assert all(p.requires_grad for p in params.values())
         assert model.stage_trained == 1
+
+
+class TestPredictBatch:
+    def test_chunk_size_does_not_change_predictions(self):
+        samples = toydata.make_dataset(32, Domain.SYNTH, 8, size=SIZE)
+        model = nirne.DualStreamModel(CHANNELS, seed=1)
+        want = nirne.predict_batch(model, samples, batch_size=1)
+        for batch_size in (3, 4, 16, 32, None):  # 3 leaves a last chunk of 2; None is the default
+            kwargs = {} if batch_size is None else {"batch_size": batch_size}
+            got = nirne.predict_batch(model, samples, **kwargs)
+            assert len(got) == len(samples)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.vectors, w.vectors)
+                np.testing.assert_array_equal(g.mask, w.mask)

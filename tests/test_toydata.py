@@ -6,7 +6,21 @@ from normalbridge.maps import Heightfield
 from normalbridge.tensorcore import SeededRng, Tensor, backward
 from normalbridge.toydata import Domain
 
+from canny_oracle import canny_oracle, dilate_loop
 from fdcheck import central_fd_grads, max_rel_err
+
+
+def _blur_edge_loop(img, sigma):
+    """Separable Gaussian blur with edge padding, taps summed left to right."""
+    radius = int(np.ceil(3.0 * sigma))
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    k /= k.sum()
+    out = img.astype(np.float64)
+    pad = np.pad(out, ((radius, radius), (0, 0)) + ((0, 0),) * (img.ndim - 2), mode="edge")
+    out = sum(k[i] * pad[i : i + img.shape[0]] for i in range(len(k)))
+    pad = np.pad(out, ((0, 0), (radius, radius)) + ((0, 0),) * (img.ndim - 2), mode="edge")
+    return sum(k[i] * pad[:, i : i + img.shape[1]] for i in range(len(k)))
 
 
 class TestGenerateScene:
@@ -150,6 +164,25 @@ class TestCorruptLabels:
         out = toydata.corrupt_labels_real_domain(self._synth_sample(5), 7)
         norms = np.linalg.norm(out.normal_gt.vectors, axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_labels_match_reference_pipeline(self, seed, monkeypatch):
+        # sample digests hash only the image, so compare the labels directly
+        sample = toydata.make_dataset(1, Domain.SYNTH, seed, size=48)[0]
+        got = toydata.corrupt_labels_real_domain(sample, seed).normal_gt
+
+        def blur(img, sigma, mode):
+            assert mode == "edge"
+            return _blur_edge_loop(img, sigma)
+
+        monkeypatch.setattr(metrics, "canny", lambda nm: metrics.EdgeMask(
+            canny_oracle(nm, metrics.DEFAULT_CANNY_LOW, metrics.DEFAULT_CANNY_HIGH)))
+        monkeypatch.setattr(metrics, "dilate", lambda em, r: metrics.EdgeMask(dilate_loop(em.mask, r)))
+        monkeypatch.setattr(metrics, "gaussian_blur", blur)
+        want = toydata.corrupt_labels_real_domain(sample, seed).normal_gt
+        np.testing.assert_array_equal(got.vectors, want.vectors)
+        np.testing.assert_array_equal(got.mask, want.mask)
+        assert not np.array_equal(got.vectors, sample.normal_gt.vectors)
 
     def test_requires_synth_domain(self):
         s = self._synth_sample(1)
