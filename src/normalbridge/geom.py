@@ -197,9 +197,12 @@ def face_normals(mesh: TriMesh) -> np.ndarray:
 def vertex_normals(mesh: TriMesh) -> np.ndarray:
     """Area-weighted average of incident face normals, unit length."""
     cross = _face_cross(mesh)  # |cross| = 2 * area, so summing is area weighting
-    acc = np.zeros_like(mesh.vertices)
-    for k in range(3):
-        np.add.at(acc, mesh.faces[:, k], cross)
+    # corner-major: every face's first corner, then second, then third,
+    # so each vertex sums its faces in the order three add.at passes would
+    corners = mesh.faces.T.ravel()
+    nv = len(mesh.vertices)
+    acc = np.stack([np.bincount(corners, weights=np.tile(cross[:, d], 3), minlength=nv)
+                    for d in range(3)], axis=1)
     norm = np.linalg.norm(acc, axis=1, keepdims=True)
     out = np.where(norm > 1e-300, acc / np.maximum(norm, 1e-300), [0.0, 0.0, 1.0])
     return out

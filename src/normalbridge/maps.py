@@ -8,6 +8,7 @@ rgb = round((n + 1) / 2 * 255) with background forced to white.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,26 +160,29 @@ def read_pgm(path) -> np.ndarray:
 
 # -- height binaries -----------------------------------------------------
 
-HEIGHT_MAGIC = b"NBH1"
+HEIGHT_MAGIC = b"NBH2"
+# magic, u32 H, u32 W, 4 pad bytes, f64 cell size: 24 bytes, so the f64
+# grid that follows starts 8-byte aligned
+_HEIGHT_HEADER = struct.Struct("<4sIIxxxxd")
 
 
 def write_height_bin(path, hf: Heightfield) -> None:
-    """16-byte header (magic, u32 H, u32 W, f32 cell size), then f64 grid."""
-    import struct
-
+    """24-byte header (magic, u32 H, u32 W, padding, f64 cell size), then the f64 grid."""
     h, w = hf.shape
     with open(path, "wb") as fh:
-        fh.write(HEIGHT_MAGIC)
-        fh.write(struct.pack("<IIf", h, w, hf.cell_size))
+        fh.write(_HEIGHT_HEADER.pack(HEIGHT_MAGIC, h, w, hf.cell_size))
         fh.write(np.asarray(hf.heights, dtype="<f8", order="C").tobytes())
 
 
 def read_height_bin(path) -> Heightfield:
-    import struct
-
     blob = Path(path).read_bytes()
     if blob[:4] != HEIGHT_MAGIC:
         raise ValueError(f"{path}: not a height binary (bad magic)")
-    h, w, cell = struct.unpack_from("<IIf", blob, 4)
-    heights = np.frombuffer(blob, dtype="<f8", count=h * w, offset=16).reshape(h, w)
-    return Heightfield(heights.astype(np.float64), float(cell))
+    if len(blob) < _HEIGHT_HEADER.size:
+        raise ValueError(f"{path}: truncated height binary header ({len(blob)} bytes)")
+    _, h, w, cell = _HEIGHT_HEADER.unpack_from(blob)
+    need = _HEIGHT_HEADER.size + 8 * h * w
+    if len(blob) != need:
+        raise ValueError(f"{path}: a {h}x{w} height binary has {need} bytes, this file {len(blob)}")
+    heights = np.frombuffer(blob, dtype="<f8", count=h * w, offset=_HEIGHT_HEADER.size).reshape(h, w)
+    return Heightfield(heights.astype(np.float64), cell)

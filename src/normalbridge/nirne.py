@@ -385,15 +385,18 @@ def predict(model: DualStreamModel, image, mask: np.ndarray | None = None) -> No
 
 
 def predict_batch(model: DualStreamModel, samples: list[DomainSample],
-                  batch_size: int = 4) -> list[NormalMap]:
+                  batch_size: int = 2) -> list[NormalMap]:
     """Noise-free predictions for ``samples``, ``batch_size`` images per forward pass.
 
     Every op of the forward pass works per sample (conv2d runs one matrix
     product per sample and tap, group norm normalizes within a sample), so
     the predictions are bit-identical at any ``batch_size``; it only sets
-    speed. The default of 4 keeps one chunk's activations in a 2 MiB L2
-    cache at 64x64: an 8-channel float64 tensor is 1 MiB at 4 images and
-    4 MiB at 16.
+    speed. conv2d already blocks its tap loops by sample to stay in a
+    2 MiB L2 cache, so the chunk matters for the whole-tensor ops (group
+    norm, leaky ReLU, concat, upsampling). At 2 images an 8-channel
+    float64 tensor at 64x64 is 512 KiB, so such an op's input and output
+    fit in L2 together; at 4 they fill it, and at 1 every op's Python
+    overhead is paid twice as often.
     """
     out = []
     with no_grad():

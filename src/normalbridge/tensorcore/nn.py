@@ -61,17 +61,52 @@ class Linear:
 
 
 def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Group normalization over [N,C,H,W], composed from primitives."""
+    """Group normalization over [N,C,H,W], one graph node.
+
+    Each sample's channels split into ``num_groups`` groups of ``m``
+    values; a group is normalized to ``x_hat = (x - mean) / std`` with
+    ``std = sqrt(var + eps)`` (biased variance), then scaled and shifted
+    per channel: ``y = x_hat * gamma + beta``.
+
+    Backward is the closed form (Wu & He, "Group Normalization", ECCV
+    2018). With ``dn = dy * gamma`` and means taken over each group,
+    ``dx = (dn - mean(dn) - x_hat * mean(dn * x_hat)) / std``;
+    ``dgamma = sum(dy * x_hat)`` and ``dbeta = sum(dy)`` over the batch
+    and the pixels.
+    """
     n, c, h, w = x.shape
     if c % num_groups:
         raise ValueError(f"channels {c} not divisible by {num_groups} groups")
-    g = x.reshape(n, num_groups, (c // num_groups) * h * w)
-    mu = g.mean(axis=2, keepdims=True)
-    centered = g - mu
-    var = (centered * centered).mean(axis=2, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    normed = normed.reshape(n, c, h, w)
-    return normed * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+    m = (c // num_groups) * h * w
+    g = x.data.reshape(n, num_groups, m)
+    mu = g.sum(axis=2, keepdims=True) * (1.0 / m)
+    xhat = g - mu
+    var = (xhat * xhat).sum(axis=2, keepdims=True) * (1.0 / m)
+    std = np.sqrt(var + eps)
+    xhat /= std
+    xhat4 = xhat.reshape(n, c, h, w)
+    gamma4 = gamma.data.reshape(1, c, 1, 1)
+    data = xhat4 * gamma4
+    data += beta.data.reshape(1, c, 1, 1)
+    out = Tensor._result(data, (x, gamma, beta), "group_norm")
+
+    def bwd():
+        dy = out.grad
+        if gamma.requires_grad or gamma._parents:
+            gamma._accumulate(Tensor._unbroadcast(dy * xhat4, (1, c, 1, 1)).reshape(c))
+        if beta.requires_grad or beta._parents:
+            beta._accumulate(Tensor._unbroadcast(dy, (1, c, 1, 1)).reshape(c))
+        if x.requires_grad or x._parents:
+            dn = (dy * gamma4).reshape(n, num_groups, m)
+            mean_dn = dn.sum(axis=2, keepdims=True) * (1.0 / m)
+            mean_dnx = (dn * xhat).sum(axis=2, keepdims=True) * (1.0 / m)
+            dn -= mean_dn
+            dn -= xhat * mean_dnx
+            dn /= std
+            x._accumulate(dn.reshape(n, c, h, w))
+
+    out._set_backward(bwd)
+    return out
 
 
 class GroupNorm:

@@ -15,6 +15,14 @@ and ``grad`` as soon as the closure has run, and only leaves keep
 waiting for the cyclic garbage collector. A graph can be walked once: a
 second ``backward`` through an already walked node raises.
 
+Gradient ownership. A gradient handed to a tensor is stored as passed,
+without a copy, and a stored gradient is never mutated in place: a
+later one is combined out of place (``grad = grad + new``). Backward
+closures may therefore hand one array, or views of their output's
+gradient, to several parents. A leaf's ``grad`` may share its buffer
+with another tensor's or be a read-only view; copy it before writing
+into it.
+
 Conventions fixed here once and relied on by tests:
   * all buffers are float64,
   * ``conv2d`` computes cross-correlation (no kernel flip),
@@ -143,9 +151,9 @@ class Tensor:
         if not (self.requires_grad or self._parents):
             return  # constant leaf: gradient is never consumed
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+            self.grad = np.asarray(grad, dtype=np.float64)
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     @staticmethod
     def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -271,11 +279,14 @@ class Tensor:
         return out
 
     def leaky_relu(self, slope: float = 0.01):
-        data = np.where(self.data > 0.0, self.data, slope * self.data)
-        out = Tensor._result(data, (self,), "leaky_relu")
+        # the derivative, 1 where x > 0 and slope elsewhere (NaN included), by
+        # a branch-free table lookup; x * factor has the bits of
+        # np.where(x > 0, x, slope * x), and backward reuses the factor
+        factor = np.array([slope, 1.0])[(self.data > 0.0).view(np.uint8)]
+        out = Tensor._result(self.data * factor, (self,), "leaky_relu")
 
         def bwd():
-            self._accumulate(out.grad * np.where(self.data > 0.0, 1.0, slope))
+            self._accumulate(out.grad * factor)
 
         out._set_backward(bwd)
         return out
@@ -375,13 +386,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+# conv2d runs its tap loops over blocks of whole samples whose phase
+# images, accumulator and product fit in this many bytes: half of a 2 MiB
+# per-core L2 cache, so a block stays cached across the kh * kw taps
+_BLOCK_BYTES = 1 << 20
+
+
 def _phase_blocks(h: int, w: int, stride: int, padding: int):
     """Where each input pixel sits in the phase grid of a strided, padded conv.
 
     Padded pixel ``(r, c)`` goes to phase ``(r % stride, c % stride)`` at
-    ``(r // stride, c // stride)``. Yields, per phase, the grid index and
-    the input index of the block of real (non-padding) pixels; every input
-    pixel lands in exactly one block.
+    ``(r // stride, c // stride)``. Yields, per phase, the index into a
+    ``(N, stride, stride, C, HQ, WQ)`` grid and the index into the
+    ``(N, C, H, W)`` input of the block of real (non-padding) pixels;
+    every input pixel lands in exactly one block.
     """
     def span(a, extent):
         first = -((a - padding) // stride)  # ceil((padding - a) / stride), >= 0 as a < stride
@@ -393,7 +411,7 @@ def _phase_blocks(h: int, w: int, stride: int, padding: int):
         rows_q, rows_x = span(a, h)
         for b in range(stride):
             cols_q, cols_x = span(b, w)
-            yield (a, b, Ellipsis, rows_q, cols_q), (Ellipsis, rows_x, cols_x)
+            yield (slice(None), a, b, Ellipsis, rows_q, cols_q), (Ellipsis, rows_x, cols_x)
 
 
 def conv2d(
@@ -422,9 +440,19 @@ def conv2d(
     gradient of a tap is ``grad @ slice.T`` summed over the batch, and
     ``kernel[:, :, i, j].T @ grad`` adds into the phase-image gradient,
     which is mapped back onto the input.
+
+    Sample blocks. The tap loops (forward, kernel gradient and input
+    gradient) run over blocks of whole samples, as many as keep one
+    block's phase images, ``(K, OH * wq)`` accumulator and product within
+    ``_BLOCK_BYTES``, so each block is read from cache by every tap
+    instead of streaming the whole batch from memory ``kh * kw`` times.
+    Every matrix product is still one per sample with the same shape,
+    and the kernel gradient is still the per-sample products summed over
+    the batch axis, so the results do not depend on the block size.
     """
     x = Tensor._coerce(x)
     kernel = Tensor._coerce(kernel)
+    bias = None if bias is None else Tensor._coerce(bias)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input/kernel, got {x.shape} and {kernel.shape}")
     n, c, h, w = x.shape
@@ -442,52 +470,71 @@ def conv2d(
     wq = -(-(w + 2 * padding) // s)
     span = oh * wq
     # the last tap's slice runs at most (kw - 1) // s columns past the grid
-    phases = np.zeros((s, s, n, c, hq * wq + (kw - 1) // s))
-    grid = phases[..., : hq * wq].reshape(s, s, n, c, hq, wq)
+    lq = hq * wq + (kw - 1) // s
+    phases = np.zeros((n, s, s, c, lq))
+    grid = phases[..., : hq * wq].reshape(n, s, s, c, hq, wq)
     blocks = list(_phase_blocks(h, w, s, padding))
-    for at_q, at_x in blocks:
-        grid[at_q] = x.data[at_x]
-    taps = [(i, j, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    taps = [(i, j, i % s, j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     wtaps = kernel.data.transpose(2, 3, 0, 1).copy()  # (kh, kw, K, C)
+    nb = min(n, max(1, _BLOCK_BYTES // (8 * (s * s * c * lq + 2 * k * span))))
+    samples = [slice(n0, min(n0 + nb, n)) for n0 in range(0, n, nb)]
 
-    acc = np.empty((n, k, span))
+    out_data = np.empty((n, k, oh, ow))
+    acc = np.empty((nb, k, span))
     tmp = np.empty_like(acc)
-    for t, (i, j, off) in enumerate(taps):
-        sl = phases[i % s, j % s, ..., off : off + span]
-        if t == 0:
-            np.matmul(wtaps[i, j], sl, out=acc)
+    for blk in samples:
+        m = blk.stop - blk.start
+        for at_q, at_x in blocks:
+            grid[blk][at_q] = x.data[blk][at_x]
+        acc_b, tmp_b = acc[:m], tmp[:m]
+        for t, (i, j, a, b, off) in enumerate(taps):
+            sl = phases[blk, a, b, :, off : off + span]
+            if t == 0:
+                np.matmul(wtaps[i, j], sl, out=acc_b)
+            else:
+                acc_b += np.matmul(wtaps[i, j], sl, out=tmp_b)
+        res = acc_b.reshape(m, k, oh, wq)[..., :ow]
+        if bias is None:
+            out_data[blk] = res
         else:
-            acc += np.matmul(wtaps[i, j], sl, out=tmp)
-    out_data = acc.reshape(n, k, oh, wq)[..., :ow]
-    if bias is not None:
-        bias = Tensor._coerce(bias)
-        out_data = out_data + bias.data.reshape(1, k, 1, 1)
-    else:
-        out_data = np.ascontiguousarray(out_data)
+            np.add(res, bias.data.reshape(1, k, 1, 1), out=out_data[blk])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = Tensor._result(out_data, parents, "conv2d")
 
     def bwd():
-        g = np.zeros((n, k, oh, wq))
-        g[..., :ow] = out.grad
-        g = g.reshape(n, k, span)
-        if kernel.requires_grad or kernel._parents:
-            dw = np.empty(kernel.shape)
-            for i, j, off in taps:
-                sl = phases[i % s, j % s, ..., off : off + span]
-                dw[:, :, i, j] = np.matmul(g, sl.transpose(0, 2, 1)).sum(axis=0)
-            kernel._accumulate(dw)
-        if x.requires_grad or x._parents:
-            dphases = np.zeros_like(phases)
+        want_w = kernel.requires_grad or kernel._parents
+        want_x = x.requires_grad or x._parents
+        gpad = np.zeros((nb, k, oh, wq))
+        if want_w:
+            prods = np.empty((len(taps), n, k, c))
+        if want_x:
             wtaps_t = wtaps.transpose(0, 1, 3, 2).copy()  # (kh, kw, C, K)
-            dtmp = np.empty((n, c, span))
-            for i, j, off in taps:
-                dphases[i % s, j % s, ..., off : off + span] += np.matmul(wtaps_t[i, j], g, out=dtmp)
-            dgrid = dphases[..., : hq * wq].reshape(s, s, n, c, hq, wq)
             dx = np.empty_like(x.data)
-            for at_q, at_x in blocks:
-                dx[at_x] = dgrid[at_q]
+            dphases = np.empty((nb, s, s, c, lq))
+            dgrid = dphases[..., : hq * wq].reshape(nb, s, s, c, hq, wq)
+            dtmp = np.empty((nb, c, span))
+        for blk in samples:
+            m = blk.stop - blk.start
+            gpad[:m, ..., :ow] = out.grad[blk]
+            g = gpad[:m].reshape(m, k, span)
+            if want_w:
+                for t, (i, j, a, b, off) in enumerate(taps):
+                    sl = phases[blk, a, b, :, off : off + span]
+                    np.matmul(g, sl.transpose(0, 2, 1), out=prods[t, blk])
+            if want_x:
+                dph = dphases[:m]
+                dph.fill(0.0)
+                for i, j, a, b, off in taps:
+                    dph[:, a, b, :, off : off + span] += np.matmul(wtaps_t[i, j], g, out=dtmp[:m])
+                for at_q, at_x in blocks:
+                    dx[blk][at_x] = dgrid[:m][at_q]
+        if want_w:
+            dw = np.empty(kernel.shape)
+            for t, (i, j, _, _, _) in enumerate(taps):
+                dw[:, :, i, j] = prods[t].sum(axis=0)
+            kernel._accumulate(dw)
+        if want_x:
             x._accumulate(dx)
         if bias is not None and (bias.requires_grad or bias._parents):
             bias._accumulate(out.grad.reshape(n, k, oh * ow).sum(axis=(0, 2)))

@@ -109,6 +109,35 @@ class TestNormals:
         assert ang.max() < 2.0
 
 
+def _vertex_normals_add_at(mesh):
+    """The three-pass ``np.add.at`` form, the reference for ``vertex_normals``."""
+    cross = geom._face_cross(mesh)
+    acc = np.zeros_like(mesh.vertices)
+    for k in range(3):
+        np.add.at(acc, mesh.faces[:, k], cross)
+    norm = np.linalg.norm(acc, axis=1, keepdims=True)
+    return np.where(norm > 1e-300, acc / np.maximum(norm, 1e-300), [0.0, 0.0, 1.0])
+
+
+class TestVertexNormalsReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_meshes(self, seed):
+        rng = SeededRng(60 + seed)
+        # repeated faces, unused vertices and zero-area faces included
+        mesh = TriMesh(rng.normal((40, 3)), rng.integers(0, 40, (150, 3)))
+        assert geom.vertex_normals(mesh).tobytes() == _vertex_normals_add_at(mesh).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_heightfield_meshes(self, seed):
+        rng = SeededRng(70 + seed)
+        mesh = geom.heightfield_to_mesh(Heightfield(rng.normal((24, 17)).cumsum(axis=0), 0.1))
+        assert geom.vertex_normals(mesh).tobytes() == _vertex_normals_add_at(mesh).tobytes()
+
+    def test_empty_mesh(self):
+        mesh = TriMesh(np.zeros((4, 3)), np.zeros((0, 3), dtype=np.int64))
+        np.testing.assert_array_equal(geom.vertex_normals(mesh), np.tile([0.0, 0.0, 1.0], (4, 1)))
+
+
 class TestViewpoints:
     def test_count_and_radius(self):
         cams = geom.viewpoints(22, radius=3.0)

@@ -1,0 +1,39 @@
+import numpy as np
+import pytest
+
+from normalbridge import maps
+from normalbridge.maps import Heightfield
+
+
+def _field():
+    return Heightfield(np.arange(80.0).reshape(8, 10) * 0.01, cell_size=0.1)
+
+
+class TestHeightBinary:
+    def test_cell_size_round_trips_exactly(self, tmp_path):
+        hf = _field()
+        path = tmp_path / "h.bin"
+        maps.write_height_bin(path, hf)
+        back = maps.read_height_bin(path)
+        assert back.cell_size == 0.1
+        assert back.heights.tobytes() == hf.heights.tobytes()
+        blob = path.read_bytes()
+        assert blob[:4] == maps.HEIGHT_MAGIC == b"NBH2"
+        assert len(blob) == 24 + 8 * 80  # the grid starts 8-byte aligned
+
+    @pytest.mark.parametrize("size", [0, 3, 10, 23, 24, 100, 24 + 8 * 80 - 1, 24 + 8 * 80 + 8])
+    def test_wrong_length_names_path(self, tmp_path, size):
+        path = tmp_path / "h.bin"
+        maps.write_height_bin(path, _field())
+        blob = path.read_bytes()
+        path.write_bytes((blob + b"\0" * 8)[:size])
+        with pytest.raises(ValueError) as err:
+            maps.read_height_bin(path)
+        assert str(path) in str(err.value)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        path = tmp_path / "h.bin"
+        maps.write_height_bin(path, _field())
+        path.write_bytes(b"NBH1" + path.read_bytes()[4:])
+        with pytest.raises(ValueError, match="bad magic"):
+            maps.read_height_bin(path)

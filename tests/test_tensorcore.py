@@ -1,3 +1,4 @@
+import functools
 import gc
 import struct
 import threading
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from normalbridge import tensorcore as tc
+from normalbridge.tensorcore import tensor as tc_tensor
 from normalbridge.tensorcore import (
     AdamWState,
     SeededRng,
@@ -20,6 +22,7 @@ from normalbridge.tensorcore import (
 )
 
 from grad_cases import CASES, run_case
+from group_norm_oracle import group_norm_composed
 
 
 def conv2d_oracle(x, w, b=None, stride=1, padding=0):
@@ -90,6 +93,102 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
 
+class TestConv2dSampleBlocks:
+    """The tap loops run over blocks of whole samples; no block size may change a bit."""
+
+    @staticmethod
+    def _run(arrays, stride, padding, proj=None):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = conv2d(x, w, b, stride=stride, padding=padding)
+        if proj is None:
+            proj = SeededRng(99).normal(out.shape)
+        backward((out * Tensor(proj)).sum())
+        return (out.data, x.grad, w.grad, b.grad), proj
+
+    def _assert_block_invariant(self, monkeypatch, arrays, stride, padding, block_bytes):
+        monkeypatch.setattr(tc_tensor, "_BLOCK_BYTES", 1 << 62)  # the whole batch is one block
+        want, proj = self._run(arrays, stride, padding)
+        for value in block_bytes:
+            monkeypatch.setattr(tc_tensor, "_BLOCK_BYTES", value)
+            got, _ = self._run(arrays, stride, padding, proj)
+            for name, g, w in zip(("out", "dx", "dW", "db"), got, want):
+                np.testing.assert_array_equal(g, w, err_msg=f"{name} at {value} bytes")
+
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3, 5])
+    def test_any_block_size_matches_whole_batch(self, monkeypatch, batch, stride, ksize):
+        rng = SeededRng(30 + batch)
+        arrays = (rng.normal((batch, 3, 9, 11)), rng.normal((4, 3, ksize, ksize)), rng.normal((4,)))
+        # from one sample per block up to the whole batch, through every
+        # block count in between, short last blocks included
+        sizes = [1] + list(range(1 << 11, 1 << 17, 1 << 11))
+        self._assert_block_invariant(monkeypatch, arrays, stride, ksize // 2, sizes)
+        # dW is the per-sample kernel gradients added in sample order
+        (_, _, dw, _), proj = self._run(arrays, stride, ksize // 2)
+        per_sample = [self._run((arrays[0][i : i + 1],) + arrays[1:], stride, ksize // 2, proj[i : i + 1])[0][2]
+                      for i in range(batch)]
+        np.testing.assert_array_equal(dw, functools.reduce(np.add, per_sample))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_default_blocks_on_a_full_resolution_layer(self, monkeypatch, stride):
+        rng = SeededRng(41)
+        arrays = (rng.normal((3, 8, 64, 64)), rng.normal((8, 8, 3, 3)), rng.normal((8,)))
+        self._assert_block_invariant(monkeypatch, arrays, stride, 1, [tc_tensor._BLOCK_BYTES])
+
+
+def _same_bits(a, b):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestLeakyRelu:
+    @pytest.mark.parametrize("slope", [0.01, 0.1, 0.5, -0.2])
+    def test_matches_where_form_on_signed_zeros_and_nan(self, slope):
+        x0 = np.array([-2.0, -0.0, 0.0, 3.0, np.nan, -np.inf, np.inf, -5e-324, 5e-324, -0.0, 1.0, 0.0])
+        g0 = np.array([1.5, -0.0, 2.0, -0.0, 4.0, 1.0, -1.0, 7.0, np.nan, np.nan, 0.0, -0.0])
+        x = Tensor(x0, requires_grad=True)
+        out = x.leaky_relu(slope)
+        assert _same_bits(out.data, np.where(x0 > 0.0, x0, slope * x0))
+        backward((out * Tensor(g0)).sum())
+        assert _same_bits(x.grad, g0 * np.where(x0 > 0.0, 1.0, slope))
+
+
+class TestGroupNorm:
+    @pytest.mark.parametrize("shape", [(3, 6, 5, 7), (1, 6, 9, 3)], ids=["3x6x5x7", "1x6x9x3"])
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_matches_composed_form(self, groups, shape):
+        rng = SeededRng(20 + groups)
+        c = shape[1]
+        x0 = rng.normal(shape) * 2.0 + 0.5
+        gamma0 = rng.uniform(0.5, 1.5, (c,))
+        beta0 = rng.normal((c,))
+        proj = rng.normal(shape)
+        results = []
+        for fn in (tc.group_norm, group_norm_composed):
+            x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (x0, gamma0, beta0))
+            out = fn(x, groups, gamma, beta)
+            backward((out * Tensor(proj)).sum())
+            results.append((out.data, x.grad, gamma.grad, beta.grad))
+        (out, *grads), (want_out, *want_grads) = results
+        np.testing.assert_array_equal(out, want_out)
+        for name, g, w in zip(("dx", "dgamma", "dbeta"), grads, want_grads):
+            rel = np.max(np.abs(g - w)) / np.max(np.abs(w))
+            assert rel <= 1e-12, f"{name}: relative difference {rel:.2e}"
+
+    def test_one_graph_node(self):
+        x = Tensor(np.arange(24.0).reshape(1, 4, 2, 3), requires_grad=True)
+        gamma = Tensor(np.ones(4), requires_grad=True)
+        beta = Tensor(np.zeros(4), requires_grad=True)
+        out = tc.group_norm(x, 2, gamma, beta)
+        assert out._op == "group_norm" and out._parents == (x, gamma, beta)
+        assert len(backward(out.sum())) == 5  # three leaves, the node and the sum
+
+    def test_indivisible_channels_rejected(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            tc.group_norm(Tensor(np.zeros((1, 5, 2, 2))), 2, Tensor(np.ones(5)), Tensor(np.zeros(5)))
+
+
 class TestMseLoss:
     def test_equal_inputs_zero(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
@@ -148,6 +247,29 @@ class TestBackward:
         y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8
         backward(y.sum())
         np.testing.assert_allclose(x.grad, [8.0])
+
+
+class TestGradientOwnership:
+    @pytest.mark.parametrize("other_use_first", [False, True])
+    def test_fanout_views_are_never_mutated(self, other_use_first):
+        # an add hands the same out.grad to both parents; when a then gets a
+        # second gradient, b's stored gradient must not change with it
+        rng = SeededRng(12)
+        w = rng.normal((2, 3))
+        a = Tensor(rng.normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.normal((2, 3)), requires_grad=True)
+        via_add = ((a + b) * Tensor(w)).sum()
+        other = (a * 3.0).sum()
+        backward(other + via_add if other_use_first else via_add + other)
+        np.testing.assert_array_equal(b.grad, w)
+        np.testing.assert_array_equal(a.grad, w + 3.0)
+
+    def test_first_gradient_stored_without_copy(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        backward(((a + b) * Tensor(np.full((2, 3), 2.0))).sum())
+        assert np.shares_memory(a.grad, b.grad)  # one buffer, shared read-only by contract
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
 
 
 @pytest.fixture
