@@ -15,8 +15,8 @@ depend on it because the injected noise is white across frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 

@@ -40,9 +40,6 @@ __all__ = [
     "SharpEdgeReport",
     "dataset_stats",
     "DatasetStats",
-    "stats_csv_row",
-    "STATS_CSV_HEADER",
-    "DETAILVERSE_REFERENCE_STATS",
     "cube_mesh",
     "icosahedron_mesh",
     "uv_sphere_mesh",
@@ -499,23 +496,6 @@ def dataset_stats(meshes, dihedral_threshold_deg: float = 30.0) -> DatasetStats:
     ordered = sorted(counts)
     median = ordered[(len(ordered) - 1) // 2]
     return DatasetStats(len(counts), float(np.mean(counts)), float(median), counts)
-
-
-STATS_CSV_HEADER = "Dataset,Obj #,Sharp Edge # (mean/median),Source"
-
-# Published full-corpus reference row for the DetailVerse dataset; not
-# reproducible at desk scale, kept for table formatting parity.
-DETAILVERSE_REFERENCE_STATS = ("DetailVerse", 700_000, 45_773, 14_521, "Synthesis")
-
-
-def stats_csv_row(name: str, stats_or_counts, source: str) -> str:
-    if isinstance(stats_or_counts, DatasetStats):
-        s = stats_or_counts
-        mean, median, n = s.mean_sharp_edges, s.median_sharp_edges, s.n_objects
-    else:
-        name_, n, mean, median, source = stats_or_counts
-        name = name or name_
-    return f"{name},{n:,},{round(mean):,} / {round(median):,},{source}"
 
 
 # -- primitive meshes -----------------------------------------------------------

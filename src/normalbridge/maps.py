@@ -9,7 +9,7 @@ rgb = round((n + 1) / 2 * 255) with background forced to white.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

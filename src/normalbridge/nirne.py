@@ -17,8 +17,7 @@ on synthetic data with exact labels. Inference never injects noise.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +40,17 @@ from .toydata import DomainSample, Domain
 
 __all__ = [
     "NoiseSchedule",
-    "TrainPhase",
     "TrainConfig",
     "DualStreamModel",
     "inject_noise",
-    "forward",
     "train_stage1",
     "train_stage2",
-    "predict",
+    "predict_batch",
     "evaluate_model",
 ]
+
+# decoder levels, coarsest first: the order the decoder runs them in
+_LEVELS = (3, 2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,6 @@ class NoiseSchedule:
     @property
     def disabled(self) -> bool:
         return self.sigma_lo == self.sigma_hi == 0.0
-
-
-class TrainPhase(enum.Enum):
-    STAGE1_REAL_BOTH_STREAMS = 1
-    STAGE2_SYNTH_NOISY_ONLY = 2
 
 
 def inject_noise(features: Tensor, schedule: NoiseSchedule, rng: SeededRng, sigma=None):
@@ -160,24 +155,23 @@ class DualStreamModel:
         self.dual_stream = dual_stream
         self.schedule = schedule
         self.stage_trained = 0
-        c0, c1, c2, c3 = self.channels
+        ch = self.channels
         rng = SeededRng(seed)
-        self.noisy_enc = _Encoder(self.channels, rng.stream_rng(10))
-        self.clean_enc = _Encoder(self.channels, rng.stream_rng(20)) if dual_stream else None
+        self.noisy_enc = _Encoder(ch, rng.stream_rng(10))
+        self.clean_enc = _Encoder(ch, rng.stream_rng(20)) if dual_stream else None
+        # dec[k] is level k's decoder conv: it reads level k's skip, below
+        # the coarsest level concatenated after level k+1's upsampled
+        # output, and writes level k-1's width (c0 at level 0)
         dec_rng = rng.stream_rng(30)
-        self.dec3 = Conv2d(c3, c2, rng=dec_rng.stream_rng(1))
-        self.dec2 = Conv2d(c2 + c2, c1, rng=dec_rng.stream_rng(2))
-        self.dec1 = Conv2d(c1 + c1, c0, rng=dec_rng.stream_rng(3))
-        self.dec0 = Conv2d(c0 + c0, c0, rng=dec_rng.stream_rng(4))
-        self.head = Conv2d(c0, 3, rng=dec_rng.stream_rng(5))
-        if dual_stream:
-            fuse_rng = rng.stream_rng(40)
-            # small but nonzero init: the residual detail path is live
-            # from the start and grows during training
-            self.fuse3 = Conv2d(c3, c3, k=1, rng=fuse_rng.stream_rng(1), init_scale=0.3)
-            self.fuse2 = Conv2d(c2, c2, k=1, rng=fuse_rng.stream_rng(2), init_scale=0.3)
-            self.fuse1 = Conv2d(c1, c1, k=1, rng=fuse_rng.stream_rng(3), init_scale=0.3)
-            self.fuse0 = Conv2d(c0, c0, k=1, rng=fuse_rng.stream_rng(4), init_scale=0.3)
+        self.dec = [Conv2d(ch[lvl] if lvl == 3 else 2 * ch[lvl], ch[max(lvl - 1, 0)],
+                           rng=dec_rng.stream_rng(4 - lvl)) for lvl in range(4)]
+        self.head = Conv2d(ch[0], 3, rng=dec_rng.stream_rng(5))
+        # fuse[k] projects the noisy stream into level k's skip; small but
+        # nonzero init: the residual detail path is live from the start and
+        # grows during training
+        fuse_rng = rng.stream_rng(40)
+        self.fuse = [Conv2d(ch[lvl], ch[lvl], k=1, rng=fuse_rng.stream_rng(4 - lvl), init_scale=0.3)
+                     for lvl in range(4)] if dual_stream else []
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -186,10 +180,9 @@ class DualStreamModel:
         layers.update(self.noisy_enc.layers("noisy"))
         if self.dual_stream:
             layers.update(self.clean_enc.layers("clean"))
-            layers.update({"fuse3": self.fuse3, "fuse2": self.fuse2,
-                           "fuse1": self.fuse1, "fuse0": self.fuse0})
-        layers.update({"dec3": self.dec3, "dec2": self.dec2, "dec1": self.dec1,
-                       "dec0": self.dec0, "head": self.head})
+            layers.update({f"fuse{k}": self.fuse[k] for k in _LEVELS})
+        layers.update({f"dec{k}": self.dec[k] for k in _LEVELS})
+        layers["head"] = self.head
         return layers
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -217,12 +210,16 @@ class DualStreamModel:
         """(N,3,H,W) images -> (N,3,H,W) unit normals.
 
         Train mode injects noise on the noisy stream's encoder output
-        (one sigma per sample, shared across levels). ``zero_noisy_stream``
-        ablates the residual path at inference. ``return_raw`` skips the
-        final per-pixel normalization: the regression loss fits the raw
-        3-channel output against unit targets, which keeps gradients
-        healthy (normalizing inside the loss makes output scale a flat
-        direction that drifts up and chokes the gradient signal).
+        (one sigma per sample, shared across levels). The decoder runs
+        levels 3 -> 0; level k's skip is ``clean_k + fuse_k(noisy_k)``,
+        or ``noisy_k`` in the single-stream ablation, and below level 3
+        it is concatenated after the upsampled output of level k+1.
+        ``zero_noisy_stream`` replaces the noisy features by zeros, which
+        ablates the residual path of the dual-stream model. ``return_raw``
+        skips the final per-pixel normalization: the regression loss fits
+        the raw 3-channel output against unit targets, which keeps
+        gradients healthy (normalizing inside the loss makes output scale
+        a flat direction that drifts up and chokes the gradient signal).
         """
         n, c, h, w = images.shape
         if h % 8 or w % 8:
@@ -241,41 +238,22 @@ class DualStreamModel:
         if zero_noisy_stream:
             noisy_feats = [Tensor(np.zeros(f.shape)) for f in noisy_feats]
 
-        if self.dual_stream:
-            clean_feats = self.clean_enc(images)
-            # fusion enters each level's skip before the decoder conv, so
-            # the (later frozen) decoder processes noisy detail through the
-            # same high-sensitivity channels as the clean skips
-            s3 = clean_feats[3] + self.fuse3(noisy_feats[3])
-            t3 = self.dec3(s3).leaky_relu(0.1)
-            u2 = upsample_nearest(t3)
-            s2 = clean_feats[2] + self.fuse2(noisy_feats[2])
-            t2 = self.dec2(concat([u2, s2], axis=1)).leaky_relu(0.1)
-            u1 = upsample_nearest(t2)
-            s1 = clean_feats[1] + self.fuse1(noisy_feats[1])
-            t1 = self.dec1(concat([u1, s1], axis=1)).leaky_relu(0.1)
-            u0 = upsample_nearest(t1)
-            s0 = clean_feats[0] + self.fuse0(noisy_feats[0])
-            t0 = self.dec0(concat([u0, s0], axis=1)).leaky_relu(0.1)
-        else:
-            t3 = self.dec3(noisy_feats[3]).leaky_relu(0.1)
-            u2 = upsample_nearest(t3)
-            t2 = self.dec2(concat([u2, noisy_feats[2]], axis=1)).leaky_relu(0.1)
-            u1 = upsample_nearest(t2)
-            t1 = self.dec1(concat([u1, noisy_feats[1]], axis=1)).leaky_relu(0.1)
-            u0 = upsample_nearest(t1)
-            t0 = self.dec0(concat([u0, noisy_feats[0]], axis=1)).leaky_relu(0.1)
-        raw = self.head(t0)
+        clean_feats = self.clean_enc(images) if self.dual_stream else None
+        x = None
+        for k in _LEVELS:
+            skip = noisy_feats[k]
+            if clean_feats is not None:
+                # fusion enters the skip before the decoder conv, so the
+                # (later frozen) decoder processes noisy detail through the
+                # same high-sensitivity channels as the clean skips
+                skip = clean_feats[k] + self.fuse[k](skip)
+            if x is not None:
+                skip = concat([upsample_nearest(x), skip], axis=1)
+            x = self.dec[k](skip).leaky_relu(0.1)
+        raw = self.head(x)
         if return_raw:
             return raw
         return l2_normalize(raw, axis=1)
-
-
-def forward(model: DualStreamModel, images, train: bool = False,
-            rng: SeededRng | None = None, **kw) -> Tensor:
-    if not isinstance(images, Tensor):
-        images = Tensor(np.asarray(images, dtype=np.float64))
-    return model.forward_t(images, train=train, rng=rng, **kw)
 
 
 # -- training -----------------------------------------------------------------
@@ -283,11 +261,33 @@ def forward(model: DualStreamModel, images, train: bool = False,
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training stage's settings; ``log_every`` picks the logged steps
+    (every ``log_every``-th step and the last one)."""
+
     steps: int = 400
     batch_size: int = 4
     lr: float = 3e-4
     weight_decay: float = 1e-2
     log_every: int = 50
+
+    def __post_init__(self):
+        for name in ("steps", "batch_size", "log_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"TrainConfig.{name} must be an integer >= 1, got {value!r}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"TrainConfig.lr must be finite and > 0, got {self.lr!r}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"TrainConfig.weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+
+
+def _stage_config(steps: int, config: TrainConfig | None) -> TrainConfig:
+    if config is None:
+        return TrainConfig(steps=steps)
+    if config.steps != steps:
+        raise ValueError(f"steps={steps} disagrees with config.steps={config.steps}")
+    return config
 
 
 def _batch_arrays(samples: list[DomainSample], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,8 +305,9 @@ def _masked_mse(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     return total * (1.0 / denom)
 
 
-def _train_loop(model, dataset, steps, seed, trainable: dict[str, Tensor],
+def _train_loop(model, dataset, seed, trainable: dict[str, Tensor],
                 config: TrainConfig, stream_base: int) -> list[dict]:
+    steps = config.steps
     rng_batch = SeededRng(seed, stream_base)
     rng_noise = SeededRng(seed, stream_base + 1)
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
@@ -331,12 +332,12 @@ def _train_loop(model, dataset, steps, seed, trainable: dict[str, Tensor],
 def train_stage1(model: DualStreamModel, real_dataset: list[DomainSample], steps: int,
                  seed: int, config: TrainConfig | None = None) -> list[dict]:
     """Both streams and the decoder, on real-domain (noisy-label) data."""
+    config = _stage_config(steps, config)
     if not real_dataset:
         raise ValueError("empty dataset")
     if any(s.domain is not Domain.REAL for s in real_dataset):
         raise ValueError("stage 1 expects real-domain samples")
-    config = config or TrainConfig(steps=steps)
-    logs = _train_loop(model, real_dataset, steps, seed, model.named_parameters(), config, 100)
+    logs = _train_loop(model, real_dataset, seed, model.named_parameters(), config, 100)
     model.stage_trained = max(model.stage_trained, 1)
     return logs
 
@@ -346,13 +347,13 @@ def train_stage2(model: DualStreamModel, synth_dataset: list[DomainSample], step
     """Noisy stream + fusion only, on synthetic (exact-label) data."""
     import warnings
 
+    config = _stage_config(steps, config)
     if not synth_dataset:
         raise ValueError("empty dataset")
     if any(s.domain is not Domain.SYNTH for s in synth_dataset):
         raise ValueError("stage 2 expects synthetic-domain samples")
     if model.stage_trained < 1:
         warnings.warn("stage 2 called before stage 1; fine-tuning an untrained clean stream")
-    config = config or TrainConfig(steps=steps)
     params = model.named_parameters()
     trainable = {k: params[k] for k in sorted(model.stage2_trainable_names())}
     frozen = sorted(model.frozen_names_stage2())
@@ -361,27 +362,12 @@ def train_stage2(model: DualStreamModel, synth_dataset: list[DomainSample], step
     for name in frozen:
         params[name].requires_grad = False
     try:
-        logs = _train_loop(model, synth_dataset, steps, seed, trainable, config, 200)
+        logs = _train_loop(model, synth_dataset, seed, trainable, config, 200)
     finally:
         for name in frozen:
             params[name].requires_grad = True
     model.stage_trained = max(model.stage_trained, 2)
     return logs
-
-
-def predict(model: DualStreamModel, image, mask: np.ndarray | None = None) -> NormalMap:
-    """Infer a normal map for one HxWx3 image; no noise anywhere."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected HxWx3 image, got {img.shape}")
-    with no_grad():
-        out = model.forward_t(Tensor(img.transpose(2, 0, 1)[None]), train=False)
-    vec = out.data[0].transpose(1, 2, 0)
-    if mask is None:
-        mask = np.ones(img.shape[:2], dtype=bool)
-    vec = vec.copy()
-    vec[~mask] = [0.0, 0.0, 1.0]
-    return NormalMap(vec, mask)
 
 
 def predict_batch(model: DualStreamModel, samples: list[DomainSample],

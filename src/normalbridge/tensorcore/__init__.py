@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff, layers, optimizer and checkpointing."""
 
 from .checkpoint import load_checkpoint, load_into, save_checkpoint
-from .nn import Conv2d, GroupNorm, Linear, collect_params, group_norm, l2_normalize
+from .nn import Conv2d, GroupNorm, collect_params, group_norm, l2_normalize
 from .optim import AdamWState, adamw_step
 from .rng import SeededRng
 from .tensor import (
@@ -9,7 +9,6 @@ from .tensor import (
     TapeRecord,
     Tensor,
     backward,
-    bce_with_logits,
     concat,
     conv2d,
     grad_enabled,
@@ -20,8 +19,8 @@ from .tensor import (
 
 __all__ = [
     "Tensor", "Tape", "TapeRecord", "backward", "no_grad", "grad_enabled",
-    "concat", "conv2d", "upsample_nearest", "mse_loss", "bce_with_logits",
-    "Conv2d", "Linear", "GroupNorm", "group_norm", "collect_params", "l2_normalize",
+    "concat", "conv2d", "upsample_nearest", "mse_loss",
+    "Conv2d", "GroupNorm", "group_norm", "collect_params", "l2_normalize",
     "AdamWState", "adamw_step",
     "SeededRng",
     "save_checkpoint", "load_checkpoint", "load_into",

@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import SeededRng
-from .tensor import Tensor, concat, conv2d, upsample_nearest
+from .tensor import Tensor, conv2d
 
-__all__ = ["Conv2d", "Linear", "GroupNorm", "group_norm", "collect_params", "l2_normalize"]
+__all__ = ["Conv2d", "GroupNorm", "group_norm", "collect_params", "l2_normalize"]
 
 
 class Conv2d:
@@ -31,27 +31,6 @@ class Conv2d:
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}.bias"] = self.bias
-        return out
-
-
-class Linear:
-    def __init__(self, d_in: int, d_out: int, rng: SeededRng | None = None,
-                 bias: bool = True, init_scale: float = 1.0):
-        rng = rng or SeededRng(0)
-        std = init_scale * np.sqrt(2.0 / d_in)
-        self.weight = Tensor(rng.normal((d_in, d_out), scale=std), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.weight": self.weight}

@@ -50,7 +50,6 @@ __all__ = [
     "conv2d",
     "upsample_nearest",
     "mse_loss",
-    "bce_with_logits",
 ]
 
 # per thread (and per asyncio task): a no_grad block in one does not stop
@@ -569,23 +568,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
         raise ValueError(f"mse_loss shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
     return (diff * diff).mean()
-
-
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
-    """Numerically stable mean binary cross-entropy on raw logits."""
-    logits = Tensor._coerce(logits)
-    t = _as_array(targets if not isinstance(targets, Tensor) else targets.data)
-    z = logits.data
-    data = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor._result(np.array(data.mean()), (logits,), "bce_with_logits")
-
-    def bwd():
-        sig = 1.0 / (1.0 + np.exp(-z))
-        out_grad = out.grad  # scalar
-        logits._accumulate(out_grad * (sig - t) / z.size)
-
-    out._set_backward(bwd)
-    return out
 
 
 # -- tape and backward -------------------------------------------------------

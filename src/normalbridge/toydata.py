@@ -4,9 +4,9 @@ Two label domains mirror how training data behaves in the wild:
 ``SYNTH`` samples carry exact normals derived from the heightfield;
 ``REAL`` samples take the same geometry but corrupt the normal labels
 inside edge bands (Gaussian blur plus angular noise), the failure mode
-of scanned ground truth. Everything is deterministic per (seed, index)
-via counter-based RNG streams, so generation parallelism cannot change
-results.
+of scanned ground truth. Every sample is a function of (seed, index)
+alone, through counter-based RNG streams, so a sample does not depend on
+how many others are generated with it.
 
 The toy world is an orthographic top-down view: axis 1 of the grid is
 x (right), axis 0 is y, and normals live in that frame with +z toward
@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -309,21 +308,14 @@ def make_dataset(
     complexity_range: tuple[int, int] = (1, 10),
     size: int = 64,
     cell_size: float = 1.0,
-    threads: int = 1,
 ) -> list[DomainSample]:
-    """Deterministic dataset; item i depends only on (seed, i)."""
+    """``n`` samples of ``domain``; sample i depends only on (seed, i), so
+    the first k samples of a larger dataset are the k-sample dataset."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     lo, hi = complexity_range
     if not (1 <= lo <= hi <= 10):
         raise ValueError(f"bad complexity range {complexity_range}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_make_sample, seed, i, domain, complexity_range, size, cell_size)
-                for i in range(n)
-            ]
-            return [f.result() for f in futs]
     return [_make_sample(seed, i, domain, complexity_range, size, cell_size) for i in range(n)]
 
 

@@ -202,12 +202,6 @@ def case_mse(rng):
     return lambda ta, tb: tc.mse_loss(ta, tb), [a, b]
 
 
-def case_bce(rng):
-    z = rng.normal((8,))
-    t = rng.integers(0, 2, (8,)).astype(np.float64)
-    return lambda tz: tc.bce_with_logits(tz, t), [z]
-
-
 def case_l2_normalize(rng):
     x = _away_from(rng, (3, 3, 3), keepout=0.2)
     p = _proj(rng, (3, 3, 3))
@@ -252,7 +246,6 @@ CASES = [
     ("upsample_nearest", case_upsample),
     ("group_norm", case_group_norm),
     ("mse_loss", case_mse),
-    ("bce_with_logits", case_bce),
     ("l2_normalize", case_l2_normalize),
     ("composite_conv_relu_mse", case_composite_conv_relu_mse),
 ]

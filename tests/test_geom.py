@@ -458,12 +458,6 @@ class TestDatasetStats:
         with pytest.raises(ValueError):
             geom.dataset_stats([])
 
-    def test_csv_row_format(self):
-        row = geom.stats_csv_row("toy", geom.dataset_stats([geom.cube_mesh()]), "Synthesis")
-        assert row == "toy,1,12 / 12,Synthesis"
-        ref = geom.stats_csv_row("", geom.DETAILVERSE_REFERENCE_STATS, "")
-        assert ref == "DetailVerse,700,000,45,773 / 14,521,Synthesis"
-
 
 class TestHeightfieldMesh:
     def test_flat_grid_faces_up(self):

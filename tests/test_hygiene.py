@@ -1,0 +1,89 @@
+"""Static checks over the package source, read as syntax trees.
+
+Nothing is imported or run: every module under ``src/normalbridge`` is
+parsed with ``ast`` and checked for imports it never uses, ``__all__``
+names it never binds, and a package docstring whose module table has
+drifted from the submodules on disk.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "normalbridge"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+IDS = [str(p.relative_to(PACKAGE)) for p in MODULES]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _all_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Every name an import binds, anywhere in the module -> its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _top_level_bindings(body: list[ast.stmt]) -> set[str]:
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            for block in ("body", "orelse", "finalbody"):
+                names |= _top_level_bindings(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                names |= _top_level_bindings(handler.body)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set(_all_names(tree))
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in loaded and name not in exported}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_every_all_name_is_bound(path):
+    tree = _tree(path)
+    names = _all_names(tree)
+    assert len(names) == len(set(names)), f"{path.name}: duplicate __all__ entries"
+    unbound = set(names) - _top_level_bindings(tree.body)
+    assert not unbound, f"{path.name}: __all__ names not bound: {sorted(unbound)}"
+
+
+def test_package_module_table_matches_submodules():
+    doc = ast.get_docstring(_tree(PACKAGE / "__init__.py"))
+    table = doc.split("-------\n", 1)[1]
+    listed = {line.split()[0] for line in table.splitlines() if line.strip()}
+    on_disk = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    on_disk |= {p.parent.name for p in PACKAGE.glob("*/__init__.py")}
+    assert listed == on_disk

@@ -141,3 +141,63 @@ class TestModelGradient:
         numeric = central_fd_grads(loss, [images.copy()] + [p.data for p in params.values()])
         worst = max(max_rel_err(a, n) for a, n in zip(analytic, numeric))
         assert worst < 1e-4, f"max rel err {worst:.3e}"
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("batch_size", 0), ("batch_size", 2.0), ("log_every", 0), ("log_every", -1),
+        ("lr", 0.0), ("lr", float("nan")), ("weight_decay", -1e-3), ("weight_decay", float("inf")),
+    ])
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"TrainConfig.{field} "):
+            nirne.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"steps": 2, "log_every": 0}, "log_every"),
+        ({"steps": 2, "batch_size": 0}, "batch_size"),
+        ({"steps": 3}, "config.steps=3"),  # the stage is asked for 2 steps
+    ], ids=["log_every=0", "batch_size=0", "steps_disagree"])
+    def test_rejected_before_any_step(self, real, synth, stage, kwargs, match):
+        model = nirne.DualStreamModel(CHANNELS, seed=3)
+        model.stage_trained = stage - 1
+        before = _snapshot(model)
+        train, data = (nirne.train_stage1, real) if stage == 1 else (nirne.train_stage2, synth)
+        with pytest.raises(ValueError, match=match):
+            train(model, data, 2, 7, nirne.TrainConfig(**{"batch_size": 2, **kwargs}))
+        assert _snapshot(model) == before
+        assert model.stage_trained == stage - 1
+        assert all(p.requires_grad for p in model.named_parameters().values())
+
+
+class TestSingleStreamAblation:
+    def test_trains_both_stages_and_evaluates(self, real, synth):
+        model = nirne.DualStreamModel(CHANNELS, seed=3, dual_stream=False)
+        names = set(model.named_parameters())
+        assert not any(k.startswith(("clean.", "fuse")) for k in names)
+        assert model.stage2_trainable_names() == names
+        log1 = nirne.train_stage1(model, real, 2, 7, _config(2))
+        before = _snapshot(model)
+        log2 = nirne.train_stage2(model, synth, 2, 7, _config(2))
+        after = _snapshot(model)
+        assert all(after[k] != before[k] for k in names)
+        assert model.stage_trained == 2
+        assert all(np.isfinite(r["loss"]) for r in log1 + log2)
+        ev = nirne.evaluate_model(model, synth)
+        assert np.isfinite(ev["ne_deg"]) and ev["n_samples"] == len(synth)
+
+
+class TestZeroNoisyStream:
+    def test_flag_cuts_the_noisy_stream_out(self, real):
+        images = Tensor(np.stack([s.image.transpose(2, 0, 1) for s in real[:2]]))
+        model = nirne.DualStreamModel(CHANNELS, seed=3)
+        with no_grad():
+            zeroed = model.forward_t(images, zero_noisy_stream=True).data
+            plain = model.forward_t(images).data
+            rng = SeededRng(5)
+            noisy = [p for k, p in model.named_parameters().items() if k.startswith("noisy.")]
+            assert noisy
+            for p in noisy:
+                p.data += rng.normal(p.shape)
+            np.testing.assert_array_equal(model.forward_t(images, zero_noisy_stream=True).data, zeroed)
+            assert not np.array_equal(model.forward_t(images).data, plain)

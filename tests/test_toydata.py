@@ -221,12 +221,17 @@ class TestMakeDataset:
 
         assert edge_noise(real) > edge_noise(synth) + 1.0
 
-    def test_threading_does_not_change_results(self):
-        a = toydata.make_dataset(6, Domain.REAL, seed=9, size=32, threads=1)
-        b = toydata.make_dataset(6, Domain.REAL, seed=9, size=32, threads=3)
-        for x, y in zip(a, b):
+    @pytest.mark.parametrize("domain", [Domain.REAL, Domain.SYNTH])
+    def test_sample_depends_only_on_seed_and_index(self, domain):
+        six = toydata.make_dataset(6, domain, seed=9, size=32)
+        three = toydata.make_dataset(3, domain, seed=9, size=32)
+        assert (len(six), len(three)) == (6, 3)
+        for x, y in zip(six, three):
+            assert x.index == y.index
             assert x.image.tobytes() == y.image.tobytes()
             assert x.normal_gt.vectors.tobytes() == y.normal_gt.vectors.tobytes()
+            assert x.normal_gt.mask.tobytes() == y.normal_gt.mask.tobytes()
+            assert x.height_gt.heights.tobytes() == y.height_gt.heights.tobytes()
 
 
 class TestDatasetIo:
