@@ -31,7 +31,6 @@ __all__ = [
     "load_obj",
     "save_obj",
     "face_normals",
-    "face_areas",
     "vertex_normals",
     "viewpoints",
     "rasterize_normals",
@@ -181,10 +180,6 @@ def _face_cross(mesh: TriMesh) -> np.ndarray:
     return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
 
 
-def face_areas(mesh: TriMesh) -> np.ndarray:
-    return 0.5 * np.linalg.norm(_face_cross(mesh), axis=1)
-
-
 def face_normals(mesh: TriMesh) -> np.ndarray:
     cross = _face_cross(mesh)
     norm = np.linalg.norm(cross, axis=1, keepdims=True)
@@ -272,7 +267,6 @@ class Camera:
 class RenderView:
     normal_map: NormalMap
     depth: np.ndarray
-    camera: Camera
 
     @property
     def mask(self) -> np.ndarray:
@@ -325,7 +319,9 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
     Per-pixel normals are barycentric interpolations of vertex normals,
     renormalized; background pixels carry mask False and the sentinel
     normal. Fragments at depth <= 0 (behind the camera plane) are culled.
-    A mesh with a non-finite vertex raises ValueError.
+    A mesh with a non-finite vertex raises ValueError. A mesh without
+    ``vertex_norms`` gets its area-weighted ``vertex_normals`` stored on
+    first use, so later renders of it do not recompute them.
     """
     h_px, w_px = camera.resolution
     zbuf = np.full(h_px * w_px, np.inf)
@@ -335,9 +331,9 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
         if not np.isfinite(mesh.vertices).all():
             raise ValueError("mesh vertices must be finite")
         px, py, depth = camera.project(mesh.vertices)
-        n_cam = camera.to_camera_normals(
-            mesh.vertex_norms if mesh.vertex_norms is not None else vertex_normals(mesh)
-        )
+        if mesh.vertex_norms is None:
+            mesh.vertex_norms = vertex_normals(mesh)
+        n_cam = camera.to_camera_normals(mesh.vertex_norms)
         persp = camera.mode == "perspective"
 
         # clipped pixel box of every face; drop faces wholly behind the
@@ -415,7 +411,7 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
 
     nbuf[~mask] = [0.0, 0.0, 1.0]
     return RenderView(
-        NormalMap(nbuf.reshape(h_px, w_px, 3), mask.reshape(h_px, w_px)), zbuf.reshape(h_px, w_px), camera
+        NormalMap(nbuf.reshape(h_px, w_px, 3), mask.reshape(h_px, w_px)), zbuf.reshape(h_px, w_px)
     )
 
 
@@ -574,7 +570,9 @@ def uv_sphere_mesh(n_lat: int = 24, n_lon: int = 48, radius: float = 1.0) -> Tri
 def heightfield_to_mesh(hf) -> TriMesh:
     """Triangulate a heightfield grid (x right, y up, z = height).
 
-    The mesh carries its area-weighted ``vertex_normals``.
+    The vertex normals are derived on first use: ``rasterize_normals``
+    computes and stores them, and the sharp-edge statistics never need
+    them.
     """
     h, w = hf.shape
     cell = hf.cell_size
@@ -593,6 +591,4 @@ def heightfield_to_mesh(hf) -> TriMesh:
          np.stack([bottom_left, bottom_right, top_right], axis=-1)],
         axis=2,
     )
-    mesh = TriMesh(v, faces.reshape(-1, 3))
-    mesh.vertex_norms = vertex_normals(mesh)  # stored, so renders do not recompute them
-    return mesh
+    return TriMesh(v, faces.reshape(-1, 3))

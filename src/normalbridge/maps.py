@@ -8,6 +8,7 @@ rgb = round((n + 1) / 2 * 255) with background forced to white.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +48,8 @@ class Heightfield:
             raise ValueError(f"heightfield must be at least 8x8, got {h}x{w}")
         if not np.isfinite(self.heights).all():
             raise ValueError("heightfield contains non-finite values")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not (0 < self.cell_size < np.inf):
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -123,39 +124,35 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(img.tobytes())
 
 
-def _read_netpbm(path, magic: bytes):
+# magic, width, height and maxval, whitespace-separated, then one
+# whitespace byte; the writers above emit no comments
+_NETPBM_HEADER = re.compile(rb"P[56]\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     blob = Path(path).read_bytes()
     if not blob.startswith(magic):
         raise ValueError(f"{path}: expected {magic.decode()} file")
-    # header: magic, width, height, maxval, separated by whitespace/comments
-    tokens = []
-    pos = len(magic)
-    while len(tokens) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(int(blob[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = tokens
+    header = _NETPBM_HEADER.match(blob)
+    if header is None:
+        raise ValueError(f"{path}: truncated or malformed {magic.decode()} header")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported")
-    return blob, pos, w, h
+    pos = header.end()
+    need = h * w * channels
+    if len(blob) - pos != need:
+        raise ValueError(f"{path}: a {w}x{h} {magic.decode()} file has {need} payload bytes, "
+                         f"this file {len(blob) - pos}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(h, w, channels).copy()
 
 
 def read_ppm(path) -> np.ndarray:
-    blob, pos, w, h = _read_netpbm(path, b"P6")
-    return np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=pos).reshape(h, w, 3).copy()
+    return _read_netpbm(path, b"P6", 3)
 
 
 def read_pgm(path) -> np.ndarray:
-    blob, pos, w, h = _read_netpbm(path, b"P5")
-    return np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=pos).reshape(h, w).copy()
+    return _read_netpbm(path, b"P5", 1)[..., 0]
 
 
 # -- height binaries -----------------------------------------------------

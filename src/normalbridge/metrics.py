@@ -3,7 +3,10 @@
 NE is the mean per-pixel angular error in degrees over a mask. SNE is
 NE restricted to salient regions of the ground-truth normal map: Canny
 edges of the encoded normal image (per channel, unioned), dilated by a
-Chebyshev ball, intersected with the foreground.
+Chebyshev ball, intersected with the foreground. ``sharp_normal_error``
+gives SNE as None, not 0, when that region is empty;
+``multiview_report`` averages NE and SNE over the views and keeps one
+row of counts per view.
 
 The Canny gradient magnitude is normalized to max 1 before thresholding,
 so ``low``/``high`` are relative thresholds on unit-scaled gradients.
@@ -23,7 +26,7 @@ full-image dilation per step. The square dilation is separable: the OR of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,9 +55,6 @@ DEFAULT_CANNY_HIGH = 0.2
 @dataclass
 class EdgeMask:
     mask: np.ndarray
-    canny_low: float = DEFAULT_CANNY_LOW
-    canny_high: float = DEFAULT_CANNY_HIGH
-    dilation_radius: int = 0
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -68,21 +68,19 @@ class EdgeMask:
 
 @dataclass
 class SneResult:
-    """SNE in degrees, or the explicit no-sharp-regions outcome."""
+    """SNE in degrees over ``n_pixels`` sharp pixels; None when there are none."""
 
     sne_deg: Optional[float]
     n_pixels: int
-    no_sharp_regions: bool = False
 
 
 @dataclass
 class AngularErrorReport:
+    """Mean NE/SNE over the views, and one row per view."""
+
     ne_deg: float
     sne_deg: Optional[float]
-    n_foreground: int
-    n_sharp: int
-    per_view: list = field(default_factory=list)
-    params: dict = field(default_factory=dict)
+    per_view: list
 
 
 def scaled_dilation_radius(height: int) -> int:
@@ -233,7 +231,7 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
     peak = mag.max(axis=(1, 2))
     live = peak > 0
     if not live.any():
-        return EdgeMask(out, canny_low=low, canny_high=high)
+        return EdgeMask(out)
     mag = mag[live] / peak[live, None, None]  # unit-scaled gradients
 
     # non-maximum suppression along the quantized gradient direction, at
@@ -252,7 +250,7 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
 
     edges = _hysteresis(weak, padm, row, high)
     out[edges % ((h + 2) * row) // row - 1, edges % row - 1] = True
-    return EdgeMask(out, canny_low=low, canny_high=high, dilation_radius=0)
+    return EdgeMask(out)
 
 
 def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
@@ -272,12 +270,7 @@ def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
     out = rows[:, :w].copy()
     for d in range(1, 2 * radius + 1):
         out |= rows[:, d : d + w]
-    return EdgeMask(
-        out,
-        canny_low=mask.canny_low,
-        canny_high=mask.canny_high,
-        dilation_radius=mask.dilation_radius + radius,
-    )
+    return EdgeMask(out)
 
 
 def sharp_normal_error(
@@ -290,8 +283,7 @@ def sharp_normal_error(
 ) -> SneResult:
     """NE restricted to dilated Canny edges of the ground-truth normals.
 
-    An empty sharp mask yields the explicit no-sharp-regions result
-    rather than reporting 0.
+    An empty sharp mask yields ``sne_deg=None`` rather than 0.
     """
     if fg_mask is None:
         fg_mask = pred.mask & gt.mask
@@ -299,7 +291,7 @@ def sharp_normal_error(
     sharp = edges.mask & fg_mask
     n = int(sharp.sum())
     if n == 0:
-        return SneResult(sne_deg=None, n_pixels=0, no_sharp_regions=True)
+        return SneResult(sne_deg=None, n_pixels=0)
     return SneResult(sne_deg=normal_error(pred, gt, sharp), n_pixels=n)
 
 
@@ -317,7 +309,6 @@ def multiview_report(
         raise ValueError("no views given")
     per_view = []
     nes, snes = [], []
-    n_fg = n_sharp = 0
     for i, (p, g) in enumerate(zip(pred_views, gt_views)):
         r = scaled_dilation_radius(g.shape[0]) if radius is None else radius
         fg = p.mask & g.mask
@@ -329,8 +320,6 @@ def multiview_report(
         nes.append(ne)
         if sne.sne_deg is not None:
             snes.append(sne.sne_deg)
-        n_fg += int(fg.sum())
-        n_sharp += sne.n_pixels
         per_view.append(
             {"view": i, "ne_deg": ne, "sne_deg": sne.sne_deg, "n_fg": int(fg.sum()), "n_sharp": sne.n_pixels}
         )
@@ -339,8 +328,5 @@ def multiview_report(
     return AngularErrorReport(
         ne_deg=float(np.mean(nes)),
         sne_deg=float(np.mean(snes)) if snes else None,
-        n_foreground=n_fg,
-        n_sharp=n_sharp,
         per_view=per_view,
-        params={"canny_low": canny_low, "canny_high": canny_high, "radius": radius},
     )

@@ -55,24 +55,21 @@ _LEVELS = (3, 2, 1, 0)
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Injection noise levels. The full EDM range is retained for
-    analysis; training draws sigma log-uniformly from the narrower
-    injection band, which keeps coarse shape while perturbing detail.
-    ``sigma_lo == sigma_hi == 0`` disables injection entirely.
+    """Injection noise band: training draws sigma log-uniformly from
+    ``[sigma_lo, sigma_hi]``, which keeps coarse shape while perturbing
+    detail. ``NoiseSchedule(0, 0)`` disables injection entirely.
     """
 
-    sigma_min: float = 0.002
-    sigma_max: float = 80.0
     sigma_lo: float = 0.002
     sigma_hi: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_lo == self.sigma_hi == 0.0:
+        if self.disabled:
             return  # explicit no-injection configuration
-        if not (0.0 < self.sigma_lo <= self.sigma_hi <= self.sigma_max):
+        if not (0.0 < self.sigma_lo <= self.sigma_hi < np.inf):
             raise ValueError(
-                f"need 0 < sigma_lo <= sigma_hi <= sigma_max, got "
-                f"[{self.sigma_lo}, {self.sigma_hi}] vs max {self.sigma_max}"
+                f"need 0 < sigma_lo <= sigma_hi, both finite, or both 0; got "
+                f"[{self.sigma_lo}, {self.sigma_hi}]"
             )
 
     @property
@@ -214,8 +211,9 @@ class DualStreamModel:
         levels 3 -> 0; level k's skip is ``clean_k + fuse_k(noisy_k)``,
         or ``noisy_k`` in the single-stream ablation, and below level 3
         it is concatenated after the upsampled output of level k+1.
-        ``zero_noisy_stream`` replaces the noisy features by zeros, which
-        ablates the residual path of the dual-stream model. ``return_raw``
+        ``zero_noisy_stream`` ablates the residual path of the dual-stream
+        model: the noisy encoder does not run, no noise is drawn and each
+        fusion layer reads zeros (so adds only its bias). ``return_raw``
         skips the final per-pixel normalization: the regression loss fits
         the raw 3-channel output against unit targets, which keeps
         gradients healthy (normalizing inside the loss makes output scale
@@ -224,21 +222,24 @@ class DualStreamModel:
         n, c, h, w = images.shape
         if h % 8 or w % 8:
             raise ValueError(f"image dims must be divisible by 8, got {h}x{w}")
-        if train and rng is None and not self.schedule.disabled:
+        if zero_noisy_stream and not self.dual_stream:
+            raise ValueError("zero_noisy_stream would zero the single-stream model's only stream")
+        inject = train and not self.schedule.disabled and not zero_noisy_stream
+        if inject and rng is None:
             raise ValueError("training forward needs an rng for noise injection")
 
-        noisy_feats = self.noisy_enc(images)
-        if train and not self.schedule.disabled:
+        clean_feats = self.clean_enc(images) if self.dual_stream else None
+        if zero_noisy_stream:
+            noisy_feats = [Tensor(np.zeros(f.shape)) for f in clean_feats]
+        else:
+            noisy_feats = self.noisy_enc(images)
+        if inject:
             sigma = None
             injected = []
             for f in noisy_feats:
                 f2, sigma = inject_noise(f, self.schedule, rng, sigma)
                 injected.append(f2)
             noisy_feats = injected
-        if zero_noisy_stream:
-            noisy_feats = [Tensor(np.zeros(f.shape)) for f in noisy_feats]
-
-        clean_feats = self.clean_enc(images) if self.dual_stream else None
         x = None
         for k in _LEVELS:
             skip = noisy_feats[k]

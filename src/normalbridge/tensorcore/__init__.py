@@ -12,14 +12,13 @@ from .tensor import (
     concat,
     conv2d,
     grad_enabled,
-    mse_loss,
     no_grad,
     upsample_nearest,
 )
 
 __all__ = [
     "Tensor", "Tape", "TapeRecord", "backward", "no_grad", "grad_enabled",
-    "concat", "conv2d", "upsample_nearest", "mse_loss",
+    "concat", "conv2d", "upsample_nearest",
     "Conv2d", "GroupNorm", "group_norm", "collect_params", "l2_normalize",
     "AdamWState", "adamw_step",
     "SeededRng",

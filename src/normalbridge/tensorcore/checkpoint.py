@@ -84,13 +84,19 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def load_into(path, params: dict[str, Tensor]) -> None:
-    """Load a checkpoint into an existing named-parameter dict."""
+    """Load a checkpoint into an existing named-parameter dict.
+
+    Every name and shape is checked before any parameter is assigned, so
+    a mismatch raises ``ValueError`` naming the path and leaves ``params``
+    as they were.
+    """
     stored = load_checkpoint(path)
     missing = set(params) - set(stored)
     extra = set(stored) - set(params)
     if missing or extra:
-        raise ValueError(f"checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        raise ValueError(f"{path}: checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
     for name, p in params.items():
         if stored[name].shape != p.data.shape:
-            raise ValueError(f"shape mismatch for {name!r}: {stored[name].shape} vs {p.data.shape}")
-        p.data = stored[name].copy()
+            raise ValueError(f"{path}: shape mismatch for {name!r}: {stored[name].shape} vs {p.data.shape}")
+    for name, p in params.items():
+        p.data = stored[name]

@@ -19,7 +19,7 @@ class Conv2d:
 
     def __init__(self, c_in: int, c_out: int, k: int = 3, stride: int = 1,
                  padding: int | None = None, rng: SeededRng | None = None,
-                 bias: bool = True, init_scale: float = 1.0):
+                 init_scale: float = 1.0):
         if padding is None:
             padding = k // 2
         self.stride = stride
@@ -27,16 +27,13 @@ class Conv2d:
         rng = rng or SeededRng(0)
         std = init_scale * np.sqrt(2.0 / (c_in * k * k))
         self.weight = Tensor(rng.normal((c_out, c_in, k, k), scale=std), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}.bias"] = self.bias
-        return out
+        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -27,18 +27,17 @@ class AdamWState:
     v: dict = field(default_factory=dict)
 
 
-def adamw_step(params: dict[str, Tensor], state: AdamWState, grads: dict | None = None) -> AdamWState:
-    """One in-place AdamW update over named parameters.
+def adamw_step(params: dict[str, Tensor], state: AdamWState) -> AdamWState:
+    """One in-place AdamW update over named parameters, from each one's ``.grad``.
 
-    ``grads`` defaults to each parameter's accumulated ``.grad``. Weight
-    decay is decoupled (applied directly to the weights, not the moment
-    estimates). Every gradient is checked before anything is updated: a
+    Weight decay is decoupled (applied directly to the weights, not the
+    moment estimates). Every gradient is checked before anything is updated: a
     missing or non-finite one raises, naming the parameter, and leaves
     the parameters, the moments and ``step_count`` as they were.
     """
     checked = {}
     for name, p in params.items():
-        g = grads[name] if grads is not None else p.grad
+        g = p.grad
         if g is None:
             raise ValueError(f"parameter {name!r} has no gradient")
         g = np.asarray(g, dtype=np.float64)

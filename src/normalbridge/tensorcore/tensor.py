@@ -49,7 +49,6 @@ __all__ = [
     "concat",
     "conv2d",
     "upsample_nearest",
-    "mse_loss",
 ]
 
 # per thread (and per asyncio task): a no_grad block in one does not stop
@@ -134,9 +133,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -183,11 +179,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Tensor._result(-self.data, (self,), "neg")
-        out._set_backward(lambda: self._accumulate(-out.grad))
-        return out
-
     def __sub__(self, other):
         other = Tensor._coerce(other)
         out = Tensor._result(self.data - other.data, (self, other), "sub")
@@ -198,9 +189,6 @@ class Tensor:
 
         out._set_backward(bwd)
         return out
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other) - self
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
@@ -228,53 +216,11 @@ class Tensor:
         out._set_backward(bwd)
         return out
 
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
-
-    def __pow__(self, exponent: float):
-        p = float(exponent)
-        out = Tensor._result(self.data ** p, (self,), "pow")
-
-        def bwd():
-            self._accumulate(out.grad * p * self.data ** (p - 1.0))
-
-        out._set_backward(bwd)
-        return out
-
     # -- elementwise functions ------------------------------------------
-
-    def exp(self):
-        out = Tensor._result(np.exp(self.data), (self,), "exp")
-        out._set_backward(lambda: self._accumulate(out.grad * out.data))
-        return out
-
-    def log(self):
-        out = Tensor._result(np.log(self.data), (self,), "log")
-        out._set_backward(lambda: self._accumulate(out.grad / self.data))
-        return out
 
     def sqrt(self):
         out = Tensor._result(np.sqrt(self.data), (self,), "sqrt")
         out._set_backward(lambda: self._accumulate(out.grad * 0.5 / out.data))
-        return out
-
-    def sigmoid(self):
-        out = Tensor._result(1.0 / (1.0 + np.exp(-self.data)), (self,), "sigmoid")
-        out._set_backward(lambda: self._accumulate(out.grad * out.data * (1.0 - out.data)))
-        return out
-
-    def tanh(self):
-        out = Tensor._result(np.tanh(self.data), (self,), "tanh")
-        out._set_backward(lambda: self._accumulate(out.grad * (1.0 - out.data * out.data)))
-        return out
-
-    def relu(self):
-        out = Tensor._result(np.maximum(self.data, 0.0), (self,), "relu")
-
-        def bwd():
-            self._accumulate(out.grad * (self.data > 0.0))
-
-        out._set_backward(bwd)
         return out
 
     def leaky_relu(self, slope: float = 0.01):
@@ -306,14 +252,6 @@ class Tensor:
         out._set_backward(bwd)
         return out
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            n = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     # -- shape manipulation ----------------------------------------------
 
     def reshape(self, *shape):
@@ -340,24 +278,6 @@ class Tensor:
             buf = np.zeros_like(self.data)
             buf[idx] += out.grad
             self._accumulate(buf)
-
-        out._set_backward(bwd)
-        return out
-
-    def __matmul__(self, other):
-        other = Tensor._coerce(other)
-        if self.ndim < 2 or other.ndim < 2:
-            raise ValueError("matmul requires >=2-d operands; reshape vectors explicitly")
-        out = Tensor._result(np.matmul(self.data, other.data), (self, other), "matmul")
-
-        def bwd():
-            g = out.grad
-            if self.requires_grad or self._parents:
-                da = np.matmul(g, np.swapaxes(other.data, -1, -2))
-                self._accumulate(Tensor._unbroadcast(da, self.shape))
-            if other.requires_grad or other._parents:
-                db = np.matmul(np.swapaxes(self.data, -1, -2), g)
-                other._accumulate(Tensor._unbroadcast(db, other.shape))
 
         out._set_backward(bwd)
         return out
@@ -558,16 +478,6 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
 
     out._set_backward(bwd)
     return out
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error; gradient w.r.t. pred is 2(pred-target)/n."""
-    pred = Tensor._coerce(pred)
-    target = Tensor._coerce(target)
-    if pred.shape != target.shape:
-        raise ValueError(f"mse_loss shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return (diff * diff).mean()
 
 
 # -- tape and backward -------------------------------------------------------

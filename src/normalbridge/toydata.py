@@ -197,7 +197,6 @@ def shade_image(
     light_dir=(0.35, -0.25, 0.9),
     albedo_seed: int | None = 0,
     noise_std: float = 0.02,
-    flat_albedo: bool = False,
     albedo_contrast: float = 0.25,
     albedo_max_freq: float = 3.0,
 ) -> np.ndarray:
@@ -207,6 +206,7 @@ def shade_image(
     lighting/texture ambiguity a normal estimator has to see through;
     the contrast/frequency/noise knobs set how strong that ambiguity is
     (they define the gap between the real and synthetic image styles).
+    ``albedo_seed=None`` shades a flat unit albedo.
     """
     light = np.asarray(light_dir, dtype=np.float64)
     norm = np.linalg.norm(light)
@@ -214,7 +214,7 @@ def shade_image(
         raise ValueError("light direction must be nonzero")
     light = light / norm
     lam = np.maximum(normals.vectors @ light, 0.0)
-    if flat_albedo or albedo_seed is None:
+    if albedo_seed is None:
         albedo = np.ones(hf.shape + (3,))
     else:
         albedo = _procedural_albedo(

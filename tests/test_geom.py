@@ -487,14 +487,43 @@ class TestHeightfieldMesh:
     @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
     def test_stored_vertex_normals_render_like_recomputed(self, mode):
         mesh = bumpy_heightfield_mesh(seed=11, size=12)
-        np.testing.assert_array_equal(mesh.vertex_norms, geom.vertex_normals(mesh))
-        bare = TriMesh(mesh.vertices, mesh.faces)
+        assert mesh.vertex_norms is None  # derived on first use
         for cam in geom.viewpoints(3, mode=mode, resolution=(24, 28)):
+            # from the second view on, mesh renders with the normals the
+            # first render stored; a fresh copy derives its own each time
+            bare = TriMesh(mesh.vertices, mesh.faces)
             a, b = geom.rasterize_normals(mesh, cam), geom.rasterize_normals(bare, cam)
             assert a.mask.any()
             np.testing.assert_array_equal(a.normal_map.vectors, b.normal_map.vectors)
             np.testing.assert_array_equal(a.mask, b.mask)
             np.testing.assert_array_equal(a.depth, b.depth)
+        np.testing.assert_array_equal(mesh.vertex_norms, geom.vertex_normals(mesh))
+
+    @staticmethod
+    def _count_vertex_normals(monkeypatch):
+        calls = []
+        original = geom.vertex_normals
+
+        def counted(mesh):
+            calls.append(mesh)
+            return original(mesh)
+
+        monkeypatch.setattr(geom, "vertex_normals", counted)
+        return calls
+
+    def test_renders_of_one_mesh_derive_normals_once(self, monkeypatch):
+        calls = self._count_vertex_normals(monkeypatch)
+        mesh = bumpy_heightfield_mesh(seed=11, size=12)
+        for cam in geom.viewpoints(22, resolution=(16, 16)):
+            geom.rasterize_normals(mesh, cam)
+        assert calls == [mesh]
+
+    def test_sharp_edge_statistics_derive_no_normals(self, monkeypatch):
+        calls = self._count_vertex_normals(monkeypatch)
+        meshes = [bumpy_heightfield_mesh(seed=s, size=12) for s in range(3)]
+        assert geom.dataset_stats(meshes).n_objects == 3
+        assert calls == []
+        assert all(m.vertex_norms is None for m in meshes)
 
     def test_obj_round_trip(self, tmp_path):
         mesh = geom.icosahedron_mesh()

@@ -2,8 +2,9 @@
 
 Nothing is imported or run: every module under ``src/normalbridge`` is
 parsed with ``ast`` and checked for imports it never uses, ``__all__``
-names it never binds, and a package docstring whose module table has
-drifted from the submodules on disk.
+names it never binds, a package docstring whose module table has
+drifted from the submodules on disk, and module-level functions and
+classes that nothing in ``src/`` or ``benchmarks/`` refers to.
 """
 
 import ast
@@ -87,3 +88,83 @@ def test_package_module_table_matches_submodules():
     on_disk = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
     on_disk |= {p.parent.name for p in PACKAGE.glob("*/__init__.py")}
     assert listed == on_disk
+
+
+
+# Module-level names kept though nothing in src/ or benchmarks/ refers to
+# them, per module, each for a reason of its own.
+REACHABILITY_EXEMPT = {
+    # the frequency/SNR analysis of noise injection: the planned spectral
+    # probes of the fusion terms read these, and the closed-form SNR tests
+    # pin them
+    "freq.py": {"dft2", "idft2", "radial_power_spectrum", "fit_alpha", "snr_curve",
+                "radial_snr_curves", "snr_crossing_time", "power_law_image"},
+    # OBJ I/O: the way to bring an outside mesh to the renderer and the
+    # sharp-edge statistics; primitive meshes with known sharp-edge counts
+    # and normals, the fixtures of the rasterizer and edge tests
+    "geom.py": {"load_obj", "save_obj", "cube_mesh", "icosahedron_mesh"},
+}
+REACHABILITY_ROOTS = (PACKAGE, PACKAGE.parents[1] / "benchmarks")
+
+
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _references() -> list[tuple[str, Path, str | None]]:
+    """(name, file, enclosing top-level definition) for every reference.
+
+    A reference is a Name, an Attribute or a string constant (the
+    benchmark tracer wraps functions by name); ``__all__`` lists, imports
+    and the benchmark's own tests are not references.
+    """
+    refs = []
+    for root in REACHABILITY_ROOTS:
+        for path in sorted(root.rglob("*.py")):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            for stmt in _tree(path).body:
+                if _is_all(stmt):
+                    continue
+                owner = getattr(stmt, "name", None)
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        refs.append((node.id, path, owner))
+                    elif isinstance(node, ast.Attribute):
+                        refs.append((node.attr, path, owner))
+                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        refs.append((node.value, path, owner))
+    return refs
+
+
+def _definitions(path: Path) -> list[str]:
+    return [node.name for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_every_definition_is_reachable():
+    """Every module-level function and class in src/ is referenced from
+    src/ or benchmarks/, outside its own definition.
+
+    Methods are not covered: matching by name cannot tell a method from
+    a numpy function or method of the same name, such as ``Tensor.sqrt``
+    and ``np.sqrt`` or ``Tensor.sum`` and ``ndarray.sum``.
+    """
+    used = {}
+    for name, path, owner in _references():
+        used.setdefault(name, set()).add((path, owner))
+    unreached = []
+    for path, rel in zip(MODULES, IDS):
+        for name in _definitions(path):
+            if name in REACHABILITY_EXEMPT.get(rel, ()):
+                continue
+            if not used.get(name, set()) - {(path, name)}:
+                unreached.append(f"{rel}:{name}")
+    assert not unreached, f"defined in src/ but referenced nowhere in src/ or benchmarks/: {unreached}"
+
+
+def test_reachability_exemptions_are_defined():
+    for rel, names in REACHABILITY_EXEMPT.items():
+        missing = names - set(_definitions(PACKAGE / rel))
+        assert not missing, f"{rel}: exempt names not defined: {sorted(missing)}"

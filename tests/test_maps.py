@@ -37,3 +37,31 @@ class TestHeightBinary:
         path.write_bytes(b"NBH1" + path.read_bytes()[4:])
         with pytest.raises(ValueError, match="bad magic"):
             maps.read_height_bin(path)
+
+
+class TestNetpbm:
+    @pytest.mark.parametrize("kind", ["ppm", "pgm"])
+    @pytest.mark.parametrize("size", ["2", "4", "6", "-5", "+1"])
+    def test_wrong_length_names_path(self, tmp_path, kind, size):
+        # an 8x8 image cut inside its header, 5 bytes short, or 1 byte long
+        img = np.arange(8 * 8 * 3, dtype=np.uint8).reshape(8, 8, 3)
+        path = tmp_path / f"img.{kind}"
+        if kind == "ppm":
+            maps.write_ppm(path, img)
+            read = maps.read_ppm
+        else:
+            maps.write_pgm(path, img[..., 0])
+            read = maps.read_pgm
+        blob = path.read_bytes()
+        n = int(size)
+        path.write_bytes(blob + b"\0" if n == 1 else blob[:n])
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+
+class TestHeightfield:
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_bad_cell_size_rejected(self, cell):
+        with pytest.raises(ValueError, match="cell_size"):
+            Heightfield(np.zeros((8, 8)), cell)

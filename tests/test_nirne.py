@@ -4,6 +4,7 @@ import pytest
 from normalbridge import nirne, toydata
 from normalbridge.nirne import NoiseSchedule
 from normalbridge.tensorcore import SeededRng, Tensor, backward, no_grad
+from normalbridge.tensorcore import nn as tc_nn
 from normalbridge.toydata import Domain
 
 from fdcheck import central_fd_grads, max_rel_err
@@ -24,6 +25,10 @@ def real():
 @pytest.fixture(scope="module")
 def synth():
     return toydata.make_dataset(4, Domain.SYNTH, 6, size=SIZE)
+
+
+def _images(samples):
+    return Tensor(np.stack([s.image.transpose(2, 0, 1) for s in samples]))
 
 
 def _snapshot(model):
@@ -201,3 +206,68 @@ class TestZeroNoisyStream:
                 p.data += rng.normal(p.shape)
             np.testing.assert_array_equal(model.forward_t(images, zero_noisy_stream=True).data, zeroed)
             assert not np.array_equal(model.forward_t(images).data, plain)
+
+    @staticmethod
+    def _count_convs(monkeypatch):
+        calls = []
+        original = tc_nn.conv2d
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tc_nn, "conv2d", counted)
+        return calls
+
+    def test_flag_skips_the_noisy_encoder(self, real, monkeypatch):
+        images = _images(real[:2])
+        model = nirne.DualStreamModel(CHANNELS, seed=3)
+        noisy = {id(p) for k, p in model.named_parameters().items() if k.startswith("noisy.")}
+        calls = self._count_convs(monkeypatch)
+        with no_grad():
+            model.forward_t(images)
+            assert len(calls) == 19
+            calls.clear()
+            model.forward_t(images, zero_noisy_stream=True)
+        assert len(calls) == 14  # clean encoder 5, fusion 4, decoder 4, head 1
+        assert not any(id(kernel) in noisy for kernel in calls)
+
+    def test_train_forward_under_flag_draws_no_noise(self, real):
+        images = _images(real[:2])
+        model = nirne.DualStreamModel(CHANNELS, seed=3)
+        rng = SeededRng(1)
+        with no_grad():
+            trained = model.forward_t(images, train=True, rng=rng, zero_noisy_stream=True).data
+            evaluated = model.forward_t(images, zero_noisy_stream=True).data
+        np.testing.assert_array_equal(rng.normal((4,)), SeededRng(1).normal((4,)))  # nothing drawn
+        np.testing.assert_array_equal(trained, evaluated)
+
+    def test_single_stream_model_rejects_flag(self, real):
+        images = _images(real[:2])
+        model = nirne.DualStreamModel(CHANNELS, seed=3, dual_stream=False)
+        with pytest.raises(ValueError, match="single-stream"):
+            model.forward_t(images, zero_noisy_stream=True)
+
+
+class TestNoiseSchedule:
+    def test_zero_band_disables_injection(self, real):
+        schedule = NoiseSchedule(0, 0)
+        assert schedule.disabled
+        images = _images(real[:2])
+        model = nirne.DualStreamModel(CHANNELS, seed=3, schedule=schedule)
+        with no_grad():
+            trained = model.forward_t(images, train=True).data  # no rng needed
+            evaluated = model.forward_t(images).data
+        np.testing.assert_array_equal(trained, evaluated)
+
+    def test_positional_band(self):
+        schedule = NoiseSchedule(0.01, 2.0)
+        assert (schedule.sigma_lo, schedule.sigma_hi) == (0.01, 2.0)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (-0.1, 1.0), (1.0, 0.5),
+        (float("nan"), 1.0), (0.1, float("nan")), (0.1, float("inf")), (float("inf"), float("inf")),
+    ])
+    def test_bad_band_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="sigma_lo"):
+            NoiseSchedule(lo, hi)

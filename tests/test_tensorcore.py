@@ -17,7 +17,6 @@ from normalbridge.tensorcore import (
     backward,
     conv2d,
     load_checkpoint,
-    mse_loss,
     save_checkpoint,
 )
 
@@ -189,27 +188,6 @@ class TestGroupNorm:
             tc.group_norm(Tensor(np.zeros((1, 5, 2, 2))), 2, Tensor(np.ones(5)), Tensor(np.zeros(5)))
 
 
-class TestMseLoss:
-    def test_equal_inputs_zero(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3))
-        assert mse_loss(a, Tensor(a.data.copy())).item() == 0.0
-
-    def test_scalar_example(self):
-        assert mse_loss(Tensor([2.0]), Tensor([0.0])).item() == 4.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mse_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-
-    def test_gradient_is_scaled_difference(self):
-        rng = SeededRng(3)
-        pred = Tensor(rng.normal((4, 5)), requires_grad=True)
-        target = Tensor(rng.normal((4, 5)))
-        backward(mse_loss(pred, target))
-        want = 2.0 * (pred.data - target.data) / pred.size
-        np.testing.assert_allclose(pred.grad, want, rtol=1e-12)
-
-
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -329,7 +307,7 @@ class TestGraphLifetime:
 
     def test_untracked_results_get_no_closure(self):
         a = Tensor(np.ones(3))
-        b = (a * 2.0 + 1.0).exp()
+        b = (a * 2.0 + 1.0).leaky_relu(0.1)
         assert b._parents == () and b._backward_fn is None
 
     def test_interior_grads_dropped_leaf_grads_kept(self):
@@ -463,14 +441,14 @@ class TestDeterminism:
     @staticmethod
     def _train_trajectory(seed):
         rng = SeededRng(seed)
-        w = Tensor(rng.normal((4, 3)) * 0.1, requires_grad=True)
+        w = Tensor(rng.normal((3, 2, 3, 3)) * 0.1, requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         st = AdamWState()
         params = {"w": w, "b": b}
         for step in range(100):
-            x = Tensor(rng.normal((8, 4)))
-            t = Tensor(rng.normal((8, 3)))
-            loss = mse_loss((x @ w + b).tanh(), t)
+            x = Tensor(rng.normal((2, 2, 5, 5)))
+            diff = conv2d(x, w, b, padding=1).leaky_relu(0.1) - Tensor(rng.normal((2, 3, 5, 5)))
+            loss = (diff * diff).sum()
             for p in params.values():
                 p.zero_grad()
             backward(loss)
@@ -501,7 +479,6 @@ class TestNoNanProperty:
             out = tc.group_norm(tc.conv2d(x, w, padding=1).leaky_relu(0.1), 1, g, be)
             out = tc.l2_normalize(out, axis=1)
             assert np.isfinite(out.data).all()
-            assert np.isfinite(tc.upsample_nearest(out).sigmoid().data).all()
 
 
 class TestSeededRng:
@@ -575,6 +552,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="parameter #0 is not UTF-8") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [{"b": Tensor(np.zeros(3))}, {}], ids=["wrong_shape", "missing"])
+    def test_failed_load_into_leaves_parameters_unchanged(self, tmp_path, bad):
+        path = tmp_path / "model.nblb"
+        save_checkpoint(path, {"a": Tensor(np.full((2, 2), 7.0)), **bad})
+        params = {"a": Tensor(np.arange(4.0).reshape(2, 2)), "b": Tensor(np.ones((2, 3)))}
+        before = {k: p.data.tobytes() for k, p in params.items()}
+        with pytest.raises(ValueError, match="'b'") as err:
+            tc.load_into(path, params)
+        assert str(path) in str(err.value)
+        assert {k: p.data.tobytes() for k, p in params.items()} == before
+
+    def test_load_into_assigns_every_parameter(self, tmp_path):
+        rng = SeededRng(13)
+        stored = {"a": Tensor(rng.normal((2, 2))), "b": Tensor(rng.normal((3,)))}
+        path = tmp_path / "model.nblb"
+        save_checkpoint(path, stored)
+        params = {"a": Tensor(np.zeros((2, 2))), "b": Tensor(np.zeros(3))}
+        tc.load_into(path, params)
+        for k, p in params.items():
+            assert p.data.tobytes() == stored[k].data.tobytes()
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.bin"

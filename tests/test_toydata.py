@@ -87,13 +87,13 @@ class TestHeightfieldNormals:
 
         def loss_fn(arr):
             t = Tensor(arr, requires_grad=True)
-            return t, (toydata.normals_from_heights_t(t, 0.7) * Tensor(w)).mean()
+            return t, (toydata.normals_from_heights_t(t, 0.7) * Tensor(w)).sum()
 
         t, loss = loss_fn(h)
         backward(loss)
 
         def eval_np(arr):
-            return (toydata.normals_from_heights_t(Tensor(arr), 0.7).data * w).mean()
+            return (toydata.normals_from_heights_t(Tensor(arr), 0.7).data * w).sum()
 
         (fd,) = central_fd_grads(eval_np, [h.copy()])
         assert max_rel_err(t.grad, fd) < 1e-4
@@ -103,13 +103,13 @@ class TestShadeImage:
     def test_flat_unit_albedo_no_noise(self):
         hf = Heightfield(np.zeros((16, 16)))
         nm = toydata.heightfield_normals(hf)
-        img = toydata.shade_image(hf, nm, light_dir=(0, 0, 1), flat_albedo=True, noise_std=0.0)
+        img = toydata.shade_image(hf, nm, light_dir=(0, 0, 1), albedo_seed=None, noise_std=0.0)
         np.testing.assert_array_equal(img, np.ones((16, 16, 3)))
 
     def test_orthogonal_light_black(self):
         hf = Heightfield(np.zeros((16, 16)))
         nm = toydata.heightfield_normals(hf)
-        img = toydata.shade_image(hf, nm, light_dir=(1, 0, 0), flat_albedo=True, noise_std=0.0)
+        img = toydata.shade_image(hf, nm, light_dir=(1, 0, 0), albedo_seed=None, noise_std=0.0)
         np.testing.assert_array_equal(img, np.zeros((16, 16, 3)))
 
     def test_seed_deterministic(self):
