@@ -34,7 +34,6 @@ __all__ = [
     "vertex_normals",
     "viewpoints",
     "rasterize_normals",
-    "count_sharp_edges",
     "sharp_edge_report",
     "SharpEdgeReport",
     "dataset_stats",
@@ -50,7 +49,7 @@ __all__ = [
 class TriMesh:
     vertices: np.ndarray          # (V, 3) float64, world units
     faces: np.ndarray             # (F, 3) int64, CCW outward
-    vertex_norms: np.ndarray | None = None
+    vertex_norms: np.ndarray | None = None  # (V, 3), finite, no zero row
     n_dropped_faces: int = 0
 
     def __post_init__(self):
@@ -58,6 +57,12 @@ class TriMesh:
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ValueError("face indices out of range")
+        if self.vertex_norms is not None:
+            self.vertex_norms = norms = np.asarray(self.vertex_norms, dtype=np.float64)
+            if norms.shape != self.vertices.shape:
+                raise ValueError(f"vertex_norms has shape {norms.shape}, expected {self.vertices.shape}")
+            if not (np.isfinite(norms).all() and norms.any(axis=1).all()):
+                raise ValueError(f"vertex_norms of shape {norms.shape} has a non-finite or zero row")
 
     @property
     def n_vertices(self) -> int:
@@ -203,11 +208,15 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
 # -- cameras -----------------------------------------------------------------
 
 
+_X, _Z = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+
+
 @dataclass
 class Camera:
+    """A camera at ``position`` that looks at the origin with +z up (+x up
+    when it looks within ~8 degrees of the z axis)."""
+
     position: np.ndarray
-    look_at: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    up: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     mode: str = "orthographic"          # or "perspective"
     ortho_width: float = 2.5
     fov_y_deg: float = 40.0
@@ -215,22 +224,16 @@ class Camera:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64)
-        self.look_at = np.asarray(self.look_at, dtype=np.float64)
-        self.up = np.asarray(self.up, dtype=np.float64)
         if self.mode not in ("orthographic", "perspective"):
             raise ValueError(f"unknown camera mode {self.mode!r}")
-        fwd = self.look_at - self.position
-        if np.linalg.norm(fwd) < 1e-12:
-            raise ValueError("camera position coincides with look-at point")
+        if np.linalg.norm(self.position) < 1e-12:
+            raise ValueError("camera position coincides with the origin it looks at")
 
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Right-handed (right, up, forward); forward points at the target."""
-        fwd = self.look_at - self.position
+        """Right-handed (right, up, forward); forward points at the origin."""
+        fwd = 0.0 - self.position  # not -position: a zero coordinate stays +0.0
         fwd = fwd / np.linalg.norm(fwd)
-        up = self.up
-        if abs(float(np.dot(fwd, up)) / np.linalg.norm(up)) > 0.99:
-            up = np.array([1.0, 0.0, 0.0])
-        right = np.cross(fwd, up)
+        right = np.cross(fwd, _X if abs(fwd[2]) > 0.99 else _Z)
         right /= np.linalg.norm(right)
         true_up = np.cross(right, fwd)
         return right, true_up, fwd
@@ -273,15 +276,16 @@ class RenderView:
         return self.normal_map.mask
 
 
+_VIEW_RADIUS = 3.0  # distance of every viewpoint from the origin
+
+
 def viewpoints(
     n: int = 22,
-    radius: float = 3.0,
     mode: str = "orthographic",
     resolution: tuple[int, int] = (96, 96),
-    ortho_width: float = 2.5,
-    fov_y_deg: float = 40.0,
 ) -> list[Camera]:
-    """Deterministic near-uniform cameras on a Fibonacci sphere, all looking at the origin."""
+    """Deterministic near-uniform cameras on a Fibonacci sphere of radius
+    ``_VIEW_RADIUS``, all looking at the origin."""
     if n < 1:
         raise ValueError("need at least one viewpoint")
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -290,16 +294,8 @@ def viewpoints(
         z = 1.0 - (2.0 * i + 1.0) / n
         r = math.sqrt(max(0.0, 1.0 - z * z))
         phi = golden * i
-        pos = np.array([r * math.cos(phi), r * math.sin(phi), z]) * radius
-        cams.append(
-            Camera(
-                position=pos,
-                mode=mode,
-                resolution=resolution,
-                ortho_width=ortho_width,
-                fov_y_deg=fov_y_deg,
-            )
-        )
+        pos = np.array([r * math.cos(phi), r * math.sin(phi), z]) * _VIEW_RADIUS
+        cams.append(Camera(position=pos, mode=mode, resolution=resolution))
     return cams
 
 
@@ -469,10 +465,6 @@ def sharp_edge_report(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> Sh
     )
 
 
-def count_sharp_edges(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> int:
-    return sharp_edge_report(mesh, dihedral_threshold_deg).sharp_count
-
-
 # -- dataset statistics -----------------------------------------------------------
 
 
@@ -484,9 +476,10 @@ class DatasetStats:
     counts: list[int] = field(default_factory=list)
 
 
-def dataset_stats(meshes, dihedral_threshold_deg: float = 30.0) -> DatasetStats:
-    """Mean/median sharp-edge counts; median is the lower middle for even n."""
-    counts = [count_sharp_edges(m, dihedral_threshold_deg) for m in meshes]
+def dataset_stats(meshes) -> DatasetStats:
+    """Mean/median sharp-edge counts at the default 30-degree threshold;
+    median is the lower middle for even n."""
+    counts = [sharp_edge_report(m).sharp_count for m in meshes]
     if not counts:
         raise ValueError("dataset_stats needs at least one mesh")
     ordered = sorted(counts)

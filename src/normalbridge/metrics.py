@@ -273,22 +273,15 @@ def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
     return EdgeMask(out)
 
 
-def sharp_normal_error(
-    pred: NormalMap,
-    gt: NormalMap,
-    fg_mask: np.ndarray | None = None,
-    canny_low: float = DEFAULT_CANNY_LOW,
-    canny_high: float = DEFAULT_CANNY_HIGH,
-    radius: int = DEFAULT_DILATION_RADIUS,
-) -> SneResult:
-    """NE restricted to dilated Canny edges of the ground-truth normals.
+def sharp_normal_error(pred: NormalMap, gt: NormalMap, radius: int = DEFAULT_DILATION_RADIUS) -> SneResult:
+    """NE restricted to the sharp region: the Canny edges of the ground-truth
+    normals at the default thresholds, dilated by ``radius``, within the
+    joint foreground ``pred.mask & gt.mask``.
 
     An empty sharp mask yields ``sne_deg=None`` rather than 0.
     """
-    if fg_mask is None:
-        fg_mask = pred.mask & gt.mask
-    edges = dilate(canny(gt, canny_low, canny_high), radius)
-    sharp = edges.mask & fg_mask
+    edges = dilate(canny(gt), radius)
+    sharp = edges.mask & pred.mask & gt.mask
     n = int(sharp.sum())
     if n == 0:
         return SneResult(sne_deg=None, n_pixels=0)
@@ -298,11 +291,10 @@ def sharp_normal_error(
 def multiview_report(
     pred_views: Sequence[NormalMap],
     gt_views: Sequence[NormalMap],
-    canny_low: float = DEFAULT_CANNY_LOW,
-    canny_high: float = DEFAULT_CANNY_HIGH,
     radius: int | None = None,
 ) -> AngularErrorReport:
-    """NE/SNE averaged over paired views with nonempty masks."""
+    """NE/SNE averaged over paired views with nonempty masks; SNE dilates by
+    ``radius``, or by each view's ``scaled_dilation_radius`` when it is None."""
     if len(pred_views) != len(gt_views):
         raise ValueError(f"view count mismatch: {len(pred_views)} vs {len(gt_views)}")
     if not pred_views:
@@ -316,7 +308,7 @@ def multiview_report(
             per_view.append({"view": i, "ne_deg": None, "sne_deg": None, "n_fg": 0, "n_sharp": 0})
             continue
         ne = normal_error(p, g, fg)
-        sne = sharp_normal_error(p, g, fg, canny_low, canny_high, r)
+        sne = sharp_normal_error(p, g, r)
         nes.append(ne)
         if sne.sne_deg is not None:
             snes.append(sne.sne_deg)

@@ -13,18 +13,16 @@ from .tensor import Tensor, conv2d
 
 __all__ = ["Conv2d", "GroupNorm", "group_norm", "collect_params", "l2_normalize"]
 
+GROUP_NORM_EPS = 1e-5
+
 
 class Conv2d:
-    """3x3-style convolution layer; He-normal init scaled by ``init_scale``."""
+    """Convolution padded by ``k // 2``; He-normal init from ``rng``, scaled by ``init_scale``."""
 
-    def __init__(self, c_in: int, c_out: int, k: int = 3, stride: int = 1,
-                 padding: int | None = None, rng: SeededRng | None = None,
-                 init_scale: float = 1.0):
-        if padding is None:
-            padding = k // 2
+    def __init__(self, c_in: int, c_out: int, k: int = 3, stride: int = 1, *,
+                 rng: SeededRng, init_scale: float = 1.0):
         self.stride = stride
-        self.padding = padding
-        rng = rng or SeededRng(0)
+        self.padding = k // 2
         std = init_scale * np.sqrt(2.0 / (c_in * k * k))
         self.weight = Tensor(rng.normal((c_out, c_in, k, k), scale=std), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
@@ -36,13 +34,13 @@ class Conv2d:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
-def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Group normalization over [N,C,H,W], one graph node.
 
     Each sample's channels split into ``num_groups`` groups of ``m``
     values; a group is normalized to ``x_hat = (x - mean) / std`` with
-    ``std = sqrt(var + eps)`` (biased variance), then scaled and shifted
-    per channel: ``y = x_hat * gamma + beta``.
+    ``std = sqrt(var + GROUP_NORM_EPS)`` (biased variance), then scaled
+    and shifted per channel: ``y = x_hat * gamma + beta``.
 
     Backward is the closed form (Wu & He, "Group Normalization", ECCV
     2018). With ``dn = dy * gamma`` and means taken over each group,
@@ -58,7 +56,7 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
     mu = g.sum(axis=2, keepdims=True) * (1.0 / m)
     xhat = g - mu
     var = (xhat * xhat).sum(axis=2, keepdims=True) * (1.0 / m)
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + GROUP_NORM_EPS)
     xhat /= std
     xhat4 = xhat.reshape(n, c, h, w)
     gamma4 = gamma.data.reshape(1, c, 1, 1)
@@ -86,14 +84,14 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
 
 
 class GroupNorm:
-    def __init__(self, num_channels: int, num_groups: int = 4, eps: float = 1e-5):
-        self.num_groups = num_groups
-        self.eps = eps
+    """Group normalization with one group (over a sample's whole [C,H,W])."""
+
+    def __init__(self, num_channels: int):
         self.gamma = Tensor(np.ones(num_channels), requires_grad=True)
         self.beta = Tensor(np.zeros(num_channels), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return group_norm(x, self.num_groups, self.gamma, self.beta, self.eps)
+        return group_norm(x, 1, self.gamma, self.beta)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}

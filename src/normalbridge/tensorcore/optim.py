@@ -1,7 +1,8 @@
 """AdamW with decoupled weight decay.
 
-Defaults are the toy-scale settings used across this package: lr 3e-4,
-betas (0.9, 0.999), eps 1e-8, weight decay 1e-2.
+The learning rate and the weight decay are settings (defaults 3e-4 and
+1e-2, the toy-scale values used across this package); the betas and eps
+are the module constants ``BETA1``, ``BETA2`` and ``EPS``.
 """
 
 from __future__ import annotations
@@ -14,17 +15,18 @@ from .tensor import Tensor
 
 __all__ = ["AdamWState", "adamw_step"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamWState:
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-2
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState) -> AdamWState:
@@ -47,8 +49,8 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState) -> AdamWState:
 
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = checked[name]
         if name not in state.m:
@@ -56,11 +58,11 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState) -> AdamWState:
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         if state.weight_decay:
             p.data -= state.lr * state.weight_decay * p.data
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return state

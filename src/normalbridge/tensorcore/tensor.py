@@ -276,7 +276,8 @@ class Tensor:
 
         def bwd():
             buf = np.zeros_like(self.data)
-            buf[idx] += out.grad
+            # unbuffered: an entry that idx repeats gets every share of it
+            np.add.at(buf, idx, out.grad)
             self._accumulate(buf)
 
         out._set_backward(bwd)
@@ -462,18 +463,17 @@ def conv2d(
     return out
 
 
-def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling of [N,C,H,W] by an integer factor."""
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Nearest-neighbour 2x upsampling of [N,C,H,W]."""
     x = Tensor._coerce(x)
     if x.ndim != 4:
         raise ValueError(f"upsample_nearest expects 4-d input, got {x.shape}")
-    f = int(factor)
-    data = x.data.repeat(f, axis=2).repeat(f, axis=3)
+    data = x.data.repeat(2, axis=2).repeat(2, axis=3)
     out = Tensor._result(data, (x,), "upsample_nearest")
 
     def bwd():
         n, c, h, w = x.shape
-        g = out.grad.reshape(n, c, h, f, w, f).sum(axis=(3, 5))
+        g = out.grad.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
         x._accumulate(g)
 
     out._set_backward(bwd)

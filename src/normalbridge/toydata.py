@@ -323,7 +323,7 @@ def sample_digest(sample: DomainSample) -> str:
     return hashlib.sha256(sample.image.tobytes()).hexdigest()
 
 
-def write_dataset(out_dir, samples: list[DomainSample], meta: dict | None = None) -> None:
+def write_dataset(out_dir, samples: list[DomainSample]) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -335,7 +335,6 @@ def write_dataset(out_dir, samples: list[DomainSample], meta: dict | None = None
         write_height_bin(out / f"{stem}_height.bin", s.height_gt)
         entries.append({"index": i, "stem": stem, "domain": s.domain.value})
     manifest = {"n": len(samples), "items": entries}
-    manifest.update(meta or {})
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 

@@ -86,6 +86,13 @@ def case_slice(rng):
     return lambda ta: p(ta[1:3, ::2]), [a]
 
 
+def case_slice_repeated_index(rng):
+    # rows 0 and 2 are each read twice, so their gradients add up
+    a = rng.normal((4, 3))
+    p = _proj(rng, (5, 2))
+    return lambda ta: p(ta[[0, 2, 0, 3, 2], 1:]), [a]
+
+
 def case_concat(rng):
     a = rng.normal((2, 3))
     b = rng.normal((2, 2))
@@ -127,7 +134,7 @@ def case_conv2d_nonsquare_kernel(rng):
 def case_upsample(rng):
     x = rng.normal((1, 2, 3, 3))
     p = _proj(rng, (1, 2, 6, 6))
-    return lambda tx: p(tc.upsample_nearest(tx, 2)), [x]
+    return lambda tx: p(tc.upsample_nearest(tx)), [x]
 
 
 def case_group_norm(rng):
@@ -166,6 +173,7 @@ CASES = [
     ("sum_axis", case_sum_axis),
     ("reshape_transpose", case_reshape_transpose),
     ("slice", case_slice),
+    ("slice_repeated_index", case_slice_repeated_index),
     ("concat", case_concat),
     ("conv2d", case_conv2d),
     ("conv2d_stride", case_conv2d_stride),

@@ -140,11 +140,14 @@ class TestVertexNormalsReference:
 
 class TestViewpoints:
     def test_count_and_radius(self):
-        cams = geom.viewpoints(22, radius=3.0)
+        cams = geom.viewpoints(22)
         assert len(cams) == 22
         for c in cams:
             assert abs(np.linalg.norm(c.position) - 3.0) < 1e-9
-            np.testing.assert_array_equal(c.look_at, np.zeros(3))
+            # every camera looks at the origin: it projects to the image
+            # center, 3 units ahead
+            px, py, depth = c.project(np.zeros((1, 3)))
+            np.testing.assert_allclose([px[0], py[0], depth[0]], [47.5, 47.5, 3.0], atol=1e-12)
 
     def test_min_angular_separation(self):
         cams = geom.viewpoints(22)
@@ -216,9 +219,8 @@ class TestRasterizer:
         np.testing.assert_allclose(covered, np.broadcast_to([0, 0, 1.0], covered.shape), atol=1e-12)
 
     def test_mesh_behind_camera_culled(self):
-        cam = Camera(position=np.array([0.0, 0.0, -3.0]), look_at=np.array([0.0, 0.0, -6.0]),
-                     resolution=(32, 32), ortho_width=3.0)
-        view = geom.rasterize_normals(facing_triangle(), cam)
+        # the camera at z=3 looks down at the origin; the triangle at z=6 is behind it
+        view = geom.rasterize_normals(facing_triangle(z=6.0), camera_above())
         assert view.mask.sum() == 0
 
     def test_nearer_triangle_wins(self):
@@ -328,16 +330,30 @@ class TestRasterizer:
         assert view.mask.sum() == 0
 
 
+class TestVertexNormsValidation:
+    @pytest.mark.parametrize("norms,match", [
+        (np.tile([0.0, 0.0, 1.0], (2, 1)), r"vertex_norms has shape \(2, 3\), expected \(3, 3\)"),
+        (np.tile([0.0, 0.0, 1.0], (5, 1)), r"vertex_norms has shape \(5, 3\), expected \(3, 3\)"),
+        (np.zeros((3, 3)), r"vertex_norms of shape \(3, 3\) has a non-finite or zero row"),
+        (np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+         r"vertex_norms of shape \(3, 3\) has a non-finite or zero row"),
+    ], ids=["too_few_rows", "too_many_rows", "zero_rows", "nan_row"])
+    def test_bad_vertex_norms_rejected(self, norms, match):
+        v = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=match):
+            TriMesh(v, np.array([[0, 1, 2]]), vertex_norms=norms)
+
+
 class TestSharpEdges:
     def test_cube_is_twelve(self):
-        assert geom.count_sharp_edges(geom.cube_mesh(), 30.0) == 12
+        assert geom.sharp_edge_report(geom.cube_mesh(), 30.0).sharp_count == 12
 
     def test_coplanar_triangles_zero(self):
         mesh = TriMesh(
             np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
             np.array([[0, 1, 2], [0, 2, 3]]),
         )
-        assert geom.count_sharp_edges(mesh) == 0
+        assert geom.sharp_edge_report(mesh).sharp_count == 0
 
     def test_zero_area_face_is_never_sharp(self):
         # two coplanar triangles plus a sliver (0, 4, 2) on their shared diagonal
@@ -353,8 +369,8 @@ class TestSharpEdges:
         assert rep.interior_edges == 30
         assert rep.sharp_count == 30
         # analytic: face-normal angle of the icosahedron is ~41.81 degrees
-        assert geom.count_sharp_edges(mesh, 41.0) == 30
-        assert geom.count_sharp_edges(mesh, 42.0) == 0
+        assert geom.sharp_edge_report(mesh, 41.0).sharp_count == 30
+        assert geom.sharp_edge_report(mesh, 42.0).sharp_count == 0
 
     def test_boundary_edges_excluded(self):
         mesh = TriMesh(
@@ -385,7 +401,7 @@ class TestSharpEdges:
             perm = r.permutation(mesh.n_vertices)
             inv = np.argsort(perm)
             rotated = TriMesh(mesh.vertices[perm] @ q.T, inv[mesh.faces])
-            assert geom.count_sharp_edges(rotated, 30.0) == 12
+            assert geom.sharp_edge_report(rotated, 30.0).sharp_count == 12
 
     def test_matches_edge_dict_reference(self):
         def reference(mesh, thr):
@@ -424,7 +440,7 @@ class TestSharpEdges:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            geom.count_sharp_edges(geom.cube_mesh(), 0.0)
+            geom.sharp_edge_report(geom.cube_mesh(), 0.0)
 
 
 class TestDatasetStats:

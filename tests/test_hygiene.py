@@ -3,8 +3,9 @@
 Nothing is imported or run: every module under ``src/normalbridge`` is
 parsed with ``ast`` and checked for imports it never uses, ``__all__``
 names it never binds, a package docstring whose module table has
-drifted from the submodules on disk, and module-level functions and
-classes that nothing in ``src/`` or ``benchmarks/`` refers to.
+drifted from the submodules on disk, module-level functions and
+classes that nothing in ``src/`` or ``benchmarks/`` refers to, and
+defaulted parameters that no call there sets.
 """
 
 import ast
@@ -168,3 +169,131 @@ def test_reachability_exemptions_are_defined():
     for rel, names in REACHABILITY_EXEMPT.items():
         missing = names - set(_definitions(PACKAGE / rel))
         assert not missing, f"{rel}: exempt names not defined: {sorted(missing)}"
+
+
+# Defaulted parameters kept though no call in src/ or benchmarks/ sets
+# them, as "module:callable.parameter", each group for a reason of its own.
+DEFAULT_EXEMPT = {
+    # the frequency/SNR analysis of noise injection: the planned spectral
+    # probes choose these, and the closed-form SNR tests sweep them
+    "freq.py:radial_power_spectrum.n_bins", "freq.py:snr_curve.g", "freq.py:radial_snr_curves.g",
+    "freq.py:power_law_image.seed", "freq.py:power_law_image.random_amplitude",
+    # the perspective camera and its field of view, and the orthographic
+    # width: the rasterizer oracle tests render with them
+    "geom.py:viewpoints.mode", "geom.py:Camera.ortho_width", "geom.py:Camera.fov_y_deg",
+    # fixture meshes of the rasterizer and sharp-edge tests
+    "geom.py:cube_mesh.size", "geom.py:icosahedron_mesh.radius",
+    # the training and data factors that the search for a task NiRNE
+    # measurably learns varies one at a time; they become constants once
+    # that task is frozen
+    "nirne.py:TrainConfig.lr", "nirne.py:TrainConfig.weight_decay",
+    "nirne.py:DualStreamModel.channels",
+    "toydata.py:corrupt_labels_real_domain.blur_sigma",
+    "toydata.py:corrupt_labels_real_domain.angle_noise_deg",
+    "toydata.py:corrupt_labels_real_domain.band_radius",
+    "toydata.py:make_dataset.complexity_range", "toydata.py:make_dataset.cell_size",
+    "toydata.py:generate_scene.primitives",
+    # the ablation arms of the noise-injection comparison: single stream,
+    # and no injection
+    "nirne.py:DualStreamModel.dual_stream", "nirne.py:DualStreamModel.schedule",
+    "nirne.py:NoiseSchedule.sigma_lo", "nirne.py:NoiseSchedule.sigma_hi",
+    # algorithm parameters that tests sweep against oracles and references
+    "metrics.py:canny.low", "metrics.py:canny.high",
+    "geom.py:sharp_edge_report.dihedral_threshold_deg",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _not_in_init(value: ast.expr | None) -> bool:
+    """``field(..., init=False)``: state, not a constructor parameter."""
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords)
+
+
+def _defaulted_params(fn: ast.FunctionDef, skip_self: bool) -> list[tuple[str, int | None]]:
+    """(name, position) of each defaulted parameter; keyword-only ones have no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if skip_self:
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _settings(path: Path) -> list[tuple[str, str, int | None]]:
+    """(callable, parameter, position) of every defaulted parameter of a
+    module-level function, a class ``__init__`` or a dataclass init field."""
+    out = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [(node.name, name, pos) for name, pos in _defaulted_params(node, False)]
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    out += [(node.name, name, pos) for name, pos in _defaulted_params(item, True)]
+            if _is_dataclass(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name) and not _not_in_init(item.value)]
+                out += [(node.name, item.target.id, pos) for pos, item in enumerate(fields)
+                        if item.value is not None]
+    return out
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/ and benchmarks/ (not its tests), by callee name."""
+    calls = {}
+    for root in REACHABILITY_ROOTS:
+        for path in sorted(root.rglob("*.py")):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name:
+                        calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True  # *args or **kwargs may carry it
+    if any(kw.arg == param for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_set():
+    """Every defaulted parameter of a module-level function, a class
+    ``__init__`` or a dataclass init field in src/ is passed, by keyword,
+    by position or through ``*args``/``**kwargs``, by some call of that
+    name in src/ or benchmarks/; a setting no caller sets is a constant.
+
+    Methods are not covered: matching calls by name cannot tell which
+    class's method a call such as ``model.forward_t`` or ``rng.normal``
+    reaches.
+    """
+    calls = _calls()
+    unset = []
+    for path, rel in zip(MODULES, IDS):
+        for name, param, position in _settings(path):
+            key = f"{rel}:{name}.{param}"
+            if key not in DEFAULT_EXEMPT and not any(
+                    _passes(call, param, position) for call in calls.get(name, [])):
+                unset.append(key)
+    assert not unset, f"defaulted in src/ but set by no call in src/ or benchmarks/: {unset}"
+
+
+def test_default_exemptions_are_defaulted():
+    defaulted = {f"{rel}:{name}.{param}" for path, rel in zip(MODULES, IDS)
+                 for name, param, _ in _settings(path)}
+    missing = DEFAULT_EXEMPT - defaulted
+    assert not missing, f"exempt settings that are not defaulted parameters: {sorted(missing)}"

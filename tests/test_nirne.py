@@ -89,17 +89,26 @@ class TestStage2Freezing:
 
 
 class TestPredictBatch:
-    def test_chunk_size_does_not_change_predictions(self):
+    def test_chunk_size_does_not_change_predictions(self, monkeypatch):
         samples = toydata.make_dataset(32, Domain.SYNTH, 8, size=SIZE)
         model = nirne.DualStreamModel(CHANNELS, seed=1)
-        want = nirne.predict_batch(model, samples, batch_size=1)
-        for batch_size in (3, 4, 16, 32, None):  # 3 leaves a last chunk of 2; None is the default
-            kwargs = {} if batch_size is None else {"batch_size": batch_size}
-            got = nirne.predict_batch(model, samples, **kwargs)
-            assert len(got) == len(samples)
-            for g, w in zip(got, want):
+        got = {"default": nirne.predict_batch(model, samples)}
+        for chunk in (1, 3, 4, 16, 32):  # 3 leaves a last chunk of 2
+            monkeypatch.setattr(nirne, "_PREDICT_CHUNK", chunk)
+            got[chunk] = nirne.predict_batch(model, samples)
+        want = got.pop(1)
+        for preds in got.values():
+            assert len(preds) == len(samples)
+            for g, w in zip(preds, want):
                 np.testing.assert_array_equal(g.vectors, w.vectors)
                 np.testing.assert_array_equal(g.mask, w.mask)
+
+
+class TestEvaluateModel:
+    def test_no_samples_rejected(self):
+        model = nirne.DualStreamModel(CHANNELS, seed=1)
+        with pytest.raises(ValueError, match="no views given"):
+            nirne.evaluate_model(model, [])
 
 
 class TestNoiseFreeInference:

@@ -220,6 +220,11 @@ class TestBackward:
                     assert pos[pid] < pos[rec.output_id]
         assert len({r.output_id for r in tape.records}) == len(tape.records)
 
+    def test_repeated_integer_index_accumulates(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        backward(x[[0, 0, 2]].sum())
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
     def test_grad_accumulates_over_fanout(self):
         x = Tensor([3.0], requires_grad=True)
         y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8

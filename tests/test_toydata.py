@@ -237,7 +237,7 @@ class TestMakeDataset:
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         samples = toydata.make_dataset(3, Domain.SYNTH, seed=5, size=32)
-        toydata.write_dataset(tmp_path / "ds", samples, {"seed": 5})
+        toydata.write_dataset(tmp_path / "ds", samples)
         back = toydata.read_dataset(tmp_path / "ds")
         assert len(back) == 3
         for orig, got in zip(samples, back):
