@@ -2,16 +2,19 @@
 
 The rasterizer is a z-buffer over pixel centers, evaluated as one array
 pass per view. Every face in front of the camera plane expands into
-(face, pixel) fragments over its clipped pixel box. Coverage uses edge
-functions (all three same-signed, boundaries inclusive); depth and
-normals interpolate barycentrically (perspective-correct when the
-camera is perspective). Per pixel the nearest positive-depth fragment
-wins; a stable sort on (pixel, depth) gives exact depth ties to the
-face submitted first, the same result as a sequential strict less-than
-z-test. Faces go in submission order, in chunks of at most
-``_FRAGMENT_CAP`` fragments that each z-test against the buffer the
-earlier chunks left. Tests hold it bit-equal to a per-pixel
-nearest-triangle oracle.
+(face, pixel) fragments over its clipped pixel box, one segment per box
+row; the part of each edge function that depends only on the row is
+taken once per segment. Coverage uses edge functions (all three
+same-signed, boundaries inclusive); depth and normals interpolate
+barycentrically (perspective-correct when the camera is perspective).
+Per pixel the nearest positive-depth fragment wins: ``np.minimum.at``
+gives each pixel its nearest depth, and a second ``np.minimum.at`` over
+the fragments at exactly that depth gives the pixel to the lowest
+fragment index, i.e. the face submitted first, the same result as a
+sequential strict less-than z-test. Faces go in submission order, in
+chunks of at most ``_FRAGMENT_CAP`` fragments that each z-test against
+the buffer the earlier chunks left. Tests hold it bit-equal to a
+per-pixel nearest-triangle oracle.
 """
 
 from __future__ import annotations
@@ -84,10 +87,12 @@ def load_obj(source) -> TriMesh:
     number.
 
     Each vertex takes the normal that its face corners name (``f v//vn``
-    or ``f v/vt/vn``). When some face corner names no normal, or corners
-    name two different normals for one vertex, ``vertex_norms`` is None
-    and callers recompute area-weighted normals. Vertices that no face
-    uses get +z.
+    or ``f v/vt/vn``). A corner that names a zero or non-finite normal
+    raises with the face's line; normals that no corner names are not
+    checked. When some face corner names no normal, or corners name two
+    different normals for one vertex, ``vertex_norms`` is None and
+    callers recompute area-weighted normals. Vertices that no face uses
+    get +z.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -100,6 +105,7 @@ def load_obj(source) -> TriMesh:
 
     verts: list[list[float]] = []
     norms: list[list[float]] = []
+    usable: list[bool] = []  # per normal: finite and not zero
     face_idx: list[tuple[int, int, int]] = []
     corner_normal: dict[int, int] = {}  # vertex -> the vn its corners name
     normals_bound = True
@@ -127,7 +133,9 @@ def load_obj(source) -> TriMesh:
             elif tag == "vn":
                 if len(parts) < 4:
                     raise ValueError("normal needs 3 components")
-                norms.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                n = [float(parts[1]), float(parts[2]), float(parts[3])]
+                norms.append(n)
+                usable.append(all(map(math.isfinite, n)) and any(n))
             elif tag == "f":
                 if len(parts) < 4:
                     raise ValueError("face needs at least 3 vertices")
@@ -137,6 +145,8 @@ def load_obj(source) -> TriMesh:
                     ids.append(index(fields[0], len(verts), "vertex"))
                     if len(fields) == 3 and fields[2]:
                         nid = index(fields[2], len(norms), "normal")
+                        if not usable[nid]:
+                            raise ValueError(f"normal index {fields[2]} is zero or not finite")
                         normals_bound &= corner_normal.setdefault(ids[-1], nid) == nid
                     else:
                         normals_bound = False
@@ -208,7 +218,14 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
 # -- cameras -----------------------------------------------------------------
 
 
-_X, _Z = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+_X, _Z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+
+
+def _cross(a, b) -> np.ndarray:
+    """``np.cross`` of two 3-vectors given as float sequences: the same
+    products and differences in the same order, without its array set-up."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 @dataclass
@@ -233,9 +250,10 @@ class Camera:
         """Right-handed (right, up, forward); forward points at the origin."""
         fwd = 0.0 - self.position  # not -position: a zero coordinate stays +0.0
         fwd = fwd / np.linalg.norm(fwd)
-        right = np.cross(fwd, _X if abs(fwd[2]) > 0.99 else _Z)
+        f = fwd.tolist()
+        right = _cross(f, _X if abs(f[2]) > 0.99 else _Z)
         right /= np.linalg.norm(right)
-        true_up = np.cross(right, fwd)
+        true_up = _cross(right.tolist(), f)
         return right, true_up, fwd
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,10 +321,85 @@ def viewpoints(
 
 
 # Upper bound on the (face, pixel) fragments held at once. Temporaries
-# take about 170 bytes per fragment (measured peak growth of a 1200 x 1200
-# view), so a full chunk holds about 170 MB whatever the mesh size; only
-# a single face whose box exceeds the cap makes a larger chunk.
+# take about 172 bytes per fragment (tracemalloc peak of a 1200 x 1200
+# view of a 64 x 64 heightfield, 2.3M fragments in three chunks, less the
+# per-pixel buffers), so a full chunk holds about 180 MB whatever the mesh
+# size; only a single face whose box exceeds the cap makes a larger chunk.
 _FRAGMENT_CAP = 1 << 20
+
+# edge k of a face runs from corner _NEXT[k] to corner _PREV[k]
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_NO_FRAGMENT = np.iinfo(np.int64).max
+
+
+def _covered_fragments(seg_terms: np.ndarray, seg_w: np.ndarray, base: int) -> np.ndarray:
+    """Expand segments into their fragments and keep the covered ones.
+
+    ``seg_terms`` has one column per segment and 12 rows: A_k * (gy - B_k),
+    C_k and D_k for the three edges, the column offset, the pixel offset
+    and the face. Fragments are numbered from ``base``; fragment k lies in
+    column k - column offset and pixel k + pixel offset. Returns the rows
+    w_0, w_1, w_2, their sum, the pixel and the face of the covered
+    fragments, in fragment order.
+    """
+    t = np.repeat(seg_terms, seg_w, axis=1)
+    k = np.arange(base, base + t.shape[1], dtype=np.float64)
+    w = t[6:9]  # in place: gx - D_k, then C_k * (gx - D_k), then w_k
+    np.subtract(k - t[9], w, out=w)
+    np.multiply(t[3:6], w, out=w)
+    np.subtract(t[:3], w, out=w)
+    np.add(w[0], w[1], out=t[9])
+    t[9] += w[2]
+    t[10] += k
+    # all three same-signed, boundaries inclusive; NaN is never inside
+    inside = (w.min(axis=0) >= 0.0) | (w.max(axis=0) <= 0.0)
+    return np.compress(inside & (t[9] != 0.0), t[6:], axis=1)
+
+
+def _draw_fragments(frag, corner_depths, corner_normals, persp, zbuf, nbuf, mask, first) -> None:
+    """Z-test covered fragments (the rows of ``_covered_fragments``) and
+    write the winners into the buffers.
+
+    ``zbuf`` takes each pixel's nearest depth among the fragments that
+    beat the depth already there. Of the fragments at exactly that depth,
+    the lowest index wins: the face submitted first, as a sequential
+    strict less-than z-test would keep. ``first`` is per-pixel scratch,
+    all ``_NO_FRAGMENT`` on entry and on return.
+    """
+    lam = frag[:3] / frag[3]
+    pix, fid = frag[4].astype(np.int64), frag[5].astype(np.int64)
+    d = np.take(corner_depths, fid, axis=1)
+    if persp:
+        # perspective-correct: interpolate attributes over 1/depth
+        q = lam / d
+        qs = q[0] + q[1] + q[2]
+        qs_safe = np.where(qs == 0.0, 1.0, qs)
+        frag_depth = np.where(qs != 0.0, 1.0 / qs_safe, np.inf)
+    else:
+        ld = lam * d
+        frag_depth = ld[0] + ld[1] + ld[2]
+
+    cand = np.flatnonzero((frag_depth > 0.0) & (frag_depth < zbuf[pix]))
+    pc = pix[cand]
+    np.minimum.at(zbuf, pc, frag_depth[cand])
+    tied = cand[frag_depth[cand] == zbuf[pc]]
+    pt = pix[tied]
+    np.minimum.at(first, pt, tied)
+    win = tied[first[pt] == tied]
+    first[pt] = _NO_FRAGMENT
+
+    if persp:
+        a = np.take(q, win, axis=1) / qs_safe[win]
+    else:
+        a = np.take(lam, win, axis=1)
+    an = np.take(corner_normals, fid[win], axis=2) * a  # (xyz, corner, winner)
+    n = an[:, 0] + an[:, 1] + an[:, 2]
+    nn = n * n
+    nlen = np.sqrt(nn[0] + nn[1] + nn[2])
+    nlen[nlen == 0.0] = 1.0
+    p = pix[win]
+    nbuf[p] = (n / nlen).T
+    mask[p] = True
 
 
 def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
@@ -315,14 +408,18 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
     Per-pixel normals are barycentric interpolations of vertex normals,
     renormalized; background pixels carry mask False and the sentinel
     normal. Fragments at depth <= 0 (behind the camera plane) are culled.
-    A mesh with a non-finite vertex raises ValueError. A mesh without
-    ``vertex_norms`` gets its area-weighted ``vertex_normals`` stored on
-    first use, so later renders of it do not recompute them.
+    Each pixel keeps its nearest fragment; of fragments at exactly that
+    depth, the one whose face was submitted first. A mesh with a
+    non-finite vertex raises ValueError. A mesh without ``vertex_norms``
+    gets its area-weighted ``vertex_normals`` stored on first use, so
+    later renders of it do not recompute them.
     """
     h_px, w_px = camera.resolution
-    zbuf = np.full(h_px * w_px, np.inf)
-    nbuf = np.zeros((h_px * w_px, 3))
-    mask = np.zeros(h_px * w_px, dtype=bool)
+    n_pix = h_px * w_px
+    zbuf = np.full(n_pix, np.inf)
+    nbuf = np.zeros((n_pix, 3))
+    nbuf[:, 2] = 1.0
+    mask = np.zeros(n_pix, dtype=bool)
     if mesh.n_faces:
         if not np.isfinite(mesh.vertices).all():
             raise ValueError("mesh vertices must be finite")
@@ -334,78 +431,51 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
 
         # clipped pixel box of every face; drop faces wholly behind the
         # camera plane and faces whose box holds no pixel center
-        fx, fy, fd = px[mesh.faces], py[mesh.faces], depth[mesh.faces]
-        lo_x = np.maximum(np.ceil(fx.min(axis=1)), 0.0)
-        hi_x = np.minimum(np.floor(fx.max(axis=1)), w_px - 1.0)
-        lo_y = np.maximum(np.ceil(fy.min(axis=1)), 0.0)
-        hi_y = np.minimum(np.floor(fy.max(axis=1)), h_px - 1.0)
-        live = np.flatnonzero((fd > 0.0).any(axis=1) & (lo_x <= hi_x) & (lo_y <= hi_y))
-        verts = mesh.faces[live]
-        (x0, x1, x2), (y0, y1, y2), (d0, d1, d2) = fx[live].T, fy[live].T, fd[live].T
-        lo_x, lo_y = lo_x[live].astype(np.int64), lo_y[live].astype(np.int64)
-        width = hi_x[live].astype(np.int64) - lo_x + 1
-        sizes = width * (hi_y[live].astype(np.int64) - lo_y + 1)
-        ends = np.cumsum(sizes)
+        corners = np.ascontiguousarray(mesh.faces.T)
+        fx, fy, fd = px[corners], py[corners], depth[corners]  # (corner, face)
+        lo_x = np.maximum(np.ceil(fx.min(axis=0)), 0.0)
+        hi_x = np.minimum(np.floor(fx.max(axis=0)), w_px - 1.0)
+        lo_y = np.maximum(np.ceil(fy.min(axis=0)), 0.0)
+        hi_y = np.minimum(np.floor(fy.max(axis=0)), h_px - 1.0)
+        live = (fd > 0.0).any(axis=0) & (lo_x <= hi_x) & (lo_y <= hi_y)
+        corner_normals = np.take(n_cam.T, corners, axis=1)  # (xyz, corner, face)
+
+        # Fragments run over segments, one per live face and box row: faces
+        # in submission order, rows top to bottom, pixels left to right.
+        # Edge function k is A_k * (gy - B_k) - C_k * (gx - D_k), in the
+        # oracle's expression order; gy is fixed along a segment, so the
+        # first product is taken once per segment. Rows of the face table:
+        # A_k, C_k, D_k (0-8), -lo_x, -lo_y, the face (9-11), B_k (12-14),
+        # box width and height (15-16). Per segment, rows 0-2 become the
+        # first products and rows 9-10 the offsets of _covered_fragments.
+        fx_next, fy_next = fx[_NEXT], fy[_NEXT]
+        face_terms = np.compress(live, np.concatenate([
+            fx[_PREV] - fx_next, fy[_PREV] - fy_next, fx_next,
+            [-lo_x, -lo_y, np.arange(mesh.n_faces)], fy_next, [hi_x - lo_x + 1.0, hi_y - lo_y + 1.0],
+        ]), axis=1)
+        width, height = face_terms[15:].astype(np.int64)
+        ends = np.cumsum(width * height)  # fragments of the faces up to each one
+        face_terms[10] += np.cumsum(height) - height  # first segment - lo_y
+        seg = np.repeat(face_terms[:15], height, axis=1)
+        seg_w = np.repeat(width, height)
+        seg_ends = np.cumsum(seg_w)
+        seg_y = np.arange(len(seg_w), dtype=np.float64) - seg[10]
+        seg[:3] *= seg_y - seg[12:15]  # A_k * (gy - B_k)
+        seg[9] += seg_ends - seg_w  # column offset: first fragment - lo_x
+        np.subtract(seg_y * w_px, seg[9], out=seg[10])  # pixel offset
+        first = np.full(n_pix, _NO_FRAGMENT)
 
         # faces go in submission order, in chunks of at most _FRAGMENT_CAP
         # fragments (a larger face goes alone)
-        start = 0
-        while start < len(live):
-            base = ends[start] - sizes[start]
+        start = seg_start = 0
+        while start < len(ends):
+            base = ends[start - 1] if start else 0
             stop = max(start + 1, int(np.searchsorted(ends, base + _FRAGMENT_CAP, side="right")))
-            n = sizes[start:stop]
-            fid = np.repeat(np.arange(start, stop), n)
-            off = np.arange(len(fid)) - np.repeat(np.cumsum(n) - n, n)  # row-major within the box
-            gyi = lo_y[fid] + off // width[fid]
-            gxi = lo_x[fid] + off % width[fid]
-            gx, gy = gxi.astype(np.float64), gyi.astype(np.float64)
+            seg_stop = int(np.searchsorted(seg_ends, ends[stop - 1])) + 1
+            frag = _covered_fragments(seg[:12, seg_start:seg_stop], seg_w[seg_start:seg_stop], base)
+            _draw_fragments(frag, fd, corner_normals, persp, zbuf, nbuf, mask, first)
+            start, seg_start = stop, seg_stop
 
-            # edge functions, in the expression order of the scalar form
-            w0 = (x2 - x1)[fid] * (gy - y1[fid]) - (y2 - y1)[fid] * (gx - x1[fid])
-            w1 = (x0 - x2)[fid] * (gy - y2[fid]) - (y0 - y2)[fid] * (gx - x2[fid])
-            w2 = (x1 - x0)[fid] * (gy - y0[fid]) - (y1 - y0)[fid] * (gx - x0[fid])
-            wsum = w0 + w1 + w2
-            inside = ((w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)) | ((w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0))
-            hit = np.flatnonzero(inside & (wsum != 0.0))
-            fid, pix = fid[hit], gyi[hit] * w_px + gxi[hit]
-            wsum = wsum[hit]
-            l0, l1, l2 = w0[hit] / wsum, w1[hit] / wsum, w2[hit] / wsum
-            if persp:
-                # perspective-correct: interpolate attributes over 1/depth
-                q0 = l0 / d0[fid]
-                q1 = l1 / d1[fid]
-                q2 = l2 / d2[fid]
-                qs = q0 + q1 + q2
-                qs_safe = np.where(qs == 0.0, 1.0, qs)
-                frag_depth = np.where(qs != 0.0, 1.0 / qs_safe, np.inf)
-            else:
-                frag_depth = l0 * d0[fid] + l1 * d1[fid] + l2 * d2[fid]
-
-            # z-test against earlier chunks, then the nearest fragment per
-            # pixel; the sort is stable, so an exact tie goes to the face
-            # submitted first, as a sequential strict less-than would
-            cand = np.flatnonzero((frag_depth > 0.0) & (frag_depth < zbuf[pix]))
-            order = cand[np.lexsort((frag_depth[cand], pix[cand]))]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = pix[order[1:]] != pix[order[:-1]]
-            win = order[first]
-            if persp:
-                a0, a1, a2 = q0[win] / qs_safe[win], q1[win] / qs_safe[win], q2[win] / qs_safe[win]
-            else:
-                a0, a1, a2 = l0[win], l1[win], l2[win]
-            nc = n_cam[verts[fid[win]]]  # (n, corner, xyz)
-            nx = a0 * nc[:, 0, 0] + a1 * nc[:, 1, 0] + a2 * nc[:, 2, 0]
-            ny = a0 * nc[:, 0, 1] + a1 * nc[:, 1, 1] + a2 * nc[:, 2, 1]
-            nz = a0 * nc[:, 0, 2] + a1 * nc[:, 1, 2] + a2 * nc[:, 2, 2]
-            nlen = np.sqrt(nx * nx + ny * ny + nz * nz)
-            nlen = np.where(nlen == 0.0, 1.0, nlen)
-            p = pix[win]
-            zbuf[p] = frag_depth[win]
-            nbuf[p] = np.stack([nx / nlen, ny / nlen, nz / nlen], axis=1)
-            mask[p] = True
-            start = stop
-
-    nbuf[~mask] = [0.0, 0.0, 1.0]
     return RenderView(
         NormalMap(nbuf.reshape(h_px, w_px, 3), mask.reshape(h_px, w_px)), zbuf.reshape(h_px, w_px)
     )

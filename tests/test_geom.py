@@ -85,6 +85,16 @@ class TestLoadObj:
         with pytest.raises(ValueError, match="line 5.*normal index 2"):
             geom.load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2//2 3//1\n")
 
+    @pytest.mark.parametrize("bad", ["0 0 0", "nan 0 1"], ids=["zero", "nan"])
+    def test_bad_bound_normal_reports_line(self, bad):
+        obj = f"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn {bad}\nf 1//1 2//2 3//1\n"
+        with pytest.raises(ValueError, match="line 6: normal index 2 is zero or not finite"):
+            geom.load_obj(obj)
+
+    def test_bad_normal_that_no_face_names_binds_nothing(self):
+        obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 0\nvn nan 0 1\nvn 0 0 1\nf 1//3 2//3 3//3\n"
+        np.testing.assert_array_equal(geom.load_obj(obj).vertex_norms, np.tile([0.0, 0.0, 1.0], (3, 1)))
+
 
 class TestNormals:
     def test_ccw_triangle_faces_up(self):
@@ -166,6 +176,49 @@ class TestViewpoints:
             np.testing.assert_array_equal(x.position, y.position)
 
 
+def basis_by_np_cross(cam):
+    """``Camera.basis`` written with ``np.cross``, the form it replaces."""
+    fwd = 0.0 - cam.position
+    fwd = fwd / np.linalg.norm(fwd)
+    right = np.cross(fwd, np.array([1.0, 0.0, 0.0]) if abs(fwd[2]) > 0.99 else np.array([0.0, 0.0, 1.0]))
+    right /= np.linalg.norm(right)
+    return right, np.cross(right, fwd), fwd
+
+
+def cameras_at_the_up_switch():
+    """Cameras whose |forward z| lies within 1e-9 of 0.99, on both sides
+    and both hemispheres; the up hint switches from +z to +x above it."""
+    cams = []
+    for sign in (1.0, -1.0):
+        for z in 0.99 + np.linspace(-1e-9, 1e-9, 21):
+            for phi in (0.0, 1.0, 2.5, 4.0):
+                r = math.sqrt(1.0 - z * z)
+                cams.append(Camera(np.array([r * math.cos(phi), r * math.sin(phi), sign * z]) * 3.0))
+    return cams
+
+
+class TestCameraBasis:
+    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
+    def test_viewpoints_match_np_cross(self, mode):
+        for cam in geom.viewpoints(200, mode=mode):
+            for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_cameras_on_the_z_axis_match_np_cross(self):
+        for pos in ([0.0, 0.0, 3.0], [0.0, 0.0, -3.0], [-0.0, 0.0, 3.0], [0.0, -0.0, -0.5]):
+            cam = Camera(np.array(pos))
+            for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
+                assert got.tobytes() == want.tobytes()  # signed zeros included
+
+    def test_cameras_either_side_of_the_up_switch_match_np_cross(self):
+        cams = cameras_at_the_up_switch()
+        above = [abs(cam.basis()[2][2]) > 0.99 for cam in cams]
+        assert any(above) and not all(above)
+        for cam in cams:
+            for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
+                assert got.tobytes() == want.tobytes()
+
+
 def facing_triangle(z=0.0, normal=(0.0, 0.0, 1.0)):
     v = np.array([[-1.0, -1.0, z], [1.0, -1.0, z], [0.0, 1.0, z]])
     n = np.tile(np.asarray(normal, dtype=np.float64), (3, 1))
@@ -198,17 +251,18 @@ def bumpy_heightfield_mesh(seed=5, size=8):
     return geom.heightfield_to_mesh(Heightfield(r.normal((size, size)) * 0.15, 2.0 / (size - 1)))
 
 
-def twice_submitted(mesh, seed=9):
-    """``mesh`` followed by a copy at the same positions with other normals.
+def submitted_copies(mesh, copies=2, seed=9):
+    """``mesh`` followed by ``copies - 1`` copies at the same positions,
+    each with other normals.
 
-    Every pixel then holds exact depth ties between a face and its copy,
-    and the two differ in normal, so the render shows which one won.
+    Every pixel then holds exact depth ties between a face and its
+    copies, and they differ in normal, so the render shows which one won.
     """
     r = SeededRng(seed).stream_rng(0)
-    n = r.normal((2 * mesh.n_vertices, 3))
+    n = r.normal((copies * mesh.n_vertices, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    return TriMesh(np.vstack([mesh.vertices, mesh.vertices]),
-                   np.vstack([mesh.faces, mesh.faces + mesh.n_vertices]), vertex_norms=n)
+    return TriMesh(np.vstack([mesh.vertices] * copies),
+                   np.vstack([mesh.faces + k * mesh.n_vertices for k in range(copies)]), vertex_norms=n)
 
 
 class TestRasterizer:
@@ -275,13 +329,49 @@ class TestRasterizer:
 
     @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
     def test_exact_ties_go_to_first_submitted_face(self, mode):
-        mesh = twice_submitted(geom.icosahedron_mesh())
+        mesh = submitted_copies(geom.icosahedron_mesh())
         first_only = TriMesh(mesh.vertices, mesh.faces[: mesh.n_faces // 2], vertex_norms=mesh.vertex_norms)
         for cam in geom.viewpoints(3, mode=mode, resolution=(24, 24)):
             view = assert_matches_oracle(mesh, cam)
             assert view.mask.any()
             alone = geom.rasterize_normals(first_only, cam)
             assert view.normal_map.vectors.tobytes() == alone.normal_map.vectors.tobytes()
+
+    @pytest.mark.parametrize("faces", [[[0, 1, 2], [0, 2, 3]], [[0, 2, 1], [0, 3, 2]]], ids=["ccw", "cw"])
+    def test_pixel_centers_on_edges_are_covered(self, faces):
+        # a square split along its diagonal, corners on pixel centers: every
+        # center on a side or on the shared diagonal passes the inclusive
+        # coverage test, in either winding, so the 9 x 9 block has no hole
+        cam = camera_above()
+        cell = cam.ortho_width / cam.resolution[1]
+
+        def at(px, py):  # the world point that this camera projects to (px, py)
+            return [(cam.resolution[0] - 0.5 - py) * cell - 1.5, 1.5 - (px + 0.5) * cell, 0.0]
+
+        v = np.array([at(4, 4), at(12, 4), at(12, 12), at(4, 12)])
+        mesh = TriMesh(v, np.array(faces), vertex_norms=np.tile([0.0, 0.0, 1.0], (4, 1)))
+        px, py, _ = cam.project(v)
+        np.testing.assert_array_equal(np.stack([px, py], axis=1), [[4, 4], [12, 4], [12, 12], [4, 12]])
+        view = assert_matches_oracle(mesh, cam)
+        block = np.zeros((32, 32), dtype=bool)
+        block[4:13, 4:13] = True
+        np.testing.assert_array_equal(view.mask, block)
+
+    @pytest.mark.parametrize("cap", [None, 1, 7])
+    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
+    def test_exact_ties_among_three_copies_go_to_the_first(self, monkeypatch, mode, cap):
+        # every covered pixel holds three fragments at one depth
+        if cap is not None:
+            monkeypatch.setattr(geom, "_FRAGMENT_CAP", cap)
+        mesh = submitted_copies(geom.icosahedron_mesh(), 3)
+        first_only = TriMesh(mesh.vertices, mesh.faces[: mesh.n_faces // 3], vertex_norms=mesh.vertex_norms)
+        for cam in geom.viewpoints(3, mode=mode, resolution=(24, 24)):
+            view = geom.rasterize_normals(mesh, cam)
+            alone = geom.rasterize_normals(first_only, cam)
+            assert view.mask.any()
+            assert view.normal_map.vectors.tobytes() == alone.normal_map.vectors.tobytes()
+            assert view.depth.tobytes() == alone.depth.tobytes()
+            assert np.array_equal(view.mask, alone.mask)
 
     @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
     def test_bit_exact_vs_oracle_straddling_camera_plane(self, mode):
@@ -308,7 +398,7 @@ class TestRasterizer:
         for mode in ("orthographic", "perspective"):
             cam = geom.viewpoints(2, mode=mode, resolution=(20, 20))[0]
             assert_matches_oracle(bumpy_heightfield_mesh(), cam)
-            assert_matches_oracle(twice_submitted(geom.cube_mesh()), cam)
+            assert_matches_oracle(submitted_copies(geom.cube_mesh()), cam)
 
     def test_non_finite_vertex_rejected(self):
         mesh = facing_triangle()
