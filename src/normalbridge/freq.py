@@ -98,7 +98,6 @@ class SnrCurve:
     freq: float
     t: np.ndarray
     snr: np.ndarray
-    g_desc: str = "constant g=1"
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.float64)
@@ -197,8 +196,7 @@ def snr_curve_from_power(power: float, t_grid, g: GFunc = None, freq: float = 0.
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must be ascending")
     energy = _noise_energy(g, t_grid)
-    desc = "constant g=1" if g is None else (f"constant g={g}" if isinstance(g, (int, float)) else "g(s) via trapezoid")
-    return SnrCurve(freq=freq, t=t_grid, snr=float(power) / energy, g_desc=desc)
+    return SnrCurve(freq=freq, t=t_grid, snr=float(power) / energy)
 
 
 def snr_curve(spec: Spectrum, omega: tuple[int, int], t_grid, g: GFunc = None) -> SnrCurve:

@@ -83,8 +83,8 @@ def load_obj(source) -> TriMesh:
     """Parse the ASCII OBJ subset v / vn / f; fans are triangulated.
 
     Degenerate faces (repeated vertices or zero area) are dropped and
-    counted on the returned mesh. Malformed input raises with its line
-    number.
+    counted on the returned mesh. Malformed input, a non-finite vertex
+    coordinate included, raises with its line number.
 
     Each vertex takes the normal that its face corners name (``f v//vn``
     or ``f v/vt/vn``). A corner that names a zero or non-finite normal
@@ -129,7 +129,10 @@ def load_obj(source) -> TriMesh:
             if tag == "v":
                 if len(parts) < 4:
                     raise ValueError("vertex needs 3 coordinates")
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
+                if not all(map(math.isfinite, xyz)):
+                    raise ValueError("vertex coordinate is not finite")
+                verts.append(xyz)
             elif tag == "vn":
                 if len(parts) < 4:
                     raise ValueError("normal needs 3 components")
@@ -487,7 +490,6 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
 @dataclass
 class SharpEdgeReport:
     sharp_count: int
-    nonmanifold_sharp_count: int
     interior_edges: int
     boundary_edges: int
     nonmanifold_edges: int
@@ -498,7 +500,8 @@ def sharp_edge_report(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> Sh
 
     Interior edges (2 faces) count as sharp above the threshold; boundary
     edges are excluded; non-manifold edges (>2 faces) count once if any
-    adjacent face pair exceeds the threshold and are reported separately.
+    adjacent face pair exceeds the threshold; their count is reported
+    separately.
     A zero-area face has no normal, so no pair with one is ever sharp.
     """
     if not 0.0 < dihedral_threshold_deg < 180.0:
@@ -528,7 +531,6 @@ def sharp_edge_report(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> Sh
         nonmanifold_sharp += bool(sharp(face_of[s + fa], face_of[s + fb]).any())
     return SharpEdgeReport(
         sharp_count + nonmanifold_sharp,
-        nonmanifold_sharp,
         len(pairs),
         int(np.count_nonzero(counts == 1)),
         int(np.count_nonzero(counts > 2)),

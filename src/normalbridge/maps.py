@@ -182,4 +182,7 @@ def read_height_bin(path) -> Heightfield:
     if len(blob) != need:
         raise ValueError(f"{path}: a {h}x{w} height binary has {need} bytes, this file {len(blob)}")
     heights = np.frombuffer(blob, dtype="<f8", count=h * w, offset=_HEIGHT_HEADER.size).reshape(h, w)
-    return Heightfield(heights.astype(np.float64), cell)
+    try:
+        return Heightfield(heights.astype(np.float64), cell)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

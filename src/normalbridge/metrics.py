@@ -5,8 +5,7 @@ NE restricted to salient regions of the ground-truth normal map: Canny
 edges of the encoded normal image (per channel, unioned), dilated by a
 Chebyshev ball, intersected with the foreground. ``sharp_normal_error``
 gives SNE as None, not 0, when that region is empty;
-``multiview_report`` averages NE and SNE over the views and keeps one
-row of counts per view.
+``multiview_report`` averages NE and SNE over the views.
 
 The Canny gradient magnitude is normalized to max 1 before thresholding,
 so ``low``/``high`` are relative thresholds on unit-scaled gradients.
@@ -35,7 +34,6 @@ from .maps import NormalMap, encode_normal_image
 
 __all__ = [
     "EdgeMask",
-    "SneResult",
     "AngularErrorReport",
     "normal_error",
     "canny",
@@ -67,20 +65,11 @@ class EdgeMask:
 
 
 @dataclass
-class SneResult:
-    """SNE in degrees over ``n_pixels`` sharp pixels; None when there are none."""
-
-    sne_deg: Optional[float]
-    n_pixels: int
-
-
-@dataclass
 class AngularErrorReport:
-    """Mean NE/SNE over the views, and one row per view."""
+    """Mean NE/SNE over the views."""
 
     ne_deg: float
     sne_deg: Optional[float]
-    per_view: list
 
 
 def scaled_dilation_radius(height: int) -> int:
@@ -273,19 +262,18 @@ def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
     return EdgeMask(out)
 
 
-def sharp_normal_error(pred: NormalMap, gt: NormalMap, radius: int = DEFAULT_DILATION_RADIUS) -> SneResult:
+def sharp_normal_error(pred: NormalMap, gt: NormalMap, radius: int = DEFAULT_DILATION_RADIUS) -> float | None:
     """NE restricted to the sharp region: the Canny edges of the ground-truth
     normals at the default thresholds, dilated by ``radius``, within the
     joint foreground ``pred.mask & gt.mask``.
 
-    An empty sharp mask yields ``sne_deg=None`` rather than 0.
+    An empty sharp mask yields None rather than 0.
     """
     edges = dilate(canny(gt), radius)
     sharp = edges.mask & pred.mask & gt.mask
-    n = int(sharp.sum())
-    if n == 0:
-        return SneResult(sne_deg=None, n_pixels=0)
-    return SneResult(sne_deg=normal_error(pred, gt, sharp), n_pixels=n)
+    if not sharp.any():
+        return None
+    return normal_error(pred, gt, sharp)
 
 
 def multiview_report(
@@ -299,26 +287,19 @@ def multiview_report(
         raise ValueError(f"view count mismatch: {len(pred_views)} vs {len(gt_views)}")
     if not pred_views:
         raise ValueError("no views given")
-    per_view = []
     nes, snes = [], []
-    for i, (p, g) in enumerate(zip(pred_views, gt_views)):
+    for p, g in zip(pred_views, gt_views):
         r = scaled_dilation_radius(g.shape[0]) if radius is None else radius
         fg = p.mask & g.mask
         if not fg.any():
-            per_view.append({"view": i, "ne_deg": None, "sne_deg": None, "n_fg": 0, "n_sharp": 0})
             continue
-        ne = normal_error(p, g, fg)
+        nes.append(normal_error(p, g, fg))
         sne = sharp_normal_error(p, g, r)
-        nes.append(ne)
-        if sne.sne_deg is not None:
-            snes.append(sne.sne_deg)
-        per_view.append(
-            {"view": i, "ne_deg": ne, "sne_deg": sne.sne_deg, "n_fg": int(fg.sum()), "n_sharp": sne.n_pixels}
-        )
+        if sne is not None:
+            snes.append(sne)
     if not nes:
         raise ValueError("all views have empty masks")
     return AngularErrorReport(
         ne_deg=float(np.mean(nes)),
         sne_deg=float(np.mean(snes)) if snes else None,
-        per_view=per_view,
     )

@@ -112,6 +112,7 @@ class _Encoder:
     """
 
     def __init__(self, channels, rng: SeededRng):
+        # the layers are the instance's only attributes, in checkpoint order
         c0, c1, c2, c3 = channels
         self.stem_a = Conv2d(3, c0, rng=rng.stream_rng(1))
         self.stem_b = Conv2d(c0, c0, rng=rng.stream_rng(5))
@@ -132,17 +133,7 @@ class _Encoder:
         return [f0, f1, f2, f3]
 
     def layers(self, prefix):
-        return {
-            f"{prefix}.stem_a": self.stem_a,
-            f"{prefix}.stem_b": self.stem_b,
-            f"{prefix}.down1": self.down1,
-            f"{prefix}.down2": self.down2,
-            f"{prefix}.down3": self.down3,
-            f"{prefix}.norm0": self.norm0,
-            f"{prefix}.norm1": self.norm1,
-            f"{prefix}.norm2": self.norm2,
-            f"{prefix}.norm3": self.norm3,
-        }
+        return {f"{prefix}.{name}": layer for name, layer in vars(self).items()}
 
 
 class DualStreamModel:
@@ -155,11 +146,10 @@ class DualStreamModel:
 
     def __init__(self, channels=(8, 12, 16, 24), seed: int = 0, dual_stream: bool = True,
                  schedule: NoiseSchedule = NoiseSchedule()):
-        self.channels = tuple(channels)
         self.dual_stream = dual_stream
         self.schedule = schedule
         self.stage_trained = 0
-        ch = self.channels
+        ch = tuple(channels)
         rng = SeededRng(seed)
         self.noisy_enc = _Encoder(ch, rng.stream_rng(10))
         self.clean_enc = _Encoder(ch, rng.stream_rng(20)) if dual_stream else None
@@ -201,9 +191,6 @@ class DualStreamModel:
             for name in self.named_parameters()
             if name.startswith("noisy.") or name.startswith("fuse")
         }
-
-    def frozen_names_stage2(self) -> set[str]:
-        return set(self.named_parameters()) - self.stage2_trainable_names()
 
     # -- forward ----------------------------------------------------------
 
@@ -281,7 +268,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("steps", "batch_size", "log_every"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"TrainConfig.{name} must be an integer >= 1, got {value!r}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"TrainConfig.lr must be finite and > 0, got {self.lr!r}")
@@ -362,7 +349,7 @@ def train_stage2(model: DualStreamModel, synth_dataset: list[DomainSample], step
         warnings.warn("stage 2 called before stage 1; fine-tuning an untrained clean stream")
     params = model.named_parameters()
     trainable = {k: params[k] for k in sorted(model.stage2_trainable_names())}
-    frozen = sorted(model.frozen_names_stage2())
+    frozen = sorted(set(params) - set(trainable))
     # dropping requires_grad takes the clean stream out of the graph and
     # skips weight-gradient work for the frozen decoder
     for name in frozen:

@@ -4,20 +4,10 @@ from .checkpoint import load_checkpoint, load_into, save_checkpoint
 from .nn import Conv2d, GroupNorm, collect_params, group_norm, l2_normalize
 from .optim import AdamWState, adamw_step
 from .rng import SeededRng
-from .tensor import (
-    Tape,
-    TapeRecord,
-    Tensor,
-    backward,
-    concat,
-    conv2d,
-    grad_enabled,
-    no_grad,
-    upsample_nearest,
-)
+from .tensor import Tensor, backward, concat, conv2d, no_grad, upsample_nearest
 
 __all__ = [
-    "Tensor", "Tape", "TapeRecord", "backward", "no_grad", "grad_enabled",
+    "Tensor", "backward", "no_grad",
     "concat", "conv2d", "upsample_nearest",
     "Conv2d", "GroupNorm", "group_norm", "collect_params", "l2_normalize",
     "AdamWState", "adamw_step",

@@ -49,7 +49,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     Raises ``ValueError`` naming the path on a bad magic, on a file that
     ends inside a record (naming the parameter being read, or its
     position when the cut falls inside its name), on a name that is not
-    UTF-8 and on a repeated name.
+    UTF-8, on a repeated name and on a non-finite value (naming the
+    parameter).
     """
     path = Path(path)
     blob = memoryview(path.read_bytes())
@@ -79,7 +80,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape"))
         payload = take(8 * math.prod(shape), "payload")
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: {label} has a non-finite value")
+        out[name] = arr
     return out
 
 

@@ -26,17 +26,14 @@ class SeededRng:
         """A fresh, independent stream under the same seed."""
         return SeededRng(self.seed, stream)
 
-    def normal(self, shape=(), loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
-        return self._gen.normal(loc, scale, size=shape)
+    def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
+        return self._gen.normal(0.0, scale, size=shape)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"

@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every op records its parents and a backward closure on the produced
-tensor; ``backward()`` assembles the tape (a topologically ordered list
-of records), seeds the scalar loss with gradient 1 and walks the tape
-in reverse, visiting each node exactly once.
+tensor; ``backward()`` orders the graph topologically, parents first,
+seeds the scalar loss with gradient 1 and walks that order in reverse,
+running each node's closure exactly once.
 
 Graph lifetime. A result gets a backward closure only when it is
 tracked (it has parents, so gradients can flow through it); ``no_grad``
@@ -33,18 +33,13 @@ Conventions fixed here once and relied on by tests:
 from __future__ import annotations
 
 import contextvars
-import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
-    "Tape",
-    "TapeRecord",
     "no_grad",
-    "grad_enabled",
     "backward",
     "concat",
     "conv2d",
@@ -54,7 +49,6 @@ __all__ = [
 # per thread (and per asyncio task): a no_grad block in one does not stop
 # graph recording in another
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
-_node_counter = itertools.count()
 
 
 class no_grad:
@@ -65,10 +59,6 @@ class no_grad:
 
     def __exit__(self, *exc):
         _grad_enabled.reset(self._token)
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled.get()
 
 
 def _as_array(value) -> np.ndarray:
@@ -87,7 +77,7 @@ class Tensor:
         Leaf tensors with True accumulate gradients during backward.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -96,7 +86,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Optional[Callable[[], None]] = None
         self._op = "leaf"
-        self._id = next(_node_counter)
 
     # -- construction of op results -------------------------------------
 
@@ -110,7 +99,6 @@ class Tensor:
         out._parents = tuple(parents) if track else ()
         out._backward_fn = None
         out._op = op
-        out._id = next(_node_counter)
         return out
 
     def _set_backward(self, fn: Callable[[], None]) -> None:
@@ -255,17 +243,11 @@ class Tensor:
     # -- shape manipulation ----------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out = Tensor._result(self.data.reshape(shape), (self,), "reshape")
         out._set_backward(lambda: self._accumulate(out.grad.reshape(self.shape)))
         return out
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
         inv = tuple(np.argsort(axes))
         out = Tensor._result(self.data.transpose(axes), (self,), "transpose")
         out._set_backward(lambda: self._accumulate(out.grad.transpose(inv)))
@@ -480,41 +462,17 @@ def upsample_nearest(x: Tensor) -> Tensor:
     return out
 
 
-# -- tape and backward -------------------------------------------------------
+# -- backward --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TapeRecord:
-    op: str
-    input_ids: tuple[int, ...]
-    output_id: int
-
-
-class Tape:
-    """Topologically ordered record of the ops reaching one scalar loss.
-
-    Built by :func:`backward`; parents always precede children, and the
-    reverse walk calls each node's backward closure exactly once. The
-    tape holds records only, not tensors, so keeping it does not keep the
-    graph alive.
-    """
-
-    def __init__(self, nodes: list[Tensor]):
-        self.records = [
-            TapeRecord(n._op, tuple(p._id for p in n._parents), n._id) for n in nodes
-        ]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def backward(loss: Tensor) -> Tape:
+def backward(loss: Tensor) -> list[str]:
     """Run reverse-mode differentiation from a scalar ``loss``.
 
     Populates ``grad`` on every reachable tensor with ``requires_grad``
     set and frees the graph as it goes: each interior node loses its
-    closure and its ``grad`` once the closure has run. Returns the tape
-    for introspection.
+    closure and its ``grad`` once the closure has run. Returns the op
+    name of every node reached, parents before children; it holds no
+    tensors, so keeping it does not keep the graph alive.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -523,23 +481,23 @@ def backward(loss: Tensor) -> Tape:
 
     # Iterative post-order DFS: parents land before children.
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[int] = set()  # id() of each node; all stay alive during the walk
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if node._id in seen:
+        if id(node) in seen:
             continue
         if node._parents and node._backward_fn is None:
             raise ValueError(
                 f"backward reached a {node._op!r} node whose graph an earlier backward freed"
             )
-        seen.add(node._id)
+        seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p._id not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
@@ -550,4 +508,4 @@ def backward(loss: Tensor) -> Tape:
             node._backward_fn()
         node._backward_fn = None
         node.grad = None
-    return Tape(order)
+    return [node._op for node in order]

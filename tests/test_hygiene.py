@@ -4,12 +4,15 @@ Nothing is imported or run: every module under ``src/normalbridge`` is
 parsed with ``ast`` and checked for imports it never uses, ``__all__``
 names it never binds, a package docstring whose module table has
 drifted from the submodules on disk, module-level functions and
-classes that nothing in ``src/`` or ``benchmarks/`` refers to, and
-defaulted parameters that no call there sets.
+classes that nothing in ``src/`` or ``benchmarks/`` refers to, class
+members (methods, properties, dataclass fields and ``__init__``
+attributes) that nothing there reads, and defaulted parameters, of
+functions and methods alike, that no call there sets.
 """
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -113,30 +116,41 @@ def _is_all(node: ast.stmt) -> bool:
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
-def _references() -> list[tuple[str, Path, str | None]]:
-    """(name, file, enclosing top-level definition) for every reference.
+def _scoped_nodes(package: Path, roots) -> Iterator[tuple[ast.AST, Path, str | None, str | None, bool]]:
+    """(node, file, top, scope, in_benchmarks) for every syntax node under
+    ``roots``, their tests and ``__all__`` lists left out.
 
-    A reference is a Name, an Attribute or a string constant (the
-    benchmark tracer wraps functions by name); ``__all__`` lists, imports
-    and the benchmark's own tests are not references.
+    ``top`` names the enclosing module-level definition; ``scope`` is
+    ``"Class.method"`` inside a method and ``top`` elsewhere;
+    ``in_benchmarks`` is True outside ``package``.
     """
-    refs = []
-    for root in REACHABILITY_ROOTS:
+    for root in roots:
         for path in sorted(root.rglob("*.py")):
             if "tests" in path.relative_to(root).parts:
                 continue
             for stmt in _tree(path).body:
                 if _is_all(stmt):
                     continue
-                owner = getattr(stmt, "name", None)
+                top = getattr(stmt, "name", None)
+                scope_of = {}
+                if isinstance(stmt, ast.ClassDef):
+                    for item in stmt.body:
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            scope_of.update((id(n), f"{top}.{item.name}") for n in ast.walk(item))
                 for node in ast.walk(stmt):
-                    if isinstance(node, ast.Name):
-                        refs.append((node.id, path, owner))
-                    elif isinstance(node, ast.Attribute):
-                        refs.append((node.attr, path, owner))
-                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                        refs.append((node.value, path, owner))
-    return refs
+                    yield node, path, top, scope_of.get(id(node), top), root != package
+
+
+def _benchmark_string(node: ast.AST, in_benchmarks: bool) -> str | None:
+    """A string constant under benchmarks/, where the tracer wraps
+    callables by name; in src/ a string is data, not a reference."""
+    if in_benchmarks and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _modules(package: Path) -> list[tuple[Path, str]]:
+    return [(p, str(p.relative_to(package))) for p in sorted(package.rglob("*.py"))]
 
 
 def _definitions(path: Path) -> list[str]:
@@ -144,24 +158,29 @@ def _definitions(path: Path) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
+def _unreached_definitions(package: Path, roots, exempt: dict[str, set[str]]) -> list[str]:
+    """Module-level functions and classes of ``package`` that no Name,
+    Attribute or benchmark string under ``roots`` refers to, outside the
+    definition itself, as "module:name"."""
+    used = {}
+    for node, path, top, _, in_benchmarks in _scoped_nodes(package, roots):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = _benchmark_string(node, in_benchmarks)
+        if name is not None:
+            used.setdefault(name, set()).add((path, top))
+    return [f"{rel}:{name}" for path, rel in _modules(package) for name in _definitions(path)
+            if name not in exempt.get(rel, ()) and not used.get(name, set()) - {(path, name)}]
+
+
 def test_every_definition_is_reachable():
     """Every module-level function and class in src/ is referenced from
-    src/ or benchmarks/, outside its own definition.
-
-    Methods are not covered: matching by name cannot tell a method from
-    a numpy function or method of the same name, such as ``Tensor.sqrt``
-    and ``np.sqrt`` or ``Tensor.sum`` and ``ndarray.sum``.
-    """
-    used = {}
-    for name, path, owner in _references():
-        used.setdefault(name, set()).add((path, owner))
-    unreached = []
-    for path, rel in zip(MODULES, IDS):
-        for name in _definitions(path):
-            if name in REACHABILITY_EXEMPT.get(rel, ()):
-                continue
-            if not used.get(name, set()) - {(path, name)}:
-                unreached.append(f"{rel}:{name}")
+    src/ or benchmarks/, outside its own definition. Class members are
+    checked by ``test_every_member_is_read``."""
+    unreached = _unreached_definitions(PACKAGE, REACHABILITY_ROOTS, REACHABILITY_EXEMPT)
     assert not unreached, f"defined in src/ but referenced nowhere in src/ or benchmarks/: {unreached}"
 
 
@@ -171,8 +190,95 @@ def test_reachability_exemptions_are_defined():
         assert not missing, f"{rel}: exempt names not defined: {sorted(missing)}"
 
 
+# Class members kept though nothing in src/ or benchmarks/ reads them, as
+# "module:Class.member", each group for a reason of its own.
+MEMBER_EXEMPT = {
+    # the frequency/SNR analysis of noise injection (see REACHABILITY_EXEMPT):
+    # the frequency tells apart the curves radial_snr_curves returns, and
+    # the spectral probes read which bins are empty
+    "freq.py:SnrCurve.freq", "freq.py:RadialProfile.empty_bins",
+    # the paper's dataset statistic: mean and median sharp edges per object
+    "geom.py:DatasetStats.n_objects", "geom.py:DatasetStats.mean_sharp_edges",
+    "geom.py:DatasetStats.median_sharp_edges",
+    # load_obj reports what it dropped from outside input
+    "geom.py:TriMesh.n_dropped_faces",
+}
+
+_CONSTRUCTION = ("__init__", "__post_init__")
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _members(path: Path) -> list[tuple[str, str, set[str]]]:
+    """(class, member, own scopes) of every method, property, dataclass
+    field and ``__init__`` attribute of a module-level class; dunder
+    methods are protocol, not members. A read from one of the member's own
+    scopes (a method's body; for a field or attribute the class's
+    ``__init__`` and ``__post_init__``) is not a read."""
+    out = []
+    for cls in _tree(path).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        construction = {f"{cls.name}.{m}" for m in _CONSTRUCTION}
+        members = {}
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name):
+                members[item.name] = {f"{cls.name}.{item.name}"}
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and _is_dataclass(cls):
+                members[item.target.id] = construction
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for node in ast.walk(item):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                        members.setdefault(node.attr, construction)
+        out += [(cls.name, name, own) for name, own in members.items()]
+    return out
+
+
+def _unread_members(package: Path, roots, exempt: set[str]) -> list[str]:
+    """Members of the classes of ``package`` whose name no attribute load
+    or benchmark string under ``roots`` reads, outside the member's own
+    scopes, as "module:Class.member"."""
+    reads = {}
+    for node, path, _, scope, in_benchmarks in _scoped_nodes(package, roots):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = _benchmark_string(node, in_benchmarks)
+        if name is not None:
+            reads.setdefault(name, set()).add((path, scope))
+    unread = []
+    for path, rel in _modules(package):
+        for cls, name, own in _members(path):
+            key = f"{rel}:{cls}.{name}"
+            if key not in exempt and not reads.get(name, set()) - {(path, s) for s in own}:
+                unread.append(key)
+    return unread
+
+
+def test_every_member_is_read():
+    """Every method, property, dataclass field and ``__init__`` attribute
+    of a class in src/ is read, as an attribute or a benchmark string, in
+    src/ or benchmarks/ outside its own definition.
+
+    Matching by name is conservative: a name that another class or numpy
+    also has, such as ``Tensor.sum`` and ``ndarray.sum``, counts as read,
+    so a clash can hide an unread member but never invent one.
+    """
+    unread = _unread_members(PACKAGE, REACHABILITY_ROOTS, MEMBER_EXEMPT)
+    assert not unread, f"class members in src/ that nothing in src/ or benchmarks/ reads: {unread}"
+
+
+def test_member_exemptions_are_unread_members():
+    stale = MEMBER_EXEMPT - set(_unread_members(PACKAGE, REACHABILITY_ROOTS, set()))
+    assert not stale, f"exempt members that are read or not defined: {sorted(stale)}"
+
+
 # Defaulted parameters kept though no call in src/ or benchmarks/ sets
-# them, as "module:callable.parameter", each group for a reason of its own.
+# them, as "module:callable.parameter" (methods as "module:Class.method.
+# parameter"), each group for a reason of its own.
 DEFAULT_EXEMPT = {
     # the frequency/SNR analysis of noise injection: the planned spectral
     # probes choose these, and the closed-form SNR tests sweep them
@@ -194,9 +300,10 @@ DEFAULT_EXEMPT = {
     "toydata.py:make_dataset.complexity_range", "toydata.py:make_dataset.cell_size",
     "toydata.py:generate_scene.primitives",
     # the ablation arms of the noise-injection comparison: single stream,
-    # and no injection
+    # no injection, and the dual-stream model without its noisy stream
     "nirne.py:DualStreamModel.dual_stream", "nirne.py:DualStreamModel.schedule",
     "nirne.py:NoiseSchedule.sigma_lo", "nirne.py:NoiseSchedule.sigma_hi",
+    "nirne.py:DualStreamModel.forward_t.zero_noisy_stream",
     # algorithm parameters that tests sweep against oracles and references
     "metrics.py:canny.low", "metrics.py:canny.high",
     "geom.py:sharp_edge_report.dihedral_threshold_deg",
@@ -229,38 +336,37 @@ def _defaulted_params(fn: ast.FunctionDef, skip_self: bool) -> list[tuple[str, i
     return out
 
 
-def _settings(path: Path) -> list[tuple[str, str, int | None]]:
-    """(callable, parameter, position) of every defaulted parameter of a
-    module-level function, a class ``__init__`` or a dataclass init field."""
+def _is_static(fn: ast.FunctionDef) -> bool:
+    return any(getattr(dec, "id", None) == "staticmethod" for dec in fn.decorator_list)
+
+
+def _settings(path: Path) -> list[tuple[str, str, str, int | None, str | None]]:
+    """(key, callee, parameter, position, own scope) of every defaulted
+    parameter of a module-level function, a class ``__init__``, a
+    dataclass init field or a method. A call from the own scope (a
+    function's or method's body) does not set it."""
     out = []
     for node in _tree(path).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out += [(node.name, name, pos) for name, pos in _defaulted_params(node, False)]
+            out += [(f"{node.name}.{name}", node.name, name, pos, node.name)
+                    for name, pos in _defaulted_params(node, False)]
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    out += [(node.name, name, pos) for name, pos in _defaulted_params(item, True)]
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if item.name == "__init__":
+                    out += [(f"{node.name}.{name}", node.name, name, pos, None)
+                            for name, pos in _defaulted_params(item, True)]
+                else:
+                    out += [(f"{node.name}.{item.name}.{name}", item.name, name, pos,
+                             f"{node.name}.{item.name}")
+                            for name, pos in _defaulted_params(item, not _is_static(item))]
             if _is_dataclass(node):
                 fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
                           and isinstance(item.target, ast.Name) and not _not_in_init(item.value)]
-                out += [(node.name, item.target.id, pos) for pos, item in enumerate(fields)
-                        if item.value is not None]
+                out += [(f"{node.name}.{item.target.id}", node.name, item.target.id, pos, None)
+                        for pos, item in enumerate(fields) if item.value is not None]
     return out
-
-
-def _calls() -> dict[str, list[ast.Call]]:
-    """Every call in src/ and benchmarks/ (not its tests), by callee name."""
-    calls = {}
-    for root in REACHABILITY_ROOTS:
-        for path in sorted(root.rglob("*.py")):
-            if "tests" in path.relative_to(root).parts:
-                continue
-            for node in ast.walk(_tree(path)):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                    if name:
-                        calls.setdefault(name, []).append(node)
-    return calls
 
 
 def _passes(call: ast.Call, param: str, position: int | None) -> bool:
@@ -271,29 +377,99 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
     return position is not None and len(call.args) > position
 
 
+def _unset_defaults(package: Path, roots, exempt: set[str]) -> list[str]:
+    """Defaulted parameters of ``package`` that no call of that name under
+    ``roots`` passes, outside the callable's own body, as
+    "module:callable.parameter"."""
+    calls = {}
+    for node, path, _, scope, _ in _scoped_nodes(package, roots):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name:
+                calls.setdefault(name, []).append((node, path, scope))
+    unset = []
+    for path, rel in _modules(package):
+        for key, callee, param, position, own in _settings(path):
+            if f"{rel}:{key}" not in exempt and not any(
+                    _passes(call, param, position) for call, at, scope in calls.get(callee, [])
+                    if (at, scope) != (path, own)):
+                unset.append(f"{rel}:{key}")
+    return unset
+
+
 def test_every_default_is_set():
     """Every defaulted parameter of a module-level function, a class
-    ``__init__`` or a dataclass init field in src/ is passed, by keyword,
-    by position or through ``*args``/``**kwargs``, by some call of that
-    name in src/ or benchmarks/; a setting no caller sets is a constant.
+    ``__init__``, a dataclass init field or a method in src/ is passed, by
+    keyword, by position or through ``*args``/``**kwargs``, by some call
+    of that name in src/ or benchmarks/ outside its own body; a setting no
+    caller sets is a constant.
 
-    Methods are not covered: matching calls by name cannot tell which
-    class's method a call such as ``model.forward_t`` or ``rng.normal``
-    reaches.
+    Calls are matched by name, so a call such as ``rng.normal`` counts for
+    every callable named ``normal``, numpy's included: a clash can hide an
+    unset default but never invent one.
     """
-    calls = _calls()
-    unset = []
-    for path, rel in zip(MODULES, IDS):
-        for name, param, position in _settings(path):
-            key = f"{rel}:{name}.{param}"
-            if key not in DEFAULT_EXEMPT and not any(
-                    _passes(call, param, position) for call in calls.get(name, [])):
-                unset.append(key)
+    unset = _unset_defaults(PACKAGE, REACHABILITY_ROOTS, DEFAULT_EXEMPT)
     assert not unset, f"defaulted in src/ but set by no call in src/ or benchmarks/: {unset}"
 
 
 def test_default_exemptions_are_defaulted():
-    defaulted = {f"{rel}:{name}.{param}" for path, rel in zip(MODULES, IDS)
-                 for name, param, _ in _settings(path)}
+    defaulted = {f"{rel}:{key}" for path, rel in _modules(PACKAGE) for key, *_ in _settings(path)}
     missing = DEFAULT_EXEMPT - defaulted
     assert not missing, f"exempt settings that are not defaulted parameters: {sorted(missing)}"
+
+
+PLANTED_MODULE = """
+from dataclasses import dataclass
+
+
+@dataclass
+class Report:
+    kept: int
+    unread: int
+
+    def __post_init__(self):
+        self.unread = int(self.unread)
+
+
+class Probe:
+    def __init__(self):
+        self.level = 0
+
+    def traced(self, scale=1.0):
+        return self.traced(2.0) if scale == 1.0 else scale
+
+
+def named_by_string():
+    return Report(1, 2).kept
+"""
+
+PLANTED_BENCHMARK = """
+import pkg.mod as mod
+
+PROBE = mod.Probe
+TRACED = ("traced", "level")
+MESSAGE = "named_by_string"
+"""
+
+
+def test_checks_on_a_planted_source(tmp_path):
+    """The checks on a small planted package: a field read only in its
+    ``__post_init__`` is unread, members that only benchmark strings name
+    are read, a default that only the method's own body passes is unset,
+    and a module-level function that only a string in the package names
+    is unreached."""
+    package = tmp_path / "src" / "pkg"
+    bench = tmp_path / "benchmarks"
+    package.mkdir(parents=True)
+    bench.mkdir()
+    (package / "mod.py").write_text(PLANTED_MODULE)
+    (bench / "bench.py").write_text(PLANTED_BENCHMARK)
+    roots = (package, bench)
+    assert _unread_members(package, roots, set()) == ["mod.py:Report.unread"]
+    assert _unread_members(package, roots, {"mod.py:Report.unread"}) == []
+    assert _unset_defaults(package, roots, set()) == ["mod.py:Probe.traced.scale"]
+    assert _unreached_definitions(package, roots, {}) == []
+
+    (bench / "bench.py").write_text(PLANTED_BENCHMARK.replace('"named_by_string"', '"other"'))
+    (package / "mod.py").write_text(PLANTED_MODULE + '\nNAME = "named_by_string"\n')
+    assert _unreached_definitions(package, roots, {}) == ["mod.py:named_by_string"]

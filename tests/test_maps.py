@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,20 @@ class TestHeightBinary:
         blob = path.read_bytes()
         path.write_bytes((blob + b"\0" * 8)[:size])
         with pytest.raises(ValueError) as err:
+            maps.read_height_bin(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("offset, value, match", [
+        (24 + 8 * 5, float("nan"), "non-finite"),  # the sixth height
+        (16, -1.0, "cell_size"),
+    ], ids=["nan_height", "negative_cell_size"])
+    def test_bad_value_names_path(self, tmp_path, offset, value, match):
+        path = tmp_path / "h.bin"
+        maps.write_height_bin(path, _field())
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=match) as err:
             maps.read_height_bin(path)
         assert str(path) in str(err.value)
 

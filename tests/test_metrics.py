@@ -200,9 +200,7 @@ class TestDilate:
 class TestSharpNormalError:
     def test_identical_zero(self):
         gt = step_map(32, 32, 16)
-        res = metrics.sharp_normal_error(gt, gt, radius=2)
-        assert res.sne_deg == 0.0
-        assert res.n_pixels > 0
+        assert metrics.sharp_normal_error(gt, gt, radius=2) == 0.0
 
     def test_edge_band_corruption_drives_sne_above_ne(self):
         gt = step_map(32, 32, 16)
@@ -212,14 +210,11 @@ class TestSharpNormalError:
         pred_v[:, band] = np.array([0.0, 1.0, 0.0])
         pred = NormalMap(pred_v)
         ne = metrics.normal_error(pred, gt)
-        res = metrics.sharp_normal_error(pred, gt, radius=2)
-        assert res.sne_deg > ne
+        assert metrics.sharp_normal_error(pred, gt, radius=2) > ne
 
     def test_flat_scene_no_sharp_regions(self):
         flat = flat_map(16, 16)
-        res = metrics.sharp_normal_error(flat, flat)
-        assert res.sne_deg is None
-        assert res.n_pixels == 0
+        assert metrics.sharp_normal_error(flat, flat) is None
 
     def test_radius_monotone_when_band_clean(self):
         # errors concentrated exactly on the edge; growing the band adds
@@ -228,7 +223,7 @@ class TestSharpNormalError:
         pred_v = gt.vectors.copy()
         pred_v[:, 15:17] = np.array([0.0, 1.0, 0.0])
         pred = NormalMap(pred_v)
-        snes = [metrics.sharp_normal_error(pred, gt, radius=r).sne_deg for r in (1, 2, 4, 6)]
+        snes = [metrics.sharp_normal_error(pred, gt, radius=r) for r in (1, 2, 4, 6)]
         assert all(b <= a for a, b in zip(snes, snes[1:]))
 
 
@@ -247,7 +242,6 @@ class TestMultiview:
         rep = metrics.multiview_report(views, views, radius=1)
         assert rep.ne_deg == 0.0
         assert rep.sne_deg == 0.0
-        assert len(rep.per_view) == 4
 
     def test_view_permutation_invariance(self):
         gt = self._views()

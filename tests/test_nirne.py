@@ -52,13 +52,28 @@ class TestSeededTraining:
         assert logs[0] != logs[1]
 
 
+class TestParameterNames:
+    def test_names_in_checkpoint_order(self):
+        encoder = ["stem_a.weight", "stem_a.bias", "stem_b.weight", "stem_b.bias",
+                   "down1.weight", "down1.bias", "down2.weight", "down2.bias",
+                   "down3.weight", "down3.bias", "norm0.gamma", "norm0.beta",
+                   "norm1.gamma", "norm1.beta", "norm2.gamma", "norm2.beta",
+                   "norm3.gamma", "norm3.beta"]
+        per_level = [f"{layer}{k}.{p}" for layer in ("fuse", "dec") for k in (3, 2, 1, 0)
+                     for p in ("weight", "bias")]
+        want = ([f"noisy.{n}" for n in encoder] + [f"clean.{n}" for n in encoder]
+                + per_level + ["head.weight", "head.bias"])
+        assert list(nirne.DualStreamModel(CHANNELS, seed=3).named_parameters()) == want
+        single = nirne.DualStreamModel(CHANNELS, seed=3, dual_stream=False)
+        assert list(single.named_parameters()) == [n for n in want if not n.startswith(("clean.", "fuse"))]
+
+
 class TestStage2Freezing:
     def test_trainable_set_is_noisy_stream_and_fusion(self):
         model = nirne.DualStreamModel(CHANNELS, seed=3)
         names = set(model.named_parameters())
         want = {k for k in names if k.startswith("noisy.") or k.startswith("fuse")}
         assert model.stage2_trainable_names() == want
-        assert model.frozen_names_stage2() == names - want
         assert any(k.startswith("clean.") for k in names - want)
         assert any(k.startswith("dec") for k in names - want)
 
@@ -68,7 +83,7 @@ class TestStage2Freezing:
         before = _snapshot(model)
         nirne.train_stage2(model, synth, 3, 7, _config(3))
         after = _snapshot(model)
-        frozen = model.frozen_names_stage2()
+        frozen = set(after) - model.stage2_trainable_names()
         assert frozen and all(after[k] == before[k] for k in frozen)
         assert all(after[k] != before[k] for k in model.stage2_trainable_names())
         assert all(p.requires_grad for p in model.named_parameters().values())
@@ -159,7 +174,8 @@ class TestModelGradient:
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("field, value", [
-        ("steps", 0), ("batch_size", 0), ("batch_size", 2.0), ("log_every", 0), ("log_every", -1),
+        ("steps", 0), ("steps", True), ("batch_size", 0), ("batch_size", 2.0), ("batch_size", True),
+        ("log_every", 0), ("log_every", -1), ("log_every", True),
         ("lr", 0.0), ("lr", float("nan")), ("weight_decay", -1e-3), ("weight_decay", float("inf")),
     ])
     def test_bad_field_is_named(self, field, value):

@@ -208,17 +208,33 @@ class TestBackward:
         with pytest.raises(ValueError, match="detached"):
             backward(Tensor(3.0))
 
-    def test_tape_is_topological_and_single_visit(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = x * 2.0
-        z = (y + x).sum()
-        tape = backward(z)
-        pos = {r.output_id: i for i, r in enumerate(tape.records)}
-        for rec in tape.records:
-            for pid in rec.input_ids:
-                if pid in pos:
-                    assert pos[pid] < pos[rec.output_id]
-        assert len({r.output_id for r in tape.records}) == len(tape.records)
+    def test_closures_run_once_after_every_consumer(self):
+        # a diamond: x feeds both a and b, which meet again in c
+        w = Tensor(np.ones(3), requires_grad=True)
+        x = w * 3.0
+        a = x * 2.0
+        b = x + 1.0
+        c = a * b
+        z = c.sum()
+        nodes = {"x": x, "a": a, "b": b, "c": c, "z": z}
+        consumers = {"x": ("a", "b"), "a": ("c",), "b": ("c",), "c": ("z",), "z": ()}
+        ran = []
+
+        def recorded(name, fn):
+            def run():
+                ran.append(name)
+                fn()
+            return run
+
+        for name, node in nodes.items():
+            node._backward_fn = recorded(name, node._backward_fn)
+        ops = backward(z)
+        assert sorted(ran) == sorted(nodes)
+        for name, users in consumers.items():
+            assert all(ran.index(user) < ran.index(name) for user in users)
+        # every node reached, leaves and constants included, parents first
+        assert ops == ["leaf", "leaf", "leaf", "mul", "add", "leaf", "mul", "mul", "sum"]
+        np.testing.assert_array_equal(w.grad, np.full(3, 42.0))  # d/dw sum(6w * (3w + 1))
 
     def test_repeated_integer_index_accumulates(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -308,7 +324,7 @@ class TestGraphLifetime:
         tape = backward(out.sum())
         del out
         assert buf() is None
-        assert len(tape) == len(tape.records) > 0
+        assert tape and all(isinstance(op, str) for op in tape)
 
     def test_untracked_results_get_no_closure(self):
         a = Tensor(np.ones(3))
@@ -335,6 +351,11 @@ class TestGraphLifetime:
         np.testing.assert_array_equal(x.grad, before)
 
 
+def _records_graph() -> bool:
+    """Whether an op run here records its parents."""
+    return len((Tensor(np.ones(2), requires_grad=True) * 2.0)._parents) == 2
+
+
 class TestNoGradThreads:
     def test_no_grad_in_one_thread_does_not_stop_recording_in_another(self):
         held = threading.Event()
@@ -343,15 +364,14 @@ class TestNoGradThreads:
 
         def inference():
             with tc.no_grad():
-                seen["inference_enabled"] = tc.grad_enabled()
+                seen["inference_before"] = _records_graph()
                 held.set()
                 checked.wait(timeout=10)
-                seen["inference_parents"] = (Tensor(np.ones(2), requires_grad=True) * 2.0)._parents
+                seen["inference_after"] = _records_graph()
 
         def training():
             held.wait(timeout=10)
-            seen["training_enabled"] = tc.grad_enabled()
-            seen["training_parents"] = (Tensor(np.ones(2), requires_grad=True) * 2.0)._parents
+            seen["training"] = _records_graph()
             checked.set()
 
         threads = [threading.Thread(target=inference), threading.Thread(target=training)]
@@ -360,16 +380,15 @@ class TestNoGradThreads:
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
-        assert seen["inference_enabled"] is False and seen["inference_parents"] == ()
-        assert seen["training_enabled"] is True and len(seen["training_parents"]) == 2
-        assert tc.grad_enabled()
+        assert seen == {"inference_before": False, "inference_after": False, "training": True}
+        assert _records_graph()
 
     def test_no_grad_restores_on_exit(self):
         with tc.no_grad():
             with tc.no_grad():
-                assert not tc.grad_enabled()
-            assert not tc.grad_enabled()
-        assert tc.grad_enabled()
+                assert not _records_graph()
+            assert not _records_graph()
+        assert _records_graph()
 
 
 class TestGradChecks:
@@ -568,6 +587,16 @@ class TestCheckpoint:
             tc.load_into(path, params)
         assert str(path) in str(err.value)
         assert {k: p.data.tobytes() for k, p in params.items()} == before
+
+    @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+    def test_non_finite_value_names_path_and_parameter(self, tmp_path, bad):
+        path = tmp_path / "model.nblb"
+        save_checkpoint(path, {"a": Tensor(np.ones(2)), "b": Tensor(np.array([1.0, bad]))})
+        params = {"a": Tensor(np.zeros(2)), "b": Tensor(np.zeros(2))}
+        with pytest.raises(ValueError, match="parameter 'b' has a non-finite value") as err:
+            tc.load_into(path, params)
+        assert str(path) in str(err.value)
+        assert not any(p.data.any() for p in params.values())
 
     def test_load_into_assigns_every_parameter(self, tmp_path):
         rng = SeededRng(13)
