@@ -1,8 +1,9 @@
 """Frequency-domain analysis of noise injection.
 
-The chain implemented here: 2-D spectrum of an image, radially binned
-power profile, power-law decay fit, and per-frequency SNR curves under
-progressive noise injection
+Spectra are plain complex arrays in ``np.fft.fft2``'s layout, with DC at
+index (0, 0). The chain implemented here: 2-D spectrum of a real image,
+radially binned power profile, power-law decay fit, and per-frequency
+SNR curves under progressive noise injection
 
     SNR(w, t) = |X(w)|^2 / int_0^t g(s)^2 ds,
 
@@ -20,108 +21,48 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .tensorcore import SeededRng
+
 __all__ = [
-    "Spectrum",
     "RadialProfile",
-    "SnrCurve",
     "dft2",
-    "idft2",
+    "radial_freq",
     "radial_power_spectrum",
     "fit_alpha",
-    "snr_curve",
-    "snr_curve_from_power",
-    "radial_snr_curves",
+    "snr_curves",
     "snr_crossing_time",
     "power_law_image",
 ]
 
 
 @dataclass
-class Spectrum:
-    """Complex 2-D DFT coefficients with DC at index (0, 0)."""
-
-    coef: np.ndarray
-
-    def __post_init__(self):
-        self.coef = np.asarray(self.coef, dtype=np.complex128)
-        if self.coef.ndim != 2:
-            raise ValueError(f"spectrum must be 2-d, got {self.coef.shape}")
-
-    @property
-    def shape(self):
-        return self.coef.shape
-
-    def power(self) -> np.ndarray:
-        return np.abs(self.coef) ** 2
-
-    def radial_freq(self) -> np.ndarray:
-        """|w| per bin in cycles/image."""
-        h, w = self.coef.shape
-        fy = np.fft.fftfreq(h) * h
-        fx = np.fft.fftfreq(w) * w
-        return np.hypot(fy[:, None], fx[None, :])
-
-
-@dataclass
 class RadialProfile:
     """Mean spectral power per radial frequency bin (DC excluded)."""
 
-    bin_edges: np.ndarray      # len n_bins + 1, strictly increasing
     power: np.ndarray          # mean |X|^2 per bin, 0.0 where empty
     count: np.ndarray          # modes per bin
     mean_log_freq: np.ndarray  # mean ln|w| of contributing modes (fit abscissa)
 
-    def __post_init__(self):
-        if not np.all(np.diff(self.bin_edges) > 0):
-            raise ValueError("bin edges must be strictly increasing")
-        if np.any(self.power < 0):
-            raise ValueError("bin powers must be nonnegative")
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.power)
-
-    @property
-    def empty_bins(self) -> np.ndarray:
-        return np.flatnonzero(self.count == 0)
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        """Geometric bin centers in cycles/image."""
-        return np.sqrt(self.bin_edges[:-1] * self.bin_edges[1:])
-
-
-@dataclass
-class SnrCurve:
-    """Samples of SNR(w, t) for one frequency magnitude."""
-
-    freq: float
-    t: np.ndarray
-    snr: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=np.float64)
-        self.snr = np.asarray(self.snr, dtype=np.float64)
-        if self.t.size == 0:
-            raise ValueError("empty SNR curve")
-
-
-def dft2(image: np.ndarray) -> Spectrum:
-    """Exact 2-D DFT of a real or complex image (FFT-backed)."""
+def dft2(image: np.ndarray) -> np.ndarray:
+    """Exact, unnormalized 2-D DFT of a real image (FFT-backed)."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.size == 0:
         raise ValueError(f"dft2 expects a nonempty 2-d array, got {image.shape}")
     if not np.isfinite(image).all():
         raise ValueError("dft2 input contains non-finite values")
-    return Spectrum(np.fft.fft2(image))
+    return np.fft.fft2(image)
 
 
-def idft2(spec: Spectrum) -> np.ndarray:
-    """Inverse of :func:`dft2`; returns the real part."""
-    return np.fft.ifft2(spec.coef).real
+def radial_freq(shape: tuple[int, int]) -> np.ndarray:
+    """|w| of each bin of a spectrum of ``shape``, in cycles/image."""
+    h, w = shape
+    fy = np.fft.fftfreq(h) * h
+    fx = np.fft.fftfreq(w) * w
+    return np.hypot(fy[:, None], fx[None, :])
 
 
-def radial_power_spectrum(spec: Spectrum, n_bins: int = 8) -> RadialProfile:
+def radial_power_spectrum(spec: np.ndarray, n_bins: int = 8) -> RadialProfile:
     """Bin |X(w)|^2 by |w| into log-spaced radial bins, DC excluded.
 
     Empty bins stay in the profile with count 0 so callers can see them;
@@ -129,26 +70,21 @@ def radial_power_spectrum(spec: Spectrum, n_bins: int = 8) -> RadialProfile:
     """
     if n_bins < 2:
         raise ValueError("need at least 2 radial bins")
-    r = spec.radial_freq()
-    p = spec.power()
+    r = radial_freq(spec.shape)
     keep = r > 0  # exclude DC
     r = r[keep]
-    p = p[keep]
-    r_min, r_max = r.min(), r.max()
-    edges = np.geomspace(r_min, r_max, n_bins + 1)
+    p = np.abs(spec[keep]) ** 2
+    if r.size == 0 or r.min() == r.max():
+        raise ValueError(f"a {spec.shape} spectrum has fewer than two distinct nonzero frequencies")
+    edges = np.geomspace(r.min(), r.max(), n_bins + 1)
     edges[0] *= 0.999  # include the lowest mode
     edges[-1] *= 1.001
     idx = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, n_bins - 1)
-    power = np.zeros(n_bins)
-    count = np.zeros(n_bins, dtype=np.int64)
-    mean_log = np.zeros(n_bins)
-    for b in range(n_bins):
-        sel = idx == b
-        count[b] = int(sel.sum())
-        if count[b]:
-            power[b] = float(p[sel].mean())
-            mean_log[b] = float(np.log(r[sel]).mean())
-    return RadialProfile(edges, power, count, mean_log)
+    count = np.bincount(idx, minlength=n_bins)
+    per_mode = np.maximum(count, 1)  # empty bins keep their zero sums
+    power = np.bincount(idx, weights=p, minlength=n_bins) / per_mode
+    mean_log = np.bincount(idx, weights=np.log(r), minlength=n_bins) / per_mode
+    return RadialProfile(power, count, mean_log)
 
 
 def fit_alpha(profile: RadialProfile) -> float:
@@ -170,24 +106,27 @@ def _noise_energy(g: GFunc, t_grid: np.ndarray) -> np.ndarray:
 
     Callable ``g`` is integrated by composite trapezoid with each grid
     segment (including the initial [0, t_0]) subdivided 32x, which keeps
-    the relative error well under 1e-3 even at the smallest t.
+    the relative error well under 1e-3 even at the smallest t. It must be
+    elementwise: one call gets the samples of every segment as a
+    (len(t_grid), 33) array.
     """
     if g is None or isinstance(g, (int, float)):
         g2 = 1.0 if g is None else float(g) ** 2
         return g2 * t_grid
-    out = np.empty(len(t_grid))
-    acc = 0.0
-    s_prev = 0.0
-    for i, t in enumerate(t_grid):
-        s = np.linspace(s_prev, t, 33)
-        vals = np.asarray(g(s), dtype=np.float64) ** 2
-        acc += float(np.trapezoid(vals, s))
-        out[i] = acc
-        s_prev = float(t)
-    return out
+    starts = np.concatenate(([0.0], t_grid[:-1]))
+    s = np.linspace(starts, t_grid, 33, axis=1)
+    vals = np.asarray(g(s), dtype=np.float64) ** 2
+    return np.cumsum(np.trapezoid(vals, s, axis=1))
 
 
-def snr_curve_from_power(power: float, t_grid, g: GFunc = None, freq: float = 0.0) -> SnrCurve:
+def snr_curves(power, t_grid, g: GFunc = None) -> np.ndarray:
+    """SNR(t) = power / int_0^t g(s)^2 ds sampled on ``t_grid``.
+
+    A scalar power gives a (T,) curve and k powers give a (k, T) array,
+    one curve per power: a spectral bin's curve is
+    ``snr_curves(abs(spec[w]) ** 2, t)``, the nonempty radial bins' curves
+    are ``snr_curves(profile.power[profile.count > 0], t)``.
+    """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
         raise ValueError("empty t grid")
@@ -195,46 +134,30 @@ def snr_curve_from_power(power: float, t_grid, g: GFunc = None, freq: float = 0.
         raise ValueError("t grid must be strictly positive (SNR diverges at t=0)")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must be ascending")
-    energy = _noise_energy(g, t_grid)
-    return SnrCurve(freq=freq, t=t_grid, snr=float(power) / energy)
+    return np.asarray(power, dtype=np.float64)[..., None] / _noise_energy(g, t_grid)
 
 
-def snr_curve(spec: Spectrum, omega: tuple[int, int], t_grid, g: GFunc = None) -> SnrCurve:
-    """SNR curve of the single spectral bin ``omega`` = (row, col) index."""
-    power = float(np.abs(spec.coef[omega]) ** 2)
-    freq = float(spec.radial_freq()[omega])
-    return snr_curve_from_power(power, t_grid, g=g, freq=freq)
-
-
-def radial_snr_curves(profile: RadialProfile, t_grid, g: GFunc = None) -> list[SnrCurve]:
-    """One SNR curve per nonempty radial bin, using the bin's mean power."""
-    out = []
-    for b in range(profile.n_bins):
-        if profile.count[b] == 0:
-            continue
-        out.append(
-            snr_curve_from_power(profile.power[b], t_grid, g=g, freq=float(profile.bin_centers[b]))
-        )
-    return out
-
-
-def snr_crossing_time(curve: SnrCurve, threshold: float) -> float:
+def snr_crossing_time(t_grid, snr, threshold: float) -> float:
     """Smallest t with SNR(t) <= threshold; ``inf`` if never crossed.
 
-    Linear interpolation between grid samples; if the curve is already at
-    or below the threshold at its first sample, that sample's t is
-    returned (the grid cannot see an earlier crossing).
+    ``snr`` is one curve sampled on ``t_grid``. Linear interpolation
+    between grid samples; if the curve is already at or below the
+    threshold at its first sample, that sample's t is returned (the grid
+    cannot see an earlier crossing).
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    snr = curve.snr
+    t = np.asarray(t_grid, dtype=np.float64)
+    snr = np.asarray(snr, dtype=np.float64)
+    if snr.ndim != 1 or snr.size == 0 or snr.shape != t.shape:
+        raise ValueError(f"one curve per call: snr {snr.shape} against t grid {t.shape}")
     if snr[0] <= threshold:
-        return float(curve.t[0])
+        return float(t[0])
     below = np.flatnonzero(snr <= threshold)
     if below.size == 0:
         return math.inf
     i = int(below[0])
-    t0, t1 = curve.t[i - 1], curve.t[i]
+    t0, t1 = t[i - 1], t[i]
     s0, s1 = snr[i - 1], snr[i]
     return float(t0 + (s0 - threshold) * (t1 - t0) / (s0 - s1))
 
@@ -253,12 +176,9 @@ def power_law_image(
     exact; with True, complex Gaussian coefficients give natural-looking
     statistics around the same law.
     """
-    from .tensorcore import SeededRng
-
     rng = SeededRng(0 if seed is None else seed, 77)
     ghat = np.fft.fft2(rng.normal((size, size)))  # Hermitian by construction
-    fy = np.fft.fftfreq(size) * size
-    r = np.hypot(fy[:, None], fy[None, :])
+    r = radial_freq((size, size))
     amp = np.zeros((size, size))
     nz = r > 0
     amp[nz] = r[nz] ** (-alpha / 2.0)

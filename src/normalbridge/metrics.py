@@ -15,10 +15,10 @@ blur, Sobel, magnitude and the per-channel peak scaling are whole-stack
 array passes, in the same per-pixel float expressions as a loop over
 channels, so the mask does not depend on how many channels share the
 pass. Non-maximum suppression looks only at the pixels that clear
-``low``. Hysteresis labels the weak pixels once by 8-connected component
-within their channel (hooking plus pointer jumping over the neighbour
-pairs) and keeps each component that holds a strong pixel; this is the
-fixed point of growing the strong pixels through weak ones, without a
+``low``. Hysteresis lists the pairs of 8-neighbouring weak pixels within
+a channel once, then grows the kept set from the strong pixels across
+those pairs until no pair has one end kept and the other not: the fixed
+point of growing the strong pixels through weak ones, without a
 full-image dilation per step. The square dilation is separable: the OR of
 2r+1 row shifts, then of 2r+1 column shifts.
 """
@@ -161,11 +161,10 @@ def _hysteresis(weak: np.ndarray, mag: np.ndarray, row: int, high: float) -> np.
     ``mag`` is the flat, zero-bordered magnitude stack with rows of
     ``row`` entries, and ``weak`` the sorted flat indices of the weak
     pixels in it; a strong pixel is a weak one with magnitude ``>= high``.
-    The weak pixels are labelled by connected component: each pair of
-    8-neighbours is an edge, every round hooks the larger root of each
-    edge whose ends still disagree onto the smaller one, and pointer
-    jumping then flattens the forest to its roots. Returns the indices of
-    the components that hold a strong pixel.
+    Each pair of 8-neighbouring weak pixels is listed once; every round
+    keeps both ends of each pair that has exactly one end kept, starting
+    from the strong pixels, until no pair grows. Returns the indices of
+    the kept pixels.
     """
     is_weak = np.zeros(mag.size, dtype=bool)
     is_weak[weak] = True
@@ -178,23 +177,13 @@ def _hysteresis(weak: np.ndarray, mag: np.ndarray, row: int, high: float) -> np.
         vs.append(np.searchsorted(weak, weak[hit] + off))
     u, v = np.concatenate(us), np.concatenate(vs)
 
-    label = np.arange(weak.size)
+    keep = mag[weak] >= high
     while True:
-        lu, lv = label[u], label[v]
-        apart = lu != lv
-        if not apart.any():
+        grow = keep[u] != keep[v]
+        if not grow.any():
             break
-        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            root = label[label]
-            if np.array_equal(root, label):
-                break
-            label = root
-
-    seeded = np.zeros(weak.size, dtype=bool)
-    seeded[label[mag[weak] >= high]] = True
-    return weak[seeded[label]]
+        keep[u[grow]] = keep[v[grow]] = True
+    return weak[keep]
 
 
 def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HIGH) -> EdgeMask:

@@ -270,9 +270,10 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"TrainConfig.{name} must be an integer >= 1, got {value!r}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
+        if isinstance(self.lr, (bool, np.bool_)) or not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"TrainConfig.lr must be finite and > 0, got {self.lr!r}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+        if isinstance(self.weight_decay, (bool, np.bool_)) or not (
+                np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(
                 f"TrainConfig.weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 

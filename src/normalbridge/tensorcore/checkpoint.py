@@ -29,12 +29,23 @@ MAGIC = b"NBLB1"
 
 
 def save_checkpoint(path, params: dict[str, Tensor | np.ndarray]) -> None:
+    """Write ``params`` to ``path`` in the layout above.
+
+    Every parameter is checked before the file is opened: a non-finite
+    value, which :func:`load_checkpoint` would refuse, raises
+    ``ValueError`` naming the path and the parameter and leaves any file
+    already at ``path`` as it was.
+    """
     path = Path(path)
+    # note: ascontiguousarray would promote 0-d to 1-d and break rank
+    arrays = {name: np.asarray(p.data if isinstance(p, Tensor) else p, dtype="<f8", order="C")
+              for name, p in params.items()}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {name!r} has a non-finite value")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        for name, p in params.items():
-            # note: ascontiguousarray would promote 0-d to 1-d and break rank
-            arr = np.asarray(p.data if isinstance(p, Tensor) else p, dtype="<f8", order="C")
+        for name, arr in arrays.items():
             nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)

@@ -24,8 +24,8 @@ class TestDft2:
     def test_constant_image_dc_only(self):
         img = np.full((6, 9), 3.25)
         spec = freq.dft2(img)
-        assert abs(spec.coef[0, 0] - 3.25 * 6 * 9) < 1e-9
-        rest = spec.coef.copy()
+        assert abs(spec[0, 0] - 3.25 * 6 * 9) < 1e-9
+        rest = spec.copy()
         rest[0, 0] = 0
         assert np.max(np.abs(rest)) < 1e-9
 
@@ -34,7 +34,7 @@ class TestDft2:
         x = np.arange(w)
         img = np.tile(np.cos(2 * np.pi * k * x / w), (h, 1))
         spec = freq.dft2(img)
-        mag = np.abs(spec.coef)
+        mag = np.abs(spec)
         nz = np.argwhere(mag > 1e-9)
         assert len(nz) == 2
         assert {tuple(p) for p in nz} == {(0, k), (0, w - k)}
@@ -42,7 +42,7 @@ class TestDft2:
     def test_matches_direct_summation(self):
         rng = SeededRng(1)
         img = rng.normal((8, 12))
-        got = freq.dft2(img).coef
+        got = freq.dft2(img)
         want = dft2_oracle(img)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -50,7 +50,7 @@ class TestDft2:
         rng = SeededRng(2)
         for i, shape in enumerate([(8, 8), (15, 7), (64, 64)]):
             img = rng.stream_rng(i).normal(shape)
-            back = freq.idft2(freq.dft2(img))
+            back = np.fft.ifft2(freq.dft2(img)).real
             assert np.max(np.abs(back - img)) < 1e-9
 
     def test_parseval(self):
@@ -59,13 +59,13 @@ class TestDft2:
             img = rng.stream_rng(i).normal((24, 24))
             spec = freq.dft2(img)
             lhs = np.sum(img * img)
-            rhs = np.sum(np.abs(spec.coef) ** 2) / img.size
+            rhs = np.sum(np.abs(spec) ** 2) / img.size
             assert abs(lhs - rhs) / abs(lhs) < 1e-9
 
     def test_hermitian_symmetry_for_real_input(self):
         rng = SeededRng(4)
         img = rng.normal((10, 14))
-        c = freq.dft2(img).coef
+        c = freq.dft2(img)
         mirrored = np.conj(np.roll(np.roll(c[::-1, ::-1], 1, axis=0), 1, axis=1))
         assert np.max(np.abs(c - mirrored)) < 1e-9
 
@@ -105,9 +105,38 @@ class TestRadialProfile:
     def test_empty_bins_reported_not_dropped(self):
         img = SeededRng(9).normal((8, 8))
         prof = freq.radial_power_spectrum(freq.dft2(img), n_bins=16)
-        assert prof.n_bins == 16
-        assert len(prof.empty_bins) > 0
-        assert np.all(prof.power[prof.empty_bins] == 0.0)
+        assert len(prof.power) == 16
+        assert np.any(prof.count == 0)
+        assert np.all(prof.power[prof.count == 0] == 0.0)
+
+    @pytest.mark.parametrize("n_bins", [5, 24])
+    def test_matches_per_bin_means(self, n_bins):
+        img = SeededRng(12).normal((15, 22))
+        spec = freq.dft2(img)
+        prof = freq.radial_power_spectrum(spec, n_bins=n_bins)
+        h, w = img.shape
+        fy = np.fft.fftfreq(h) * h
+        fx = np.fft.fftfreq(w) * w
+        r = np.hypot(fy[:, None], fx[None, :])
+        nz = r > 0
+        edges = np.geomspace(r[nz].min(), r[nz].max(), n_bins + 1)
+        edges[0] *= 0.999
+        edges[-1] *= 1.001
+        for b in range(n_bins):
+            sel = nz & (r >= edges[b]) & (r < edges[b + 1])
+            assert prof.count[b] == sel.sum()
+            if sel.any():
+                np.testing.assert_allclose(prof.power[b], np.mean(np.abs(spec[sel]) ** 2), rtol=1e-12)
+                np.testing.assert_allclose(prof.mean_log_freq[b], np.mean(np.log(r[sel])), rtol=1e-12)
+            else:
+                assert prof.power[b] == prof.mean_log_freq[b] == 0.0
+        assert prof.count.sum() == h * w - 1
+        assert np.any(prof.count == 0) == (n_bins == 24)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 1)])
+    def test_single_nonzero_frequency_rejected(self, shape):
+        with pytest.raises(ValueError, match="distinct nonzero frequencies"):
+            freq.radial_power_spectrum(freq.dft2(np.ones(shape)), n_bins=2)
 
     def test_min_bins(self):
         with pytest.raises(ValueError):
@@ -131,60 +160,89 @@ class TestFitAlpha:
 
 class TestSnrCurve:
     def test_direct_value(self):
-        curve = freq.snr_curve_from_power(4.0, [1.0, 2.0, 3.0])
-        assert curve.snr[1] == 2.0
+        curve = freq.snr_curves(4.0, [1.0, 2.0, 3.0])
+        assert curve[1] == 2.0
 
     def test_power_scales_linearly(self):
         t = np.linspace(0.5, 5, 10)
-        c1 = freq.snr_curve_from_power(3.0, t)
-        c2 = freq.snr_curve_from_power(6.0, t)
-        np.testing.assert_allclose(c2.snr, 2.0 * c1.snr, rtol=1e-12)
+        c1 = freq.snr_curves(3.0, t)
+        c2 = freq.snr_curves(6.0, t)
+        np.testing.assert_allclose(c2, 2.0 * c1, rtol=1e-12)
 
     def test_trapezoid_matches_closed_form(self):
         # g(s) = s has closed-form noise energy t^3 / 3
         t = np.linspace(1e-3, 2.0, 1000)
-        curve = freq.snr_curve_from_power(1.0, t, g=lambda s: s)
+        curve = freq.snr_curves(1.0, t, g=lambda s: s)
         want = 1.0 / (t ** 3 / 3.0)
-        rel = np.abs(curve.snr - want) / want
+        rel = np.abs(curve - want) / want
         assert np.max(rel) < 1e-3
+
+    def test_vector_of_powers_stacks_scalar_curves(self):
+        t = np.geomspace(0.01, 20.0, 17)
+        powers = np.array([0.5, 3.0, 7.25, 1e-3])
+        for g in (None, 1.5, lambda s: 1.0 + s):
+            want = np.stack([freq.snr_curves(p, t, g=g) for p in powers])
+            got = freq.snr_curves(powers, t, g=g)
+            assert got.shape == (4, 17)
+            np.testing.assert_array_equal(got, want)
+
+    def test_callable_energy_matches_per_segment_loop(self):
+        t = np.geomspace(1e-3, 5.0, 40)
+        g = lambda s: np.sin(3.0 * s) + 1.5 * s
+        want, acc, start = [], 0.0, 0.0
+        for end in t:
+            s = np.linspace(start, end, 33)
+            acc += np.trapezoid(g(s) ** 2, s)
+            want.append(acc)
+            start = end
+        np.testing.assert_allclose(freq._noise_energy(g, t), want, rtol=1e-12)
 
     def test_spectrum_bin_lookup(self):
         img = np.full((8, 8), 2.0)
         spec = freq.dft2(img)
-        curve = freq.snr_curve(spec, (0, 0), [1.0, 2.0])
-        assert curve.snr[0] == (2.0 * 64) ** 2
+        curve = freq.snr_curves(abs(spec[0, 0]) ** 2, [1.0, 2.0])
+        assert curve[0] == (2.0 * 64) ** 2
 
     def test_zero_t_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            freq.snr_curve_from_power(1.0, [0.0, 1.0])
+            freq.snr_curves(1.0, [0.0, 1.0])
 
     def test_monotone_decreasing(self):
         t = np.linspace(0.1, 10, 50)
-        curve = freq.snr_curve_from_power(5.0, t, g=2.0)
-        assert np.all(np.diff(curve.snr) < 0)
+        curve = freq.snr_curves(5.0, t, g=2.0)
+        assert np.all(np.diff(curve) < 0)
 
 
 class TestCrossingTime:
     def test_exact_crossing(self):
-        curve = freq.snr_curve_from_power(4.0, [0.5, 1.0, 1.5, 2.0, 2.5])
-        assert freq.snr_crossing_time(curve, 2.0) == 2.0
+        t = [0.5, 1.0, 1.5, 2.0, 2.5]
+        assert freq.snr_crossing_time(t, freq.snr_curves(4.0, t), 2.0) == 2.0
 
     def test_threshold_above_first_sample(self):
-        curve = freq.snr_curve_from_power(4.0, [0.5, 1.0])
+        t = [0.5, 1.0]
         # SNR(0.5) = 8 <= 10 -> clamp to grid start
-        assert freq.snr_crossing_time(curve, 10.0) == 0.5
+        assert freq.snr_crossing_time(t, freq.snr_curves(4.0, t), 10.0) == 0.5
 
     def test_never_crossed(self):
-        curve = freq.snr_curve_from_power(4.0, [0.5, 1.0])
-        assert freq.snr_crossing_time(curve, 1e-6) == math.inf
+        t = [0.5, 1.0]
+        assert freq.snr_crossing_time(t, freq.snr_curves(4.0, t), 1e-6) == math.inf
 
     def test_interpolated_crossing(self):
         # SNR(t) = 4/t crosses 3 at t = 4/3; grid straddles it
-        curve = freq.snr_curve_from_power(4.0, [1.0, 2.0])
-        t_star = freq.snr_crossing_time(curve, 3.0)
+        t = [1.0, 2.0]
+        t_star = freq.snr_crossing_time(t, freq.snr_curves(4.0, t), 3.0)
         assert 1.0 < t_star < 2.0
         # linear interpolation between (1, 4) and (2, 2): t* = 1.5
         assert abs(t_star - 1.5) < 1e-12
+
+    def test_one_curve_per_call(self):
+        t = [1.0, 2.0]
+        with pytest.raises(ValueError, match="one curve"):
+            freq.snr_crossing_time(t, freq.snr_curves([4.0, 5.0], t), 3.0)
+        with pytest.raises(ValueError, match="one curve"):
+            freq.snr_crossing_time(t, [4.0, 2.0, 1.0], 3.0)
+        with pytest.raises(ValueError, match="one curve"):
+            freq.snr_crossing_time([], [], 3.0)
 
     def test_crossing_ordering_on_natural_images(self):
         # Core frequency claim: higher |w| crosses a fixed SNR threshold earlier.
@@ -195,9 +253,9 @@ class TestCrossingTime:
             alpha = 1.0 + 2.0 * (s / (n - 1))
             img = freq.power_law_image(128, alpha, seed=s)
             prof = freq.radial_power_spectrum(freq.dft2(img), n_bins=6)
-            curves = freq.radial_snr_curves(prof, t)
-            thr = np.median([c.snr[len(t) // 2] for c in curves])
-            t_stars = [freq.snr_crossing_time(c, thr) for c in curves]
+            curves = freq.snr_curves(prof.power[prof.count > 0], t)
+            thr = np.median(curves[:, len(t) // 2])
+            t_stars = [freq.snr_crossing_time(t, c, thr) for c in curves]
             if all(b <= a + 1e-12 for a, b in zip(t_stars, t_stars[1:])):
                 ok += 1
         assert ok >= 0.95 * n

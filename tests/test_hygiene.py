@@ -99,10 +99,10 @@ def test_package_module_table_matches_submodules():
 # them, per module, each for a reason of its own.
 REACHABILITY_EXEMPT = {
     # the frequency/SNR analysis of noise injection: the planned spectral
-    # probes of the fusion terms read these, and the closed-form SNR tests
+    # probes of the fusion terms call these, and the closed-form SNR tests
     # pin them
-    "freq.py": {"dft2", "idft2", "radial_power_spectrum", "fit_alpha", "snr_curve",
-                "radial_snr_curves", "snr_crossing_time", "power_law_image"},
+    "freq.py": {"dft2", "radial_power_spectrum", "fit_alpha", "snr_curves",
+                "snr_crossing_time", "power_law_image"},
     # OBJ I/O: the way to bring an outside mesh to the renderer and the
     # sharp-edge statistics; primitive meshes with known sharp-edge counts
     # and normals, the fixtures of the rasterizer and edge tests
@@ -193,10 +193,6 @@ def test_reachability_exemptions_are_defined():
 # Class members kept though nothing in src/ or benchmarks/ reads them, as
 # "module:Class.member", each group for a reason of its own.
 MEMBER_EXEMPT = {
-    # the frequency/SNR analysis of noise injection (see REACHABILITY_EXEMPT):
-    # the frequency tells apart the curves radial_snr_curves returns, and
-    # the spectral probes read which bins are empty
-    "freq.py:SnrCurve.freq", "freq.py:RadialProfile.empty_bins",
     # the paper's dataset statistic: mean and median sharp edges per object
     "geom.py:DatasetStats.n_objects", "geom.py:DatasetStats.mean_sharp_edges",
     "geom.py:DatasetStats.median_sharp_edges",
@@ -281,8 +277,9 @@ def test_member_exemptions_are_unread_members():
 # parameter"), each group for a reason of its own.
 DEFAULT_EXEMPT = {
     # the frequency/SNR analysis of noise injection: the planned spectral
-    # probes choose these, and the closed-form SNR tests sweep them
-    "freq.py:radial_power_spectrum.n_bins", "freq.py:snr_curve.g", "freq.py:radial_snr_curves.g",
+    # probes choose the bins and the noise scale, and the closed-form SNR
+    # tests sweep these
+    "freq.py:radial_power_spectrum.n_bins", "freq.py:snr_curves.g",
     "freq.py:power_law_image.seed", "freq.py:power_law_image.random_amplitude",
     # the perspective camera and its field of view, and the orthographic
     # width: the rasterizer oracle tests render with them

@@ -177,6 +177,7 @@ class TestTrainConfigValidation:
         ("steps", 0), ("steps", True), ("batch_size", 0), ("batch_size", 2.0), ("batch_size", True),
         ("log_every", 0), ("log_every", -1), ("log_every", True),
         ("lr", 0.0), ("lr", float("nan")), ("weight_decay", -1e-3), ("weight_decay", float("inf")),
+        ("lr", True), ("lr", np.True_), ("weight_decay", True), ("weight_decay", np.True_),
     ])
     def test_bad_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"TrainConfig.{field} "):

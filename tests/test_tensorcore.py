@@ -591,12 +591,27 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
     def test_non_finite_value_names_path_and_parameter(self, tmp_path, bad):
         path = tmp_path / "model.nblb"
-        save_checkpoint(path, {"a": Tensor(np.ones(2)), "b": Tensor(np.array([1.0, bad]))})
+        save_checkpoint(path, {"a": Tensor(np.ones(2)), "b": Tensor(np.array([1.0, 2.0]))})
+        # the saver refuses a non-finite value, so write it over b's last entry
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
         params = {"a": Tensor(np.zeros(2)), "b": Tensor(np.zeros(2))}
         with pytest.raises(ValueError, match="parameter 'b' has a non-finite value") as err:
             tc.load_into(path, params)
         assert str(path) in str(err.value)
         assert not any(p.data.any() for p in params.values())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_save_refuses_non_finite_value_and_keeps_file(self, tmp_path, bad):
+        path = tmp_path / "model.nblb"
+        save_checkpoint(path, {"a": Tensor(np.ones(2))})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="parameter 'b' has a non-finite value") as err:
+            save_checkpoint(path, {"a": Tensor(np.zeros(2)), "b": np.array([1.0, bad])})
+        assert str(path) in str(err.value)
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError, match="'b'"):
+            save_checkpoint(tmp_path / "new.nblb", {"b": np.array(bad)})
+        assert not (tmp_path / "new.nblb").exists()
 
     def test_load_into_assigns_every_parameter(self, tmp_path):
         rng = SeededRng(13)
