@@ -58,6 +58,8 @@ _LEVELS = (3, 2, 1, 0)
 _PREDICT_CHUNK = 2
 # SNE dilation radius of evaluate_model, in pixels
 _SNE_RADIUS = 2
+# negative-side slope of every LeakyReLU in the encoders and the decoder
+_LEAKY_SLOPE = 0.1
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,12 @@ class _Encoder:
         self.norm3 = GroupNorm(c3)
 
     def __call__(self, x: Tensor) -> list[Tensor]:
-        s = self.stem_b(self.stem_a(x).leaky_relu(0.1))
-        f0 = self.norm0(s).leaky_relu(0.1)
-        f1 = self.norm1(self.down1(f0)).leaky_relu(0.1)
-        f2 = self.norm2(self.down2(f1)).leaky_relu(0.1)
-        f3 = self.norm3(self.down3(f2)).leaky_relu(0.1)
+        # each norm applies its LeakyReLU in the same graph node
+        s = self.stem_b(self.stem_a(x).leaky_relu(_LEAKY_SLOPE))
+        f0 = self.norm0(s, _LEAKY_SLOPE)
+        f1 = self.norm1(self.down1(f0), _LEAKY_SLOPE)
+        f2 = self.norm2(self.down2(f1), _LEAKY_SLOPE)
+        f3 = self.norm3(self.down3(f2), _LEAKY_SLOPE)
         return [f0, f1, f2, f3]
 
     def layers(self, prefix):
@@ -244,7 +247,7 @@ class DualStreamModel:
                 skip = clean_feats[k] + self.fuse[k](skip)
             if x is not None:
                 skip = concat([upsample_nearest(x), skip], axis=1)
-            x = self.dec[k](skip).leaky_relu(0.1)
+            x = self.dec[k](skip).leaky_relu(_LEAKY_SLOPE)
         raw = self.head(x)
         if return_raw:
             return raw

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import SeededRng
-from .tensor import Tensor, conv2d
+from .tensor import Tensor, _check_slope, _leaky_relu_grad, conv2d
 
 __all__ = ["Conv2d", "GroupNorm", "group_norm", "collect_params", "l2_normalize"]
 
@@ -34,8 +34,10 @@ class Conv2d:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
-def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Group normalization over [N,C,H,W], one graph node.
+def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor,
+               slope: float | None = None) -> Tensor:
+    """Group normalization over [N,C,H,W], one graph node, with an
+    optional LeakyReLU folded in.
 
     Each sample's channels split into ``num_groups`` groups of ``m``
     values; a group is normalized to ``x_hat = (x - mean) / std`` with
@@ -47,10 +49,19 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor) -> Tenso
     ``dx = (dn - mean(dn) - x_hat * mean(dn * x_hat)) / std``;
     ``dgamma = sum(dy * x_hat)`` and ``dbeta = sum(dy)`` over the batch
     and the pixels.
+
+    With a ``slope`` the node also applies ``Tensor.leaky_relu(slope)``
+    in place on ``y``, so a norm and its activation are one node.
+    Backward then takes ``dy`` as the output gradient times the
+    activation's derivative, ``fmax(sign(out), slope)``, read from the
+    activated output. Output and gradients have the bits of
+    ``group_norm(x, num_groups, gamma, beta).leaky_relu(slope)``.
     """
     n, c, h, w = x.shape
     if c % num_groups:
         raise ValueError(f"channels {c} not divisible by {num_groups} groups")
+    if slope is not None:
+        _check_slope(slope)
     m = (c // num_groups) * h * w
     g = x.data.reshape(n, num_groups, m)
     mu = g.sum(axis=2, keepdims=True) * (1.0 / m)
@@ -62,10 +73,12 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor) -> Tenso
     gamma4 = gamma.data.reshape(1, c, 1, 1)
     data = xhat4 * gamma4
     data += beta.data.reshape(1, c, 1, 1)
+    if slope is not None:
+        np.maximum(data, data * slope, out=data)
     out = Tensor._result(data, (x, gamma, beta), "group_norm")
 
     def bwd():
-        dy = out.grad
+        dy = out.grad if slope is None else _leaky_relu_grad(out.grad, out.data, slope)
         if gamma.requires_grad or gamma._parents:
             gamma._accumulate(Tensor._unbroadcast(dy * xhat4, (1, c, 1, 1)).reshape(c))
         if beta.requires_grad or beta._parents:
@@ -84,14 +97,15 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor) -> Tenso
 
 
 class GroupNorm:
-    """Group normalization with one group (over a sample's whole [C,H,W])."""
+    """Group normalization with one group (over a sample's whole [C,H,W]),
+    followed by a LeakyReLU of ``slope`` in the same graph node."""
 
     def __init__(self, num_channels: int):
         self.gamma = Tensor(np.ones(num_channels), requires_grad=True)
         self.beta = Tensor(np.zeros(num_channels), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return group_norm(x, 1, self.gamma, self.beta)
+    def __call__(self, x: Tensor, slope: float) -> Tensor:
+        return group_norm(x, 1, self.gamma, self.beta, slope)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}

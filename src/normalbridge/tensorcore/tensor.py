@@ -23,9 +23,19 @@ gradient, to several parents. A leaf's ``grad`` may share its buffer
 with another tensor's or be a read-only view; copy it before writing
 into it.
 
+Buffers shared with inputs. An op may keep a view of an input's
+``data`` instead of a copy (``conv2d`` keeps a width-one kernel's input
+as its phase image), and the output of ``nn.group_norm`` is activated in
+place before it becomes a tensor. Op inputs are never written, so a
+tensor's ``data`` must not be changed while a graph that reads it is
+alive.
+
 Conventions fixed here once and relied on by tests:
   * all buffers are float64,
   * ``conv2d`` computes cross-correlation (no kernel flip),
+  * ``leaky_relu`` takes a slope with ``0 < slope < 1`` and is
+    ``max(x, slope * x)``, the bits of ``np.where(x > 0, x, slope * x)``;
+    its derivative is read back from the output, so no mask is stored,
   * broadcasting follows numpy; gradients are summed back to the
     un-broadcast shape.
 """
@@ -211,17 +221,20 @@ class Tensor:
         out._set_backward(lambda: self._accumulate(out.grad * 0.5 / out.data))
         return out
 
-    def leaky_relu(self, slope: float = 0.01):
-        # the derivative, 1 where x > 0 and slope elsewhere (NaN included), by
-        # a branch-free table lookup; x * factor has the bits of
-        # np.where(x > 0, x, slope * x), and backward reuses the factor
-        factor = np.array([slope, 1.0])[(self.data > 0.0).view(np.uint8)]
-        out = Tensor._result(self.data * factor, (self,), "leaky_relu")
+    def leaky_relu(self, slope: float):
+        """``max(x, slope * x)``; any slope outside ``0 < slope < 1`` raises.
 
-        def bwd():
-            self._accumulate(out.grad * factor)
-
-        out._set_backward(bwd)
+        In that range it has the bits of ``np.where(x > 0, x, slope * x)``
+        on every float64 (signed zeros, subnormals, infinities and NaN
+        included), and backward multiplies the gradient by
+        ``fmax(sign(out), slope)``, the bits of ``np.where(x > 0, 1,
+        slope)``, read from the output; nothing else is stored.
+        """
+        _check_slope(slope)
+        data = self.data * slope
+        np.maximum(self.data, data, out=data)
+        out = Tensor._result(data, (self,), "leaky_relu")
+        out._set_backward(lambda: self._accumulate(_leaky_relu_grad(out.grad, out.data, slope)))
         return out
 
     # -- reductions -------------------------------------------------------
@@ -264,6 +277,34 @@ class Tensor:
 
         out._set_backward(bwd)
         return out
+
+
+# -- LeakyReLU ------------------------------------------------------------
+
+
+def _check_slope(slope: float) -> None:
+    """LeakyReLU slopes are limited to ``0 < slope < 1``.
+
+    There ``max(x, slope * x)`` has the bits of ``np.where(x > 0, x,
+    slope * x)`` on every float64, signed zeros, subnormals, infinities
+    and NaN included, and ``out > 0`` exactly where ``x > 0``. A negative
+    slope differs at -0.0 and makes ``out`` positive where ``x < 0``, a
+    slope above 1 picks the other branch, and 0 and 1 are not leaky.
+    """
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must satisfy 0 < slope < 1, got {slope!r}")
+
+
+def _leaky_relu_grad(grad: np.ndarray, out: np.ndarray, slope: float) -> np.ndarray:
+    """``grad`` times the LeakyReLU derivative, read from the output ``out``.
+
+    ``fmax(sign(out), slope)`` is 1 where ``out > 0`` and ``slope``
+    elsewhere, NaN and both zeros included, so no mask or factor is kept
+    from the forward pass; ``out > 0`` exactly where the input was.
+    """
+    factor = np.sign(out)
+    np.fmax(factor, slope, out=factor)
+    return np.multiply(grad, factor, out=factor)
 
 
 # -- multi-input / structured ops ------------------------------------------
@@ -351,6 +392,17 @@ def conv2d(
     Every matrix product is still one per sample with the same shape,
     and the kernel gradient is still the per-sample products summed over
     the batch axis, so the results do not depend on the block size.
+
+    In place. At stride 1 and padding 0 with a kernel one column wide
+    (``kw == 1``, such as a 1x1 projection) the padded grid is the input
+    and no tap runs past it, so a C-ordered input is read as the phase
+    image without a copy and the input gradient is accumulated straight
+    into ``dx``. Whenever accumulator rows are as wide as output rows
+    (``wq == OW``; at stride 1 exactly when ``kw == 1``) the taps add
+    into the output, and backward reads the output gradient as the tap
+    operand without padding it when each sample's gradient is one
+    C-ordered block. Neither changes a bit: the matrix products and the
+    order of the additions are the same.
     """
     x = Tensor._coerce(x)
     kernel = Tensor._coerce(kernel)
@@ -373,33 +425,47 @@ def conv2d(
     span = oh * wq
     # the last tap's slice runs at most (kw - 1) // s columns past the grid
     lq = hq * wq + (kw - 1) // s
-    phases = np.zeros((n, s, s, c, lq))
-    grid = phases[..., : hq * wq].reshape(n, s, s, c, hq, wq)
-    blocks = list(_phase_blocks(h, w, s, padding))
+    # stride 1, no padding and one kernel column: the padded grid is the
+    # input itself and no tap runs past it, so the input is the phase image
+    in_place = s == 1 and padding == 0 and kw == 1
+    # accumulator rows as wide as output rows: the taps add into the output
+    direct = wq == ow
+    if in_place:
+        phases = np.ascontiguousarray(x.data).reshape(n, 1, 1, c, lq)
+    else:
+        blocks = list(_phase_blocks(h, w, s, padding))
+        phases = np.zeros((n, s, s, c, lq))
+        grid = phases[..., : hq * wq].reshape(n, s, s, c, hq, wq)
     taps = [(i, j, i % s, j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     wtaps = kernel.data.transpose(2, 3, 0, 1).copy()  # (kh, kw, K, C)
     nb = min(n, max(1, _BLOCK_BYTES // (8 * (s * s * c * lq + 2 * k * span))))
     samples = [slice(n0, min(n0 + nb, n)) for n0 in range(0, n, nb)]
 
     out_data = np.empty((n, k, oh, ow))
-    acc = np.empty((nb, k, span))
-    tmp = np.empty_like(acc)
+    tmp = np.empty((nb, k, span))
+    acc = None if direct else np.empty_like(tmp)
     for blk in samples:
         m = blk.stop - blk.start
-        for at_q, at_x in blocks:
-            grid[blk][at_q] = x.data[blk][at_x]
-        acc_b, tmp_b = acc[:m], tmp[:m]
+        if not in_place:
+            for at_q, at_x in blocks:
+                grid[blk][at_q] = x.data[blk][at_x]
+        acc_b = out_data[blk].reshape(m, k, span) if direct else acc[:m]
+        tmp_b = tmp[:m]
         for t, (i, j, a, b, off) in enumerate(taps):
             sl = phases[blk, a, b, :, off : off + span]
             if t == 0:
                 np.matmul(wtaps[i, j], sl, out=acc_b)
             else:
                 acc_b += np.matmul(wtaps[i, j], sl, out=tmp_b)
-        res = acc_b.reshape(m, k, oh, wq)[..., :ow]
-        if bias is None:
-            out_data[blk] = res
+        if direct:
+            if bias is not None:
+                out_data[blk] += bias.data.reshape(1, k, 1, 1)
         else:
-            np.add(res, bias.data.reshape(1, k, 1, 1), out=out_data[blk])
+            res = acc_b.reshape(m, k, oh, wq)[..., :ow]
+            if bias is None:
+                out_data[blk] = res
+            else:
+                np.add(res, bias.data.reshape(1, k, 1, 1), out=out_data[blk])
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = Tensor._result(out_data, parents, "conv2d")
@@ -407,30 +473,41 @@ def conv2d(
     def bwd():
         want_w = kernel.requires_grad or kernel._parents
         want_x = x.requires_grad or x._parents
-        gpad = np.zeros((nb, k, oh, wq))
+        # the output gradient is read as accumulator rows, without a copy,
+        # when each sample's gradient is one C-ordered block
+        g_direct = direct and out.grad.strides[1:] == (span * 8, ow * 8, 8)
+        gpad = None if g_direct else np.zeros((nb, k, oh, wq))
         if want_w:
             prods = np.empty((len(taps), n, k, c))
         if want_x:
             wtaps_t = wtaps.transpose(0, 1, 3, 2).copy()  # (kh, kw, C, K)
-            dx = np.empty_like(x.data)
-            dphases = np.empty((nb, s, s, c, lq))
-            dgrid = dphases[..., : hq * wq].reshape(nb, s, s, c, hq, wq)
+            dx = np.empty((n, c, h, w))
+            if in_place:
+                dphases = dx.reshape(n, 1, 1, c, lq)
+            else:
+                dphases = np.empty((nb, s, s, c, lq))
+                dgrid = dphases[..., : hq * wq].reshape(nb, s, s, c, hq, wq)
             dtmp = np.empty((nb, c, span))
         for blk in samples:
             m = blk.stop - blk.start
-            gpad[:m, ..., :ow] = out.grad[blk]
-            g = gpad[:m].reshape(m, k, span)
+            if g_direct:
+                g = out.grad[blk].reshape(m, k, span)
+            else:
+                gpad[:m, ..., :ow] = out.grad[blk]
+                g = gpad[:m].reshape(m, k, span)
             if want_w:
                 for t, (i, j, a, b, off) in enumerate(taps):
                     sl = phases[blk, a, b, :, off : off + span]
                     np.matmul(g, sl.transpose(0, 2, 1), out=prods[t, blk])
             if want_x:
-                dph = dphases[:m]
+                dph = dphases[blk] if in_place else dphases[:m]
+                # zero, then add every tap: 0.0 + p turns a -0.0 product into +0.0
                 dph.fill(0.0)
                 for i, j, a, b, off in taps:
                     dph[:, a, b, :, off : off + span] += np.matmul(wtaps_t[i, j], g, out=dtmp[:m])
-                for at_q, at_x in blocks:
-                    dx[blk][at_x] = dgrid[:m][at_q]
+                if not in_place:
+                    for at_q, at_x in blocks:
+                        dx[blk][at_x] = dgrid[:m][at_q]
         if want_w:
             dw = np.empty(kernel.shape)
             for t, (i, j, _, _, _) in enumerate(taps):

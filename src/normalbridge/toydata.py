@@ -81,9 +81,10 @@ class DomainSample:
 # -- scenes ----------------------------------------------------------------
 
 
-def _paint_primitive(h: np.ndarray, kind: str, rng: SeededRng, cell: float) -> None:
+def _paint_primitive(h: np.ndarray, kind: str, rng: SeededRng, cell: float,
+                     yy: np.ndarray, xx: np.ndarray) -> None:
+    """Union ``h`` by max with one primitive; ``yy``, ``xx`` are ``h``'s pixel coordinates."""
     size_y, size_x = h.shape
-    yy, xx = np.mgrid[0:size_y, 0:size_x].astype(np.float64)
     extent = rng.uniform(0.06, 0.12) * min(size_y, size_x)
     # narrow height spread: in dense scenes every primitive's edges must
     # clear canny's relative thresholds, not just the tallest one's
@@ -136,9 +137,10 @@ def generate_scene(
         raise ValueError(f"complexity must be in 1..10, got {complexity}")
     rng = SeededRng(seed, _STREAM_SCENE + stream)
     h = np.zeros((size, size))
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     for _ in range(complexity):
         kind = primitives[int(rng.integers(0, len(primitives)))]
-        _paint_primitive(h, kind, rng, cell_size)
+        _paint_primitive(h, kind, rng, cell_size, yy, xx)
     return Heightfield(h, cell_size)
 
 

@@ -145,6 +145,19 @@ def case_group_norm(rng):
     return lambda tx, tg, tb: p(tc.group_norm(tx, 2, tg, tb)), [x, gamma, beta]
 
 
+def case_group_norm_leaky_relu(rng):
+    # redrawn until no output sits within 0.01 of the activation's kink
+    while True:
+        x = rng.normal((2, 4, 2, 2))
+        gamma = rng.uniform(0.5, 1.5, (4,))
+        beta = rng.normal((4,))
+        y = tc.group_norm(tc.Tensor(x), 2, tc.Tensor(gamma), tc.Tensor(beta)).data
+        if np.abs(y).min() > 0.01:
+            break
+    p = _proj(rng, (2, 4, 2, 2))
+    return lambda tx, tg, tb: p(tc.group_norm(tx, 2, tg, tb, 0.1)), [x, gamma, beta]
+
+
 def case_l2_normalize(rng):
     x = _away_from(rng, (3, 3, 3), keepout=0.2)
     p = _proj(rng, (3, 3, 3))
@@ -181,6 +194,7 @@ CASES = [
     ("conv2d_nonsquare_kernel", case_conv2d_nonsquare_kernel),
     ("upsample_nearest", case_upsample),
     ("group_norm", case_group_norm),
+    ("group_norm_leaky_relu", case_group_norm_leaky_relu),
     ("l2_normalize", case_l2_normalize),
     ("composite_conv_relu_mse", case_composite_conv_relu_mse),
 ]

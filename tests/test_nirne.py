@@ -172,6 +172,21 @@ class TestModelGradient:
         assert worst < 1e-4, f"max rel err {worst:.3e}"
 
 
+class TestTrainingGraphShape:
+    def test_op_counts_of_one_training_step(self, monkeypatch):
+        # each encoder norm carries its activation (8 group_norm nodes and
+        # no leaky_relu after them), and all 19 convolutions are conv2d nodes
+        tapes = []
+        original = nirne.backward
+        monkeypatch.setattr(nirne, "backward", lambda loss: tapes.append(original(loss)))
+        real = toydata.make_dataset(2, Domain.REAL, 5, size=32)
+        nirne.train_stage1(nirne.DualStreamModel(), real, 1, 0, _config(1))
+        (ops,) = tapes
+        counts = {op: ops.count(op) for op in ("leaky_relu", "group_norm", "conv2d")}
+        assert counts == {"leaky_relu": 6, "group_norm": 8, "conv2d": 19}
+        assert len(ops) == 114
+
+
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("steps", 0), ("steps", True), ("batch_size", 0), ("batch_size", 2.0), ("batch_size", True),

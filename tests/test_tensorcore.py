@@ -135,6 +135,68 @@ class TestConv2dSampleBlocks:
         arrays = (rng.normal((3, 8, 64, 64)), rng.normal((8, 8, 3, 3)), rng.normal((8,)))
         self._assert_block_invariant(monkeypatch, arrays, stride, 1, [tc_tensor._BLOCK_BYTES])
 
+    def test_one_column_kernel_matches_whole_batch(self, monkeypatch):
+        # stride 1, no padding, one kernel column: the input is read as the
+        # phase image and the taps add straight into the output (the 1x1
+        # kernel is test_any_block_size_matches_whole_batch[*-1-1])
+        rng = SeededRng(53)
+        arrays = (rng.normal((5, 3, 9, 11)), rng.normal((4, 3, 3, 1)), rng.normal((4,)))
+        sizes = [1] + list(range(1 << 11, 1 << 17, 1 << 11))
+        self._assert_block_invariant(monkeypatch, arrays, 1, 0, sizes)
+
+
+class TestConv2dWidthOne:
+    """Kernels one column wide at stride 1 and padding 0 read the input and
+    write the output in place; no layout of either may change a bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 5), (3, 8, 16, 16), (4, 8, 64, 64)],
+                             ids=["1x3x4x5", "3x8x16x16", "4x8x64x64"])
+    def test_one_by_one_is_a_matrix_product_per_sample(self, shape):
+        rng = SeededRng(60)
+        n, c, h, w = shape
+        x, kernel, bias = rng.normal(shape), rng.normal((6, c, 1, 1)), rng.normal((6,))
+        out = conv2d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+        for i in range(n):
+            want = kernel[:, :, 0, 0] @ x[i].reshape(c, h * w) + bias[:, None]
+            np.testing.assert_array_equal(out[i], want.reshape(6, h, w))
+
+    @pytest.mark.parametrize("kh, kw", [(3, 1), (1, 3)], ids=["3x1", "1x3"])
+    def test_one_column_and_one_row_kernels_match_oracle(self, kh, kw):
+        # only the one-column kernel reads its input in place; a wider
+        # kernel's last taps run past the flattened grid into a zero tail
+        rng = SeededRng(80)
+        x, w, b = rng.normal((2, 3, 6, 7)), rng.normal((4, 3, kh, kw)), rng.normal((4,))
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert np.max(np.abs(got - conv2d_oracle(x, w, b))) < 1e-12
+
+    @staticmethod
+    def _grads(x0, w0, b0, head):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        out = conv2d(x, w, b)
+        backward(head(out))
+        return out.data, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("kh", [1, 3], ids=["1x1", "3x1"])
+    def test_input_and_gradient_layouts_give_the_same_bits(self, kh):
+        rng = SeededRng(70 + kh)
+        x0, w0, b0 = rng.normal((3, 4, 7, 6)), rng.normal((5, 4, kh, 1)), rng.normal((5,))
+        oh = 7 - kh + 1
+        other = rng.normal((3, 2, oh, 6))
+        ones = np.ones((3, 5, oh, 6))
+        proj = rng.normal((3, 7, oh, 6))
+        # a contiguous input and gradient, against a Fortran-ordered input
+        # with a broadcast gradient (from sum), and against a gradient that
+        # is a per-sample block of a concat's
+        cases = [((x0, lambda o: (o * Tensor(ones)).sum()),
+                  (np.asfortranarray(x0), lambda o: o.sum())),
+                 ((x0, lambda o: (o * Tensor(proj[:, 2:])).sum()),
+                  (x0, lambda o: (tc.concat([Tensor(other), o], axis=1) * Tensor(proj)).sum()))]
+        for (x_want, head_want), (x_got, head_got) in cases:
+            want = self._grads(x_want, w0, b0, head_want)
+            got = self._grads(x_got, w0, b0, head_got)
+            for name, g, ref in zip(("out", "dx", "dW", "db"), got, want):
+                np.testing.assert_array_equal(g, ref, err_msg=name)
+
 
 def _same_bits(a, b):
     """Equal values, NaN where NaN, and the same sign on every zero."""
@@ -142,7 +204,7 @@ def _same_bits(a, b):
 
 
 class TestLeakyRelu:
-    @pytest.mark.parametrize("slope", [0.01, 0.1, 0.5, -0.2])
+    @pytest.mark.parametrize("slope", [0.01, 0.1, 0.5])
     def test_matches_where_form_on_signed_zeros_and_nan(self, slope):
         x0 = np.array([-2.0, -0.0, 0.0, 3.0, np.nan, -np.inf, np.inf, -5e-324, 5e-324, -0.0, 1.0, 0.0])
         g0 = np.array([1.5, -0.0, 2.0, -0.0, 4.0, 1.0, -1.0, 7.0, np.nan, np.nan, 0.0, -0.0])
@@ -151,6 +213,15 @@ class TestLeakyRelu:
         assert _same_bits(out.data, np.where(x0 > 0.0, x0, slope * x0))
         backward((out * Tensor(g0)).sum())
         assert _same_bits(x.grad, g0 * np.where(x0 > 0.0, 1.0, slope))
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, 1.5, float("nan")])
+    def test_slope_outside_open_unit_interval_rejected(self, slope):
+        # max(x, slope * x) is the where-form only for 0 < slope < 1
+        x = Tensor(np.ones((1, 2, 2, 2)))
+        with pytest.raises(ValueError, match=f"got {slope!r}"):
+            x.leaky_relu(slope)
+        with pytest.raises(ValueError, match=f"got {slope!r}"):
+            tc.group_norm(x, 1, Tensor(np.ones(2)), Tensor(np.zeros(2)), slope)
 
 
 class TestGroupNorm:
@@ -175,13 +246,39 @@ class TestGroupNorm:
             rel = np.max(np.abs(g - w)) / np.max(np.abs(w))
             assert rel <= 1e-12, f"{name}: relative difference {rel:.2e}"
 
+    @pytest.mark.parametrize("shape", [(3, 6, 5, 7), (1, 6, 9, 3)], ids=["3x6x5x7", "1x6x9x3"])
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_folded_leaky_relu_matches_norm_then_where_form(self, groups, shape):
+        slope = 0.1
+        rng = SeededRng(30 + groups)
+        c = shape[1]
+        x0 = rng.normal(shape) * 2.0 + 0.5
+        gamma0 = rng.uniform(0.5, 1.5, (c,))
+        beta0 = rng.normal((c,))
+        proj = rng.normal(shape)
+        x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (x0, gamma0, beta0))
+        out = tc.group_norm(x, groups, gamma, beta, slope)
+        backward((out * Tensor(proj)).sum())
+        # the unfused norm, activated by the where-form; its gradient is the
+        # where-form derivative times proj
+        rx, rgamma, rbeta = (Tensor(a.copy(), requires_grad=True) for a in (x0, gamma0, beta0))
+        y = tc.group_norm(rx, groups, rgamma, rbeta)
+        pos = y.data > 0.0
+        assert pos.any() and not pos.all()
+        backward((y * Tensor(proj * np.where(pos, 1.0, slope))).sum())
+        assert _same_bits(out.data, np.where(pos, y.data, slope * y.data))
+        for name, g, w in zip(("dx", "dgamma", "dbeta"), (x.grad, gamma.grad, beta.grad),
+                              (rx.grad, rgamma.grad, rbeta.grad)):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
     def test_one_graph_node(self):
-        x = Tensor(np.arange(24.0).reshape(1, 4, 2, 3), requires_grad=True)
-        gamma = Tensor(np.ones(4), requires_grad=True)
-        beta = Tensor(np.zeros(4), requires_grad=True)
-        out = tc.group_norm(x, 2, gamma, beta)
-        assert out._op == "group_norm" and out._parents == (x, gamma, beta)
-        assert len(backward(out.sum())) == 5  # three leaves, the node and the sum
+        for slope in (None, 0.1):  # a folded activation adds no node
+            x = Tensor(np.arange(24.0).reshape(1, 4, 2, 3), requires_grad=True)
+            gamma = Tensor(np.ones(4), requires_grad=True)
+            beta = Tensor(np.zeros(4), requires_grad=True)
+            out = tc.group_norm(x, 2, gamma, beta, slope)
+            assert out._op == "group_norm" and out._parents == (x, gamma, beta)
+            assert len(backward(out.sum())) == 5  # three leaves, the node and the sum
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
