@@ -20,7 +20,7 @@ per-pixel nearest-triangle oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,6 @@ class TriMesh:
     vertices: np.ndarray          # (V, 3) float64, world units
     faces: np.ndarray             # (F, 3) int64, CCW outward
     vertex_norms: np.ndarray | None = None  # (V, 3), finite, no zero row
-    n_dropped_faces: int = 0
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -82,9 +81,10 @@ class TriMesh:
 def load_obj(source) -> TriMesh:
     """Parse the ASCII OBJ subset v / vn / f; fans are triangulated.
 
-    Degenerate faces (repeated vertices or zero area) are dropped and
-    counted on the returned mesh. Malformed input, a non-finite vertex
-    coordinate included, raises with its line number.
+    Degenerate faces are dropped: those whose edge cross product has
+    zero norm, which covers repeated vertices, collinear corners and
+    faces so small that the norm underflows. Malformed input, a
+    non-finite vertex coordinate included, raises with its line number.
 
     Each vertex takes the normal that its face corners name (``f v//vn``
     or ``f v/vt/vn``). A corner that names a zero or non-finite normal
@@ -109,7 +109,6 @@ def load_obj(source) -> TriMesh:
     face_idx: list[tuple[int, int, int]] = []
     corner_normal: dict[int, int] = {}  # vertex -> the vn its corners name
     normals_bound = True
-    dropped = 0
 
     def index(tok: str, n: int, what: str) -> int:
         idx = int(tok)
@@ -160,27 +159,13 @@ def load_obj(source) -> TriMesh:
             raise ValueError(f"OBJ parse error at line {lineno}: {exc}") from None
 
     v = np.asarray(verts, dtype=np.float64).reshape(-1, 3)
-    kept = []
-    for f in face_idx:
-        a, b, c = f
-        if a == b or b == c or a == c:
-            dropped += 1
-            continue
-        area2 = np.linalg.norm(np.cross(v[b] - v[a], v[c] - v[a]))
-        if area2 == 0.0:
-            dropped += 1
-            continue
-        kept.append(f)
     vertex_norms = None
     if normals_bound and corner_normal:
         vertex_norms = np.tile([0.0, 0.0, 1.0], (len(v), 1))
         vertex_norms[list(corner_normal)] = np.asarray(norms, dtype=np.float64)[list(corner_normal.values())]
-    return TriMesh(
-        v,
-        np.asarray(kept, dtype=np.int64).reshape(-1, 3),
-        vertex_norms=vertex_norms,
-        n_dropped_faces=dropped,
-    )
+    mesh = TriMesh(v, face_idx, vertex_norms=vertex_norms)
+    mesh.faces = mesh.faces[np.linalg.norm(_face_cross(mesh), axis=1) != 0.0]
+    return mesh
 
 
 def save_obj(path, mesh: TriMesh) -> None:
@@ -542,21 +527,16 @@ def sharp_edge_report(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> Sh
 
 @dataclass
 class DatasetStats:
-    n_objects: int
-    mean_sharp_edges: float
-    median_sharp_edges: float
-    counts: list[int] = field(default_factory=list)
+    counts: list[int]
 
 
 def dataset_stats(meshes) -> DatasetStats:
-    """Mean/median sharp-edge counts at the default 30-degree threshold;
-    median is the lower middle for even n."""
+    """Sharp-edge count of each mesh, in order, at the default 30-degree
+    threshold."""
     counts = [sharp_edge_report(m).sharp_count for m in meshes]
     if not counts:
         raise ValueError("dataset_stats needs at least one mesh")
-    ordered = sorted(counts)
-    median = ordered[(len(ordered) - 1) // 2]
-    return DatasetStats(len(counts), float(np.mean(counts)), float(median), counts)
+    return DatasetStats(counts)
 
 
 # -- primitive meshes -----------------------------------------------------------

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 SENTINEL_NORMAL = np.array([0.0, 0.0, 1.0])
+# largest deviation from unit length that NormalMap.validate_unit accepts
+_UNIT_TOL = 1e-6
 
 
 @dataclass
@@ -58,17 +60,17 @@ class Heightfield:
 
 @dataclass
 class NormalMap:
-    """H x W field of unit 3-vectors plus a foreground mask."""
+    """H x W field of finite unit 3-vectors plus a foreground mask."""
 
     vectors: np.ndarray
-    mask: np.ndarray = None
+    mask: np.ndarray
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 3 or self.vectors.shape[2] != 3:
             raise ValueError(f"vectors must be HxWx3, got {self.vectors.shape}")
-        if self.mask is None:
-            self.mask = np.ones(self.vectors.shape[:2], dtype=bool)
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("normal map contains non-finite vectors")
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.shape != self.vectors.shape[:2]:
             raise ValueError("mask shape does not match vectors")
@@ -77,9 +79,9 @@ class NormalMap:
     def shape(self) -> tuple[int, int]:
         return self.vectors.shape[:2]
 
-    def validate_unit(self, tol: float = 1e-6) -> None:
+    def validate_unit(self) -> None:
         norms = np.linalg.norm(self.vectors[self.mask], axis=-1)
-        if norms.size and np.max(np.abs(norms - 1.0)) > tol:
+        if norms.size and np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
             raise ValueError("foreground normals are not unit length")
 
 
@@ -90,13 +92,12 @@ def encode_normal_image(nm: NormalMap) -> np.ndarray:
     return img
 
 
-def decode_normal_image(img: np.ndarray, mask: np.ndarray | None = None) -> NormalMap:
-    """Invert :func:`encode_normal_image`; decoded vectors are re-normalized."""
+def decode_normal_image(img: np.ndarray, mask: np.ndarray) -> NormalMap:
+    """Invert :func:`encode_normal_image` under the foreground ``mask``;
+    decoded vectors are re-normalized."""
     v = img.astype(np.float64) / 255.0 * 2.0 - 1.0
     n = np.linalg.norm(v, axis=-1, keepdims=True)
     v = np.where(n > 1e-12, v / np.maximum(n, 1e-12), SENTINEL_NORMAL)
-    if mask is None:
-        mask = np.ones(img.shape[:2], dtype=bool)
     v[~mask] = SENTINEL_NORMAL
     return NormalMap(v, mask)
 

@@ -77,12 +77,10 @@ def scaled_dilation_radius(height: int) -> int:
     return max(1, round(DEFAULT_DILATION_RADIUS * height / REFERENCE_RESOLUTION))
 
 
-def normal_error(pred: NormalMap, gt: NormalMap, mask: np.ndarray | None = None) -> float:
-    """Mean angular deviation in degrees over ``mask`` (defaults to joint foreground)."""
+def normal_error(pred: NormalMap, gt: NormalMap, mask: np.ndarray) -> float:
+    """Mean angular deviation in degrees over ``mask``."""
     if pred.shape != gt.shape:
         raise ValueError(f"normal map shapes differ: {pred.shape} vs {gt.shape}")
-    if mask is None:
-        mask = pred.mask & gt.mask
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("empty mask: normal error undefined")
@@ -190,9 +188,9 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
     """Edge mask of a NormalMap (encoded rgb, per-channel union) or float image.
 
     Accepts a NormalMap, an HxWx3 float image in [0,1], or an HxW gray
-    image. Per-channel masks are unioned so pure-direction discontinuities
-    with equal luminance still register. A channel whose gradient is zero
-    everywhere adds nothing.
+    image; a non-finite pixel raises. Per-channel masks are unioned so
+    pure-direction discontinuities with equal luminance still register. A
+    channel whose gradient is zero everywhere adds nothing.
     """
     if not (0.0 < low < high):
         raise ValueError("need 0 < low < high")
@@ -200,6 +198,8 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
         img = encode_normal_image(source).astype(np.float64) / 255.0
     else:
         img = np.asarray(source, dtype=np.float64)
+        if not np.isfinite(img).all():
+            raise ValueError("canny: image contains non-finite values")
     if img.ndim not in (2, 3):
         raise ValueError(f"unsupported image shape {img.shape}")
     out = np.zeros(img.shape[:2], dtype=bool)

@@ -2,17 +2,19 @@
 
 Two encoders with identical architecture but independent weights read
 the same image. During training the "noisy" stream's features receive
-scaled Gaussian noise (sigma log-uniform per sample), biasing it toward
-high-frequency structure that survives corruption; the clean stream
-keeps low-frequency reliability. The decoder upsamples from the clean
-stream's skips while the noisy stream enters through per-level 1x1
-fusion projections added to each decoder block, so the noisy path is a
-residual detail channel that can be fine-tuned alone.
+scaled Gaussian noise (one sigma per sample, log-uniform and shared by
+every feature level, times a fresh standard normal draw per level),
+biasing it toward high-frequency structure that survives corruption;
+the clean stream keeps low-frequency reliability. The decoder upsamples
+from the clean stream's skips while the noisy stream enters through
+per-level 1x1 fusion projections added to each decoder block, so the
+noisy path is a residual detail channel that can be fine-tuned alone.
 
 Training is two-stage: stage 1 fits everything on real-domain data
 (noisy edge labels, broad coverage); stage 2 freezes the clean stream
 and decoder and fine-tunes only the noisy encoder and its fusion layers
-on synthetic data with exact labels. Inference never injects noise.
+on synthetic data with exact labels; both stages run one training
+body. Inference never injects noise.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "NoiseSchedule",
     "TrainConfig",
     "DualStreamModel",
-    "inject_noise",
     "train_stage1",
     "train_stage2",
     "predict_batch",
@@ -84,25 +85,6 @@ class NoiseSchedule:
     @property
     def disabled(self) -> bool:
         return self.sigma_lo == self.sigma_hi == 0.0
-
-
-def inject_noise(features: Tensor, schedule: NoiseSchedule, rng: SeededRng, sigma=None):
-    """Add sigma * N(0,1) to features; sigma log-uniform per batch sample.
-
-    Pass ``sigma`` (shape [N]) to reuse one draw across feature levels.
-    Returns (noised, sigma).
-    """
-    if schedule.disabled:
-        n = features.shape[0]
-        return features, np.zeros(n)
-    if sigma is None:
-        n = features.shape[0]
-        lo, hi = np.log(schedule.sigma_lo), np.log(schedule.sigma_hi)
-        sigma = np.exp(rng.uniform(lo, hi, (n,)))
-    eps = rng.normal(features.shape)
-    sig = sigma.reshape((-1,) + (1,) * (len(features.shape) - 1))
-    noised = features + Tensor(sig * eps)
-    return noised, sigma
 
 
 class _Encoder:
@@ -203,8 +185,10 @@ class DualStreamModel:
                   return_raw: bool = False) -> Tensor:
         """(N,3,H,W) images -> (N,3,H,W) unit normals.
 
-        Train mode injects noise on the noisy stream's encoder output
-        (one sigma per sample, shared across levels). The decoder runs
+        Train mode injects noise on the noisy stream's encoder output: it
+        draws one sigma per sample, log-uniform in the schedule's band and
+        shared by the levels, then adds sigma times one standard normal
+        draw per level, levels in order 0 -> 3. The decoder runs
         levels 3 -> 0; level k's skip is ``clean_k + fuse_k(noisy_k)``,
         or ``noisy_k`` in the single-stream ablation, and below level 3
         it is concatenated after the upsampled output of level k+1.
@@ -231,12 +215,9 @@ class DualStreamModel:
         else:
             noisy_feats = self.noisy_enc(images)
         if inject:
-            sigma = None
-            injected = []
-            for f in noisy_feats:
-                f2, sigma = inject_noise(f, self.schedule, rng, sigma)
-                injected.append(f2)
-            noisy_feats = injected
+            lo, hi = np.log(self.schedule.sigma_lo), np.log(self.schedule.sigma_hi)
+            sigma = np.exp(rng.uniform(lo, hi, (n,)))[:, None, None, None]
+            noisy_feats = [f + Tensor(sigma * rng.normal(f.shape)) for f in noisy_feats]
         x = None
         for k in _LEVELS:
             skip = noisy_feats[k]
@@ -281,14 +262,6 @@ class TrainConfig:
                 f"TrainConfig.weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
 
-def _stage_config(steps: int, config: TrainConfig | None) -> TrainConfig:
-    if config is None:
-        return TrainConfig(steps=steps)
-    if config.steps != steps:
-        raise ValueError(f"steps={steps} disagrees with config.steps={config.steps}")
-    return config
-
-
 def _batch_arrays(samples: list[DomainSample], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     imgs = np.stack([samples[i].image.transpose(2, 0, 1) for i in idx])
     tgts = np.stack([samples[i].normal_gt.vectors.transpose(2, 0, 1) for i in idx])
@@ -328,43 +301,46 @@ def _train_loop(model, dataset, seed, trainable: dict[str, Tensor],
     return logs
 
 
-def train_stage1(model: DualStreamModel, real_dataset: list[DomainSample], steps: int,
-                 seed: int, config: TrainConfig | None = None) -> list[dict]:
-    """Both streams and the decoder, on real-domain (noisy-label) data."""
-    config = _stage_config(steps, config)
-    if not real_dataset:
+def _train_stage(stage: int, model: DualStreamModel, dataset: list[DomainSample], steps: int,
+                 seed: int, config: TrainConfig) -> list[dict]:
+    """Stage 1 trains every parameter, stage 2 ``stage2_trainable_names``
+    with the rest frozen for the call, from random streams ``100 * stage``
+    and the next; every check runs before the first step."""
+    if config.steps != steps:
+        raise ValueError(f"steps={steps} disagrees with config.steps={config.steps}")
+    if not dataset:
         raise ValueError("empty dataset")
-    if any(s.domain is not Domain.REAL for s in real_dataset):
-        raise ValueError("stage 1 expects real-domain samples")
-    logs = _train_loop(model, real_dataset, seed, model.named_parameters(), config, 100)
-    model.stage_trained = max(model.stage_trained, 1)
-    return logs
-
-
-def train_stage2(model: DualStreamModel, synth_dataset: list[DomainSample], steps: int,
-                 seed: int, config: TrainConfig | None = None) -> list[dict]:
-    """Noisy stream + fusion only, on synthetic (exact-label) data."""
-    config = _stage_config(steps, config)
-    if not synth_dataset:
-        raise ValueError("empty dataset")
-    if any(s.domain is not Domain.SYNTH for s in synth_dataset):
-        raise ValueError("stage 2 expects synthetic-domain samples")
-    if model.stage_trained < 1:
+    domain, label = (Domain.REAL, "real") if stage == 1 else (Domain.SYNTH, "synthetic")
+    if any(s.domain is not domain for s in dataset):
+        raise ValueError(f"stage {stage} expects {label}-domain samples")
+    if stage == 2 and model.stage_trained < 1:
         warnings.warn("stage 2 called before stage 1; fine-tuning an untrained clean stream")
     params = model.named_parameters()
-    trainable = {k: params[k] for k in sorted(model.stage2_trainable_names())}
+    trainable = params if stage == 1 else {k: params[k] for k in sorted(model.stage2_trainable_names())}
     frozen = sorted(set(params) - set(trainable))
     # dropping requires_grad takes the clean stream out of the graph and
     # skips weight-gradient work for the frozen decoder
     for name in frozen:
         params[name].requires_grad = False
     try:
-        logs = _train_loop(model, synth_dataset, seed, trainable, config, 200)
+        logs = _train_loop(model, dataset, seed, trainable, config, 100 * stage)
     finally:
         for name in frozen:
             params[name].requires_grad = True
-    model.stage_trained = max(model.stage_trained, 2)
+    model.stage_trained = max(model.stage_trained, stage)
     return logs
+
+
+def train_stage1(model: DualStreamModel, real_dataset: list[DomainSample], steps: int,
+                 seed: int, config: TrainConfig) -> list[dict]:
+    """Both streams and the decoder, on real-domain (noisy-label) data."""
+    return _train_stage(1, model, real_dataset, steps, seed, config)
+
+
+def train_stage2(model: DualStreamModel, synth_dataset: list[DomainSample], steps: int,
+                 seed: int, config: TrainConfig) -> list[dict]:
+    """Noisy stream + fusion only, on synthetic (exact-label) data."""
+    return _train_stage(2, model, synth_dataset, steps, seed, config)
 
 
 def predict_batch(model: DualStreamModel, samples: list[DomainSample]) -> list[NormalMap]:

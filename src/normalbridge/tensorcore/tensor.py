@@ -360,11 +360,12 @@ def _phase_blocks(h: int, w: int, stride: int, padding: int):
 def conv2d(
     x: Tensor,
     kernel: Tensor,
-    bias: Optional[Tensor] = None,
+    bias: Tensor,
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D cross-correlation of ``x`` [N,C,H,W] with ``kernel`` [K,C,kh,kw].
+    """2-D cross-correlation of ``x`` [N,C,H,W] with ``kernel`` [K,C,kh,kw],
+    plus ``bias`` [K].
 
     Differentiable w.r.t. input, kernel and bias. The kernel is applied
     as stored (cross-correlation); tests pin that definition against a
@@ -397,16 +398,15 @@ def conv2d(
     (``kw == 1``, such as a 1x1 projection) the padded grid is the input
     and no tap runs past it, so a C-ordered input is read as the phase
     image without a copy and the input gradient is accumulated straight
-    into ``dx``. Whenever accumulator rows are as wide as output rows
-    (``wq == OW``; at stride 1 exactly when ``kw == 1``) the taps add
-    into the output, and backward reads the output gradient as the tap
-    operand without padding it when each sample's gradient is one
-    C-ordered block. Neither changes a bit: the matrix products and the
-    order of the additions are the same.
+    into ``dx``. Accumulator rows are then as wide as output rows
+    (``wq == OW``), so the taps add into the output, and backward reads
+    the output gradient as the tap operand without padding it when each
+    sample's gradient is one C-ordered block. None of this changes a bit:
+    the matrix products and the order of the additions are the same.
     """
     x = Tensor._coerce(x)
     kernel = Tensor._coerce(kernel)
-    bias = None if bias is None else Tensor._coerce(bias)
+    bias = Tensor._coerce(bias)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input/kernel, got {x.shape} and {kernel.shape}")
     n, c, h, w = x.shape
@@ -426,10 +426,9 @@ def conv2d(
     # the last tap's slice runs at most (kw - 1) // s columns past the grid
     lq = hq * wq + (kw - 1) // s
     # stride 1, no padding and one kernel column: the padded grid is the
-    # input itself and no tap runs past it, so the input is the phase image
+    # input itself and no tap runs past it, so the input is the phase
+    # image, and accumulator rows are output rows (wq == ow)
     in_place = s == 1 and padding == 0 and kw == 1
-    # accumulator rows as wide as output rows: the taps add into the output
-    direct = wq == ow
     if in_place:
         phases = np.ascontiguousarray(x.data).reshape(n, 1, 1, c, lq)
     else:
@@ -443,13 +442,13 @@ def conv2d(
 
     out_data = np.empty((n, k, oh, ow))
     tmp = np.empty((nb, k, span))
-    acc = None if direct else np.empty_like(tmp)
+    acc = None if in_place else np.empty_like(tmp)
     for blk in samples:
         m = blk.stop - blk.start
         if not in_place:
             for at_q, at_x in blocks:
                 grid[blk][at_q] = x.data[blk][at_x]
-        acc_b = out_data[blk].reshape(m, k, span) if direct else acc[:m]
+        acc_b = out_data[blk].reshape(m, k, span) if in_place else acc[:m]
         tmp_b = tmp[:m]
         for t, (i, j, a, b, off) in enumerate(taps):
             sl = phases[blk, a, b, :, off : off + span]
@@ -457,25 +456,20 @@ def conv2d(
                 np.matmul(wtaps[i, j], sl, out=acc_b)
             else:
                 acc_b += np.matmul(wtaps[i, j], sl, out=tmp_b)
-        if direct:
-            if bias is not None:
-                out_data[blk] += bias.data.reshape(1, k, 1, 1)
+        if in_place:
+            out_data[blk] += bias.data.reshape(1, k, 1, 1)
         else:
             res = acc_b.reshape(m, k, oh, wq)[..., :ow]
-            if bias is None:
-                out_data[blk] = res
-            else:
-                np.add(res, bias.data.reshape(1, k, 1, 1), out=out_data[blk])
+            np.add(res, bias.data.reshape(1, k, 1, 1), out=out_data[blk])
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = Tensor._result(out_data, parents, "conv2d")
+    out = Tensor._result(out_data, (x, kernel, bias), "conv2d")
 
     def bwd():
         want_w = kernel.requires_grad or kernel._parents
         want_x = x.requires_grad or x._parents
         # the output gradient is read as accumulator rows, without a copy,
         # when each sample's gradient is one C-ordered block
-        g_direct = direct and out.grad.strides[1:] == (span * 8, ow * 8, 8)
+        g_direct = in_place and out.grad.strides[1:] == (span * 8, ow * 8, 8)
         gpad = None if g_direct else np.zeros((nb, k, oh, wq))
         if want_w:
             prods = np.empty((len(taps), n, k, c))
@@ -515,7 +509,7 @@ def conv2d(
             kernel._accumulate(dw)
         if want_x:
             x._accumulate(dx)
-        if bias is not None and (bias.requires_grad or bias._parents):
+        if bias.requires_grad or bias._parents:
             bias._accumulate(out.grad.reshape(n, k, oh * ow).sum(axis=(0, 2)))
 
     out._set_backward(bwd)

@@ -262,7 +262,7 @@ def corrupt_labels_real_domain(
         theta = np.radians(rng.normal(n.shape[:1], scale=angle_noise_deg))[:, None]
         vec[band] = np.cos(theta) * n + np.sin(theta) * tan
     corrupted = NormalMap(vec, nm.mask.copy())
-    corrupted.validate_unit(1e-6)
+    corrupted.validate_unit()
     return DomainSample(sample.image, corrupted, sample.height_gt, Domain.REAL, sample.index)
 
 

@@ -112,7 +112,8 @@ def case_conv2d_stride(rng):
     x = rng.normal((2, 1, 6, 6))
     w = rng.normal((3, 1, 3, 3)) * 0.5
     p = _proj(rng, (2, 3, 2, 2))
-    return lambda tx, tw: p(tc.conv2d(tx, tw, stride=2, padding=0)), [x, w]
+    b = tc.Tensor(np.zeros(3))  # a constant bias: the fd case checks x and w
+    return lambda tx, tw: p(tc.conv2d(tx, tw, b, stride=2, padding=0)), [x, w]
 
 
 def case_conv2d_stride2_pad1_odd(rng):

@@ -33,7 +33,6 @@ class TestLoadObj:
         mesh = geom.load_obj(CUBE_OBJ)
         assert mesh.n_vertices == 8
         assert mesh.n_faces == 12  # six quads fan into twelve triangles
-        assert mesh.n_dropped_faces == 0
 
     def test_quad_becomes_two_triangles(self):
         obj = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
@@ -58,7 +57,27 @@ class TestLoadObj:
         obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\nf 1 2 3\n"
         mesh = geom.load_obj(obj)
         assert mesh.n_faces == 1
-        assert mesh.n_dropped_faces == 1
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
+    def test_face_drop_matches_per_face_loop(self):
+        # repeated vertices, collinear corners and tiny faces: a cross
+        # product below ~1.5e-162 squares to zero, so at 1e-160 the norm
+        # underflows while at 1e-80 it does not
+        verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (3, 0, 0),
+                 (1e-160, 0, 0), (0, 1e-160, 0), (1e-80, 0, 0), (0, 1e-80, 0),
+                 (3e-82, 0, 0), (0, 3e-82, 0)]
+        faces = [(1, 2, 3), (1, 1, 2), (2, 3, 2), (3, 1, 3), (1, 2, 4), (1, 4, 5),
+                 (1, 6, 7), (1, 8, 9), (1, 10, 11), (6, 7, 1), (9, 8, 1)]
+        obj = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in verts)
+        obj += "".join(f"f {a} {b} {c}\n" for a, b, c in faces)
+        mesh = geom.load_obj(obj)
+
+        v = np.asarray(verts, dtype=np.float64)
+        kept = [(a - 1, b - 1, c - 1) for a, b, c in faces
+                if len({a, b, c}) == 3
+                and np.linalg.norm(np.cross(v[b - 1] - v[a - 1], v[c - 1] - v[a - 1])) != 0.0]
+        np.testing.assert_array_equal(mesh.faces, np.asarray(kept).reshape(-1, 3))
+        assert mesh.n_faces == 3  # the unit face and the two 1e-80 faces
 
     def test_slash_indices_and_comments(self):
         obj = "# cube face\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 1\nvn 0 0 1\nf 1//1 2//2 3//3\n"
@@ -538,30 +557,18 @@ class TestSharpEdges:
 
 class TestDatasetStats:
     def test_single_mesh(self):
-        stats = geom.dataset_stats([geom.cube_mesh()])
-        assert stats.mean_sharp_edges == 12.0
-        assert stats.median_sharp_edges == 12.0
-        assert stats.n_objects == 1
+        assert geom.dataset_stats([geom.cube_mesh()]).counts == [12]
 
-    def test_mean_and_lower_median(self):
-        stats = geom.DatasetStats(3, float(np.mean([0, 12, 30])), 12.0, [0, 12, 30])
+    def test_counts_in_mesh_order(self):
         computed = geom.dataset_stats(
-            [  # counts {0, 12, 30}: coplanar pair, cube, icosahedron
+            [  # counts 0, 12, 30: coplanar pair, cube, icosahedron
                 TriMesh(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
                         np.array([[0, 1, 2], [0, 2, 3]])),
                 geom.cube_mesh(),
                 geom.icosahedron_mesh(),
             ]
         )
-        assert computed.mean_sharp_edges == stats.mean_sharp_edges == 14.0
-        assert computed.median_sharp_edges == 12.0
-
-    def test_even_count_lower_middle(self):
-        # counts sorted: [0, 12, 12, 30] -> lower middle is index 1
-        meshes = [geom.cube_mesh(), geom.cube_mesh(), geom.icosahedron_mesh(),
-                  TriMesh(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
-                          np.array([[0, 1, 2], [0, 2, 3]]))]
-        assert geom.dataset_stats(meshes).median_sharp_edges == 12.0
+        assert computed.counts == [0, 12, 30]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -630,7 +637,7 @@ class TestHeightfieldMesh:
     def test_sharp_edge_statistics_derive_no_normals(self, monkeypatch):
         calls = self._count_vertex_normals(monkeypatch)
         meshes = [bumpy_heightfield_mesh(seed=s, size=12) for s in range(3)]
-        assert geom.dataset_stats(meshes).n_objects == 3
+        assert len(geom.dataset_stats(meshes).counts) == 3
         assert calls == []
         assert all(m.vertex_norms is None for m in meshes)
 

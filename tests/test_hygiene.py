@@ -6,8 +6,10 @@ names it never binds, a package docstring whose module table has
 drifted from the submodules on disk, module-level functions and
 classes that nothing in ``src/`` or ``benchmarks/`` refers to, class
 members (methods, properties, dataclass fields and ``__init__``
-attributes) that nothing there reads, and defaulted parameters, of
-functions and methods alike, that no call there sets.
+attributes) that nothing there reads, defaulted parameters, of
+functions and methods alike, that no call there sets, and ``None``
+defaults that every call there overrides. A call that passes a
+parameter its own default literal does not set it.
 """
 
 import ast
@@ -192,13 +194,7 @@ def test_reachability_exemptions_are_defined():
 
 # Class members kept though nothing in src/ or benchmarks/ reads them, as
 # "module:Class.member", each group for a reason of its own.
-MEMBER_EXEMPT = {
-    # the paper's dataset statistic: mean and median sharp edges per object
-    "geom.py:DatasetStats.n_objects", "geom.py:DatasetStats.mean_sharp_edges",
-    "geom.py:DatasetStats.median_sharp_edges",
-    # load_obj reports what it dropped from outside input
-    "geom.py:TriMesh.n_dropped_faces",
-}
+MEMBER_EXEMPT: set[str] = set()
 
 _CONSTRUCTION = ("__init__", "__post_init__")
 
@@ -322,14 +318,15 @@ def _not_in_init(value: ast.expr | None) -> bool:
         for kw in value.keywords)
 
 
-def _defaulted_params(fn: ast.FunctionDef, skip_self: bool) -> list[tuple[str, int | None]]:
-    """(name, position) of each defaulted parameter; keyword-only ones have no position."""
+def _defaulted_params(fn: ast.FunctionDef, skip_self: bool) -> list[tuple[str, int | None, ast.expr]]:
+    """(name, position, default) of each defaulted parameter; keyword-only
+    ones have no position."""
     positional = fn.args.posonlyargs + fn.args.args
     if skip_self:
         positional = positional[1:]
     first = len(positional) - len(fn.args.defaults)
-    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
-    out += [(arg.arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    out = [(arg.arg, i, fn.args.defaults[i - first]) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None, d) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
     return out
 
 
@@ -337,59 +334,82 @@ def _is_static(fn: ast.FunctionDef) -> bool:
     return any(getattr(dec, "id", None) == "staticmethod" for dec in fn.decorator_list)
 
 
-def _settings(path: Path) -> list[tuple[str, str, str, int | None, str | None]]:
-    """(key, callee, parameter, position, own scope) of every defaulted
-    parameter of a module-level function, a class ``__init__``, a
-    dataclass init field or a method. A call from the own scope (a
+def _settings(path: Path) -> list[tuple[str, str, str, int | None, str | None, ast.expr]]:
+    """(key, callee, parameter, position, own scope, default) of every
+    defaulted parameter of a module-level function, a class ``__init__``,
+    a dataclass init field or a method. A call from the own scope (a
     function's or method's body) does not set it."""
     out = []
     for node in _tree(path).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out += [(f"{node.name}.{name}", node.name, name, pos, node.name)
-                    for name, pos in _defaulted_params(node, False)]
+            out += [(f"{node.name}.{name}", node.name, name, pos, node.name, default)
+                    for name, pos, default in _defaulted_params(node, False)]
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 if item.name == "__init__":
-                    out += [(f"{node.name}.{name}", node.name, name, pos, None)
-                            for name, pos in _defaulted_params(item, True)]
+                    out += [(f"{node.name}.{name}", node.name, name, pos, None, default)
+                            for name, pos, default in _defaulted_params(item, True)]
                 else:
                     out += [(f"{node.name}.{item.name}.{name}", item.name, name, pos,
-                             f"{node.name}.{item.name}")
-                            for name, pos in _defaulted_params(item, not _is_static(item))]
+                             f"{node.name}.{item.name}", default)
+                            for name, pos, default in _defaulted_params(item, not _is_static(item))]
             if _is_dataclass(node):
                 fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
                           and isinstance(item.target, ast.Name) and not _not_in_init(item.value)]
-                out += [(f"{node.name}.{item.target.id}", node.name, item.target.id, pos, None)
+                out += [(f"{node.name}.{item.target.id}", node.name, item.target.id, pos, None, item.value)
                         for pos, item in enumerate(fields) if item.value is not None]
     return out
 
 
-def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+def _same_literal(a: ast.expr, b: ast.expr) -> bool:
+    """Both are literals of one type and value, such as ``1e-6`` and ``1e-06``."""
+    try:
+        x, y = ast.literal_eval(a), ast.literal_eval(b)
+    except (ValueError, TypeError, SyntaxError):
+        return False  # a name, a call or another expression: not a literal
+    return type(x) is type(y) and x == y
+
+
+def _passes(call: ast.Call, param: str, position: int | None, default: ast.expr) -> bool:
+    """Whether ``call`` sets the parameter: it passes a value other than the
+    default's own literal, by keyword or by position, or ``*args`` or
+    ``**kwargs`` may carry one."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
-        return True  # *args or **kwargs may carry it
-    if any(kw.arg == param for kw in call.keywords):
         return True
-    return position is not None and len(call.args) > position
+    given = [kw.value for kw in call.keywords if kw.arg == param]
+    if not given and position is not None and len(call.args) > position:
+        given = [call.args[position]]
+    return bool(given) and not _same_literal(given[0], default)
 
 
-def _unset_defaults(package: Path, roots, exempt: set[str]) -> list[str]:
-    """Defaulted parameters of ``package`` that no call of that name under
-    ``roots`` passes, outside the callable's own body, as
-    "module:callable.parameter"."""
+def _calls_by_name(package: Path, roots) -> dict[str, list[tuple[ast.Call, Path, str | None]]]:
+    """(call, file, scope) of every call under ``roots``, by the called name."""
     calls = {}
     for node, path, _, scope, _ in _scoped_nodes(package, roots):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if name:
                 calls.setdefault(name, []).append((node, path, scope))
+    return calls
+
+
+def _outside_calls(calls, callee: str, path: Path, own: str | None) -> list[ast.Call]:
+    return [call for call, at, scope in calls.get(callee, []) if (at, scope) != (path, own)]
+
+
+def _unset_defaults(package: Path, roots, exempt: set[str]) -> list[str]:
+    """Defaulted parameters of ``package`` that no call of that name under
+    ``roots`` sets, outside the callable's own body, as
+    "module:callable.parameter"."""
+    calls = _calls_by_name(package, roots)
     unset = []
     for path, rel in _modules(package):
-        for key, callee, param, position, own in _settings(path):
+        for key, callee, param, position, own, default in _settings(path):
             if f"{rel}:{key}" not in exempt and not any(
-                    _passes(call, param, position) for call, at, scope in calls.get(callee, [])
-                    if (at, scope) != (path, own)):
+                    _passes(call, param, position, default)
+                    for call in _outside_calls(calls, callee, path, own)):
                 unset.append(f"{rel}:{key}")
     return unset
 
@@ -401,9 +421,11 @@ def test_every_default_is_set():
     of that name in src/ or benchmarks/ outside its own body; a setting no
     caller sets is a constant.
 
-    Calls are matched by name, so a call such as ``rng.normal`` counts for
-    every callable named ``normal``, numpy's included: a clash can hide an
-    unset default but never invent one.
+    A call that passes the default's own literal, such as ``tol=1e-6``
+    for ``tol: float = 1e-6``, does not set it. Calls are matched by name,
+    so a call such as ``rng.normal`` counts for every callable named
+    ``normal``, numpy's included: a clash can hide an unset default but
+    never invent one.
     """
     unset = _unset_defaults(PACKAGE, REACHABILITY_ROOTS, DEFAULT_EXEMPT)
     assert not unset, f"defaulted in src/ but set by no call in src/ or benchmarks/: {unset}"
@@ -413,6 +435,54 @@ def test_default_exemptions_are_defaulted():
     defaulted = {f"{rel}:{key}" for path, rel in _modules(PACKAGE) for key, *_ in _settings(path)}
     missing = DEFAULT_EXEMPT - defaulted
     assert not missing, f"exempt settings that are not defaulted parameters: {sorted(missing)}"
+
+
+# None defaults kept though every call in src/ or benchmarks/ overrides
+# them, as "module:callable.parameter", each for a reason of its own.
+NONE_DEFAULT_EXEMPT = {
+    # the unfused norm is the reference the fused norm and activation are
+    # tested against (test_folded_leaky_relu_matches_norm_then_where_form,
+    # grad_cases.case_group_norm_leaky_relu)
+    "tensorcore/nn.py:group_norm.slope",
+}
+
+
+def _overridden_none_defaults(package: Path, roots, exempt: set[str]) -> list[str]:
+    """Parameters of ``package`` that default to None although every call
+    of that name under ``roots``, outside the callable's own body, sets
+    them (and there is at least one such call), as
+    "module:callable.parameter"."""
+    calls = _calls_by_name(package, roots)
+    found = []
+    for path, rel in _modules(package):
+        for key, callee, param, position, own, default in _settings(path):
+            if not (isinstance(default, ast.Constant) and default.value is None):
+                continue
+            outside = _outside_calls(calls, callee, path, own)
+            if f"{rel}:{key}" not in exempt and outside and all(
+                    _passes(call, param, position, default) for call in outside):
+                found.append(f"{rel}:{key}")
+    return found
+
+
+def test_no_none_default_is_always_overridden():
+    """No parameter in src/ defaults to None while every call of that name
+    in src/ or benchmarks/, outside its own body, passes it: such a
+    default only guards an ``is None`` branch that tests alone take, and
+    the parameter is required.
+
+    Calls are matched by name, as in ``test_every_default_is_set``; here a
+    clash can hide a finding (a same-named call that omits the parameter)
+    or invent one (a same-named call that passes it), and an invented one
+    goes in ``NONE_DEFAULT_EXEMPT`` with its reason.
+    """
+    found = _overridden_none_defaults(PACKAGE, REACHABILITY_ROOTS, NONE_DEFAULT_EXEMPT)
+    assert not found, f"None defaults in src/ that every call in src/ or benchmarks/ overrides: {found}"
+
+
+def test_none_default_exemptions_are_overridden():
+    stale = NONE_DEFAULT_EXEMPT - set(_overridden_none_defaults(PACKAGE, REACHABILITY_ROOTS, set()))
+    assert not stale, f"exempt None defaults that some call omits or that do not exist: {sorted(stale)}"
 
 
 PLANTED_MODULE = """
@@ -438,6 +508,14 @@ class Probe:
 
 def named_by_string():
     return Report(1, 2).kept
+
+
+def scaled(x, factor=None):
+    return x if factor is None else x * factor
+
+
+def rounded(x, digits=3):
+    return round(x, digits)
 """
 
 PLANTED_BENCHMARK = """
@@ -446,6 +524,9 @@ import pkg.mod as mod
 PROBE = mod.Probe
 TRACED = ("traced", "level")
 MESSAGE = "named_by_string"
+DOUBLED = mod.scaled(1.0, factor=2.0)
+HALVED = mod.scaled(1.0, 0.5)
+ROUNDED = mod.rounded(1.25, 3)
 """
 
 
@@ -453,8 +534,10 @@ def test_checks_on_a_planted_source(tmp_path):
     """The checks on a small planted package: a field read only in its
     ``__post_init__`` is unread, members that only benchmark strings name
     are read, a default that only the method's own body passes is unset,
-    and a module-level function that only a string in the package names
-    is unreached."""
+    so is one that calls pass only as its own literal, a None default
+    that every call overrides is found until one call passes it as
+    ``None``, and a module-level function that only a string in the
+    package names is unreached."""
     package = tmp_path / "src" / "pkg"
     bench = tmp_path / "benchmarks"
     package.mkdir(parents=True)
@@ -464,9 +547,14 @@ def test_checks_on_a_planted_source(tmp_path):
     roots = (package, bench)
     assert _unread_members(package, roots, set()) == ["mod.py:Report.unread"]
     assert _unread_members(package, roots, {"mod.py:Report.unread"}) == []
-    assert _unset_defaults(package, roots, set()) == ["mod.py:Probe.traced.scale"]
+    assert _unset_defaults(package, roots, set()) == ["mod.py:Probe.traced.scale",
+                                                      "mod.py:rounded.digits"]
+    assert _overridden_none_defaults(package, roots, set()) == ["mod.py:scaled.factor"]
+    assert _overridden_none_defaults(package, roots, {"mod.py:scaled.factor"}) == []
     assert _unreached_definitions(package, roots, {}) == []
 
     (bench / "bench.py").write_text(PLANTED_BENCHMARK.replace('"named_by_string"', '"other"'))
-    (package / "mod.py").write_text(PLANTED_MODULE + '\nNAME = "named_by_string"\n')
+    (package / "mod.py").write_text(PLANTED_MODULE + '\nNAME = "named_by_string"\n'
+                                    'PLAIN = scaled(1.0, None)\n')
+    assert _overridden_none_defaults(package, roots, set()) == []
     assert _unreached_definitions(package, roots, {}) == ["mod.py:named_by_string"]

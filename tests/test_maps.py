@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from normalbridge import maps
-from normalbridge.maps import Heightfield
+from normalbridge.maps import Heightfield, NormalMap
 
 
 def _field():
@@ -81,3 +81,16 @@ class TestHeightfield:
     def test_bad_cell_size_rejected(self, cell):
         with pytest.raises(ValueError, match="cell_size"):
             Heightfield(np.zeros((8, 8)), cell)
+
+
+class TestNormalMap:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("foreground", [True, False])
+    def test_non_finite_vector_rejected(self, bad, foreground):
+        v = np.zeros((8, 8, 3))
+        v[..., 2] = 1.0
+        v[2, 5, 0] = bad
+        mask = np.ones((8, 8), dtype=bool)
+        mask[2, 5] = foreground
+        with pytest.raises(ValueError, match="non-finite"):
+            NormalMap(v, mask)

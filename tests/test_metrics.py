@@ -8,32 +8,36 @@ from normalbridge.tensorcore import SeededRng
 from canny_oracle import canny_oracle, dilate_loop
 
 
-def flat_map(h, w, vec=(0.0, 0.0, 1.0), mask=None):
-    v = np.broadcast_to(np.asarray(vec, dtype=np.float64), (h, w, 3)).copy()
-    return NormalMap(v, mask)
+def full_map(v):
+    """A NormalMap whose every pixel is foreground."""
+    return NormalMap(v, np.ones(v.shape[:2], dtype=bool))
+
+
+def flat_map(h, w, vec=(0.0, 0.0, 1.0)):
+    return full_map(np.broadcast_to(np.asarray(vec, dtype=np.float64), (h, w, 3)).copy())
 
 
 def step_map(h, w, col, left=(0.0, 0.0, 1.0), right=(1.0, 0.0, 0.0)):
     v = np.empty((h, w, 3))
     v[:, :col] = left
     v[:, col:] = right
-    return NormalMap(v)
+    return full_map(v)
 
 
 class TestNormalError:
     def test_identical_is_exactly_zero(self):
         a = step_map(8, 8, 4)
-        assert metrics.normal_error(a, a) == 0.0
+        assert metrics.normal_error(a, a, a.mask) == 0.0
 
     def test_orthogonal_is_exactly_ninety(self):
         a = flat_map(4, 4, (0, 0, 1))
         b = flat_map(4, 4, (1, 0, 0))
-        assert metrics.normal_error(a, b) == 90.0
+        assert metrics.normal_error(a, b, a.mask) == 90.0
 
     def test_antiparallel_is_exactly_180(self):
         a = flat_map(4, 4, (0, 0, 1))
         b = flat_map(4, 4, (0, 0, -1))
-        assert metrics.normal_error(a, b) == 180.0
+        assert metrics.normal_error(a, b, a.mask) == 180.0
 
     def test_symmetric(self):
         rng = SeededRng(0)
@@ -41,8 +45,8 @@ class TestNormalError:
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
         w = rng.normal((6, 6, 3))
         w /= np.linalg.norm(w, axis=-1, keepdims=True)
-        a, b = NormalMap(v), NormalMap(w)
-        assert metrics.normal_error(a, b) == metrics.normal_error(b, a)
+        a, b = full_map(v), full_map(w)
+        assert metrics.normal_error(a, b, a.mask) == metrics.normal_error(b, a, a.mask)
 
     def test_empty_mask_rejected(self):
         a = flat_map(4, 4)
@@ -53,7 +57,7 @@ class TestNormalError:
         a = flat_map(4, 4, (0, 0, 1))
         v = a.vectors.copy()
         v[0, 0] = (1.0, 0.0, 0.0)
-        b = NormalMap(v)
+        b = full_map(v)
         m = np.zeros((4, 4), bool)
         m[1:, 1:] = True
         assert metrics.normal_error(a, b, m) == 0.0
@@ -84,6 +88,15 @@ class TestCanny:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             metrics.canny(flat_map(8, 8), 0.3, 0.2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_non_finite_image_rejected(self, bad, channels):
+        img = np.zeros((32, 32) + channels)
+        img[:, 16:] = 1.0
+        img[5, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.canny(img)
 
 
 ORACLE_PAIRS = ((0.1, 0.2), (0.05, 0.5), (0.1, 1.0))
@@ -208,8 +221,8 @@ class TestSharpNormalError:
         # corrupt only a narrow band around the step
         band = slice(14, 18)
         pred_v[:, band] = np.array([0.0, 1.0, 0.0])
-        pred = NormalMap(pred_v)
-        ne = metrics.normal_error(pred, gt)
+        pred = full_map(pred_v)
+        ne = metrics.normal_error(pred, gt, gt.mask)
         assert metrics.sharp_normal_error(pred, gt, radius=2) > ne
 
     def test_flat_scene_no_sharp_regions(self):
@@ -222,7 +235,7 @@ class TestSharpNormalError:
         gt = step_map(32, 32, 16)
         pred_v = gt.vectors.copy()
         pred_v[:, 15:17] = np.array([0.0, 1.0, 0.0])
-        pred = NormalMap(pred_v)
+        pred = full_map(pred_v)
         snes = [metrics.sharp_normal_error(pred, gt, radius=r) for r in (1, 2, 4, 6)]
         assert all(b <= a for a, b in zip(snes, snes[1:]))
 
@@ -234,7 +247,7 @@ class TestMultiview:
         for i in range(k):
             v = rng.stream_rng(i).normal((16, 16, 3))
             v /= np.linalg.norm(v, axis=-1, keepdims=True)
-            out.append(NormalMap(v))
+            out.append(full_map(v))
         return out
 
     def test_identical_views_zero(self):
@@ -250,6 +263,13 @@ class TestMultiview:
         perm = [2, 0, 3, 1]
         r2 = metrics.multiview_report([pred[i] for i in perm], [gt[i] for i in perm], radius=1)
         assert r1.ne_deg == pytest.approx(r2.ne_deg, abs=1e-12)
+
+    def test_non_finite_prediction_rejected_before_the_report(self):
+        gt = step_map(16, 16, 8)
+        v = gt.vectors.copy()
+        v[3, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.multiview_report([full_map(v)], [gt], radius=2)
 
     def test_mismatched_counts_rejected(self):
         v = self._views()

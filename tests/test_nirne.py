@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,20 +201,32 @@ class TestTrainConfigValidation:
             nirne.TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("stage", [1, 2])
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"steps": 2, "log_every": 0}, "log_every"),
-        ({"steps": 2, "batch_size": 0}, "batch_size"),
-        ({"steps": 3}, "config.steps=3"),  # the stage is asked for 2 steps
-    ], ids=["log_every=0", "batch_size=0", "steps_disagree"])
-    def test_rejected_before_any_step(self, real, synth, stage, kwargs, match):
+    @pytest.mark.parametrize("kwargs, data, match", [
+        ({"steps": 2, "log_every": 0}, "own", "log_every"),
+        ({"steps": 2, "batch_size": 0}, "own", "batch_size"),
+        ({"steps": 3}, "own", "config.steps=3"),  # the stage is asked for 2 steps
+        ({"steps": 2}, "empty", "empty dataset"),
+        ({"steps": 2}, "other", r"stage \d expects (real|synthetic)-domain samples"),
+    ], ids=["log_every=0", "batch_size=0", "steps_disagree", "empty_dataset", "wrong_domain"])
+    def test_rejected_before_any_step(self, real, synth, stage, kwargs, data, match):
+        # stage 2 runs before stage 1 here: a rejected call does not warn either
         model = nirne.DualStreamModel(CHANNELS, seed=3)
-        model.stage_trained = stage - 1
         before = _snapshot(model)
-        train, data = (nirne.train_stage1, real) if stage == 1 else (nirne.train_stage2, synth)
-        with pytest.raises(ValueError, match=match):
-            train(model, data, 2, 7, nirne.TrainConfig(**{"batch_size": 2, **kwargs}))
+        train, own, other = (nirne.train_stage1, real, synth) if stage == 1 else (nirne.train_stage2, synth, real)
+        samples = {"own": own, "empty": [], "other": other}[data]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                train(model, samples, 2, 7, nirne.TrainConfig(**{"batch_size": 2, **kwargs}))
         assert _snapshot(model) == before
-        assert model.stage_trained == stage - 1
+        assert model.stage_trained == 0
+        assert all(p.requires_grad for p in model.named_parameters().values())
+
+    def test_stage2_before_stage1_warns(self, synth):
+        model = nirne.DualStreamModel(CHANNELS, seed=3)
+        with pytest.warns(UserWarning, match="stage 2 called before stage 1"):
+            nirne.train_stage2(model, synth, 1, 7, _config(1))
+        assert model.stage_trained == 2
         assert all(p.requires_grad for p in model.named_parameters().values())
 
 

@@ -49,7 +49,7 @@ class TestConv2d:
     def test_ones_input_single_kernel(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.full((1, 1, 1, 1), 2.0))
-        out = conv2d(x, w)
+        out = conv2d(x, w, Tensor(np.zeros(1)))
         assert out.shape == (1, 1, 3, 3)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
 
@@ -58,7 +58,7 @@ class TestConv2d:
         x = rng.normal((1, 1, 5, 5))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        out = conv2d(Tensor(x), Tensor(w), padding=1)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), padding=1)
         np.testing.assert_array_equal(out.data, x)
 
     def test_matches_nested_loop_oracle(self):
@@ -87,9 +87,9 @@ class TestConv2d:
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), Tensor(np.zeros(1)))
         with pytest.raises(ValueError, match="too small"):
-            conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+            conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros(1)))
 
 
 class TestConv2dSampleBlocks:
@@ -381,7 +381,7 @@ def no_cyclic_gc():
 
 
 def _small_net(x, w, gamma, beta):
-    h = conv2d(x, w, padding=1).leaky_relu(0.1)
+    h = conv2d(x, w, Tensor(np.zeros(w.shape[0])), padding=1).leaky_relu(0.1)
     return tc.l2_normalize(tc.group_norm(h, 1, gamma, beta), axis=1)
 
 
@@ -597,7 +597,7 @@ class TestNoNanProperty:
             w = Tensor(r.normal((3, 4, 3, 3)))
             g = Tensor(r.uniform(0.5, 1.5, (3,)))
             be = Tensor(r.normal((3,)))
-            out = tc.group_norm(tc.conv2d(x, w, padding=1).leaky_relu(0.1), 1, g, be)
+            out = tc.group_norm(tc.conv2d(x, w, Tensor(np.zeros(3)), padding=1).leaky_relu(0.1), 1, g, be)
             out = tc.l2_normalize(out, axis=1)
             assert np.isfinite(out.data).all()
 
