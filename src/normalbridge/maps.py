@@ -80,14 +80,20 @@ class NormalMap:
         return self.vectors.shape[:2]
 
     def validate_unit(self) -> None:
-        norms = np.linalg.norm(self.vectors[self.mask], axis=-1)
+        """Raise unless the foreground vectors, gathered by flat index, are unit length."""
+        norms = np.linalg.norm(self.vectors.reshape(-1, 3).take(np.flatnonzero(self.mask), axis=0), axis=-1)
         if norms.size and np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
             raise ValueError("foreground normals are not unit length")
 
 
+def _encoded_levels(vectors: np.ndarray) -> np.ndarray:
+    """The 8-bit encoding's levels of ``vectors``: integers 0..255 as floats."""
+    return np.rint((vectors + 1.0) / 2.0 * 255.0).clip(0, 255)
+
+
 def encode_normal_image(nm: NormalMap) -> np.ndarray:
     """uint8 H x W x 3 image; background pixels are white."""
-    img = np.round((nm.vectors + 1.0) / 2.0 * 255.0).clip(0, 255).astype(np.uint8)
+    img = _encoded_levels(nm.vectors).astype(np.uint8)
     img[~nm.mask] = 255
     return img
 

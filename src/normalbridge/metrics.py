@@ -1,36 +1,41 @@
 """Normal-map error metrics.
 
-NE is the mean per-pixel angular error in degrees over a mask. SNE is
-NE restricted to salient regions of the ground-truth normal map: Canny
-edges of the encoded normal image (per channel, unioned), dilated by a
-Chebyshev ball, intersected with the foreground. ``sharp_normal_error``
-gives SNE as None, not 0, when that region is empty;
-``multiview_report`` averages NE and SNE over the views.
+NE is the mean per-pixel angular error in degrees over a mask, whose
+pixels are gathered by flat index (``take`` on the (H*W, 3) view). SNE
+is NE restricted to salient regions of the ground-truth normal map:
+Canny edges of the encoded normal image (per channel, unioned), dilated
+by a Chebyshev ball, intersected with the foreground.
+``sharp_normal_error`` gives SNE as None, not 0, when that region is
+empty; ``multiview_report`` averages NE and SNE over the views.
 
 The Canny gradient magnitude is normalized to max 1 before thresholding,
 so ``low``/``high`` are relative thresholds on unit-scaled gradients.
 
-Canny works on all channels at once, as one (C, H, W) stack: Gaussian
-blur, Sobel, magnitude and the per-channel peak scaling are whole-stack
-array passes, in the same per-pixel float expressions as a loop over
-channels, so the mask does not depend on how many channels share the
-pass. Non-maximum suppression looks only at the pixels that clear
-``low``. Hysteresis lists the pairs of 8-neighbouring weak pixels within
-a channel once, then grows the kept set from the strong pixels across
-those pairs until no pair has one end kept and the other not: the fixed
-point of growing the strong pixels through weak ones, without a
-full-image dilation per step. The square dilation is separable: the OR of
-2r+1 row shifts, then of 2r+1 column shifts.
+Canny works on all channels at once, as one (H, W, C) image, in the same
+per-pixel float expressions as a loop over channels, so the mask does
+not depend on how many channels share the pass. Each stage takes its
+input, with the reflect or edge border of ``numpy.pad``, through one
+index vector; flattened, every blur and Sobel tap is one contiguous
+slice and every product goes through one scratch. ``hypot`` runs only
+where both gradient components are nonzero: ``hypot(x, +-0)`` is ``|x|``
+(C99 Annex F). Non-maximum suppression looks only at the pixels that
+clear ``low``. Hysteresis lists the pairs of 8-neighbouring weak pixels
+within a channel once, then grows the kept set from the strong pixels
+across those pairs until no pair has one end kept and the other not: the
+fixed point of growing the strong pixels through weak ones, without a
+full-image dilation per step. The square dilation is separable: the OR
+of 2r+1 row shifts, then of 2r+1 column shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .maps import NormalMap, encode_normal_image
+from .maps import NormalMap, _encoded_levels
 
 __all__ = [
     "EdgeMask",
@@ -82,9 +87,13 @@ def normal_error(pred: NormalMap, gt: NormalMap, mask: np.ndarray) -> float:
     if pred.shape != gt.shape:
         raise ValueError(f"normal map shapes differ: {pred.shape} vs {gt.shape}")
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    if mask.shape != pred.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match the maps' {pred.shape}")
+    idx = np.flatnonzero(mask)
+    if not idx.size:
         raise ValueError("empty mask: normal error undefined")
-    dots = np.sum(pred.vectors[mask] * gt.vectors[mask], axis=-1)
+    p, g = (nm.vectors.reshape(-1, 3).take(idx, axis=0) for nm in (pred, gt))
+    dots = np.sum(p * g, axis=-1)
     ang = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
     return float(ang.mean())
 
@@ -99,27 +108,39 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+@lru_cache(maxsize=64)
+def _border_index(n: int, r: int, mode: str) -> np.ndarray:
+    """``numpy.pad(numpy.arange(n), r, mode)`` for any ``n``, read-only; ``reflect``
+    mirrors about the end entries with period 2n - 2."""
+    j, period = np.arange(-r, n + r), max(2 * n - 2, 1)
+    j = j.clip(0, n - 1) if mode == "edge" else np.minimum(np.abs(j) % period, period - np.abs(j) % period)
+    j.flags.writeable = False
+    return j
+
+
 def gaussian_blur(img: np.ndarray, sigma: float, mode: str) -> np.ndarray:
     """Separable Gaussian blur of the first two axes, taps ``ceil(3 sigma)`` each side.
 
-    ``mode`` is the ``np.pad`` mode of the borders. Trailing axes, such as
-    channels, are blurred independently. Each pass sums its taps left to
-    right, so the result does not depend on how many channels ride along.
+    ``mode`` is the border in ``numpy.pad``'s meaning, ``reflect`` or ``edge``;
+    another mode raises. Trailing axes, such as channels, are blurred
+    independently. Each pass sums its taps left to right from zero, so the
+    result, signed zeros included, equals ``numpy.pad`` and that sum.
     """
+    if mode not in ("reflect", "edge"):
+        raise ValueError(f"gaussian_blur: unsupported border mode {mode!r}, use 'reflect' or 'edge'")
     k = _gaussian_kernel1d(sigma)
-    r = len(k) // 2
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape[:2]
-    rest = ((0, 0),) * (img.ndim - 2)
-    pad = np.pad(img, ((r, r), (0, 0)) + rest, mode=mode)
-    out = np.zeros(img.shape)
-    for i, kv in enumerate(k):
-        out += kv * pad[i : i + h]
-    pad = np.pad(out, ((0, 0), (r, r)) + rest, mode=mode)
-    out = np.zeros(img.shape)
-    for i, kv in enumerate(k):
-        out += kv * pad[:, i : i + w]
-    return out
+    out = np.asarray(img, dtype=np.float64)
+    for axis in (0, 1):
+        n = out.shape[axis]
+        pad = out.take(_border_index(n, len(k) // 2, mode), axis=axis)
+        step = pad.strides[axis] // pad.itemsize
+        flat, span = pad.reshape(-1), pad.size - (len(k) - 1) * step
+        acc, tmp = np.zeros(pad.size), np.empty(pad.size)
+        for i, kv in enumerate(k):
+            acc[:span] += np.multiply(kv, flat[i * step : i * step + span], out=tmp[:span])
+        # drop the sums that run past the end of the axis
+        out = acc.reshape(pad.shape)[(slice(None),) * axis + (slice(n),)]
+    return np.ascontiguousarray(out)
 
 
 # sector s of the quantized gradient direction compares a pixel with its
@@ -127,38 +148,42 @@ def gaussian_blur(img: np.ndarray, sigma: float, mode: str) -> np.ndarray:
 _NMS_OFFSETS = ((0, 1), (-1, 1), (-1, 0), (-1, -1))
 
 
-def _sobel(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel (gx, gy) of a (C, H, W) stack, reflect-padded.
-
-    The nonzero taps of the kernels are added in row-major order; the
-    zero taps are skipped, and the +-1 and +-2 products are exact.
-    """
-    _, h, w = stack.shape
-    p = np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+def _sobel(p: np.ndarray) -> np.ndarray:
+    """3x3 Sobel (gx, gy) of a bordered (H+2, W+2, C) image ``p``, with a zero
+    border. Flattened, each tap is one contiguous slice over every interior
+    pixel; the nonzero taps go in row-major order, their +-1 and +-2
+    products exact."""
+    col, row = p.shape[2], p.shape[1] * p.shape[2]
+    flat, lo = p.reshape(-1), row + col
+    n = flat.size - 2 * lo
+    g, tmp = np.empty((2,) + p.shape), np.empty(n)
+    gx, gy = g.reshape(2, -1)[:, lo : lo + n]
 
     def tap(i, j):
-        return p[:, i : i + h, j : j + w]
+        return flat[lo + (i - 1) * row + (j - 1) * col :][:n]
 
-    gx = tap(0, 2) - tap(0, 0)
-    gx -= 2.0 * tap(1, 0)
-    gx += 2.0 * tap(1, 2)
+    np.subtract(tap(0, 2), tap(0, 0), out=gx)
+    gx -= np.multiply(2.0, tap(1, 0), out=tmp)
+    gx += np.multiply(2.0, tap(1, 2), out=tmp)
     gx -= tap(2, 0)
     gx += tap(2, 2)
-    gy = -tap(0, 0)
-    gy -= 2.0 * tap(0, 1)
+    np.negative(tap(0, 0), out=gy)
+    gy -= np.multiply(2.0, tap(0, 1), out=tmp)
     gy -= tap(0, 2)
     gy += tap(2, 0)
-    gy += 2.0 * tap(2, 1)
+    gy += np.multiply(2.0, tap(2, 1), out=tmp)
     gy += tap(2, 2)
-    return gx, gy
+    g[:, [0, -1]] = g[:, :, [0, -1]] = 0.0
+    return g
 
 
-def _hysteresis(weak: np.ndarray, mag: np.ndarray, row: int, high: float) -> np.ndarray:
+def _hysteresis(weak: np.ndarray, mag: np.ndarray, forward: tuple[int, ...], high: float) -> np.ndarray:
     """The weak pixels 8-connected, through weak pixels, to a strong one.
 
-    ``mag`` is the flat, zero-bordered magnitude stack with rows of
-    ``row`` entries, and ``weak`` the sorted flat indices of the weak
-    pixels in it; a strong pixel is a weak one with magnitude ``>= high``.
+    ``mag`` is the flat, zero-bordered magnitude stack, ``forward`` the flat
+    offsets of a pixel's right, lower-left, lower and lower-right
+    neighbours in it, and ``weak`` the sorted flat indices of the weak
+    pixels; a strong pixel is a weak one with magnitude ``>= high``.
     Each pair of 8-neighbouring weak pixels is listed once; every round
     keeps both ends of each pair that has exactly one end kept, starting
     from the strong pixels, until no pair grows. Returns the indices of
@@ -169,7 +194,7 @@ def _hysteresis(weak: np.ndarray, mag: np.ndarray, row: int, high: float) -> np.
     # the zero border keeps neighbour pairs inside one row and one channel;
     # the forward half of the 8-neighbourhood lists each pair once
     us, vs = [], []
-    for off in (1, row - 1, row, row + 1):
+    for off in forward:
         hit = is_weak[weak + off]
         us.append(np.flatnonzero(hit))
         vs.append(np.searchsorted(weak, weak[hit] + off))
@@ -195,39 +220,49 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
     if not (0.0 < low < high):
         raise ValueError("need 0 < low < high")
     if isinstance(source, NormalMap):
-        img = encode_normal_image(source).astype(np.float64) / 255.0
+        # the encoded image over 255: background white, foreground levels
+        img = np.ones(source.shape + (3,))
+        fg = np.flatnonzero(source.mask)
+        img.reshape(-1, 3)[fg] = _encoded_levels(source.vectors.reshape(-1, 3).take(fg, axis=0)) / 255.0
     else:
         img = np.asarray(source, dtype=np.float64)
         if not np.isfinite(img).all():
             raise ValueError("canny: image contains non-finite values")
-    if img.ndim not in (2, 3):
-        raise ValueError(f"unsupported image shape {img.shape}")
-    out = np.zeros(img.shape[:2], dtype=bool)
-    blur = gaussian_blur(img, 1.4, "reflect")
-    gx, gy = _sobel(blur[None] if blur.ndim == 2 else np.moveaxis(blur, 2, 0))
-    mag = np.hypot(gx, gy)
-    peak = mag.max(axis=(1, 2))
+        if img.ndim not in (2, 3):
+            raise ValueError(f"unsupported image shape {img.shape}")
+    img = gaussian_blur(img.reshape(img.shape[:2] + (-1,)), 1.4, "reflect")
+    h, w = img.shape[:2]
+    out = np.zeros((h, w), dtype=bool)
+
+    # (H+2, W+2, C) arrays from here on, flattened where indexed
+    gx, gy = _sobel(img.take(_border_index(h, 1, "reflect"), axis=0).take(_border_index(w, 1, "reflect"), axis=1))
+    mag = np.abs(gx) + np.abs(gy)
+    both = np.flatnonzero((gx != 0) & (gy != 0))
+    mag.reshape(-1)[both] = np.hypot(gx.take(both), gy.take(both))
+    # per-channel strided planes: reducing over the short last axis is slower
+    peak = np.array([plane.max() for plane in mag.reshape(-1, mag.shape[2]).T])
     live = peak > 0
     if not live.any():
         return EdgeMask(out)
-    mag = mag[live] / peak[live, None, None]  # unit-scaled gradients
+    if not live.all():
+        gx, gy, mag, peak = gx[..., live], gy[..., live], mag[..., live], peak[live]
+    col, row = len(peak), (w + 2) * len(peak)
+    for plane, top in zip(mag.reshape(-1, col).T, peak):
+        plane /= top  # unit-scaled gradients
 
     # non-maximum suppression along the quantized gradient direction, at
     # the pixels that clear ``low`` (no other can be weak); the asymmetric
     # (>, >=) pair keeps exactly one pixel on plateau ties
-    _, h, w = mag.shape
-    row = w + 2
-    padm = np.pad(mag, ((0, 0), (1, 1), (1, 1)), mode="constant").ravel()
-    cand = mag >= low
-    at = np.flatnonzero(padm >= low)  # the same pixels, in the bordered stack
-    ang = np.mod(np.arctan2(gy[live][cand], gx[live][cand]), np.pi)
+    padm = mag.reshape(-1)
+    at = np.flatnonzero(padm >= low)
+    ang = np.mod(np.arctan2(gy.take(at), gx.take(at)), np.pi)
     sector = np.floor((ang + np.pi / 8) / (np.pi / 4)).astype(int) % 4
-    step = np.array([dy * row + dx for dy, dx in _NMS_OFFSETS])[sector]
+    step = np.array([dy * row + dx * col for dy, dx in _NMS_OFFSETS])[sector]
     m = padm[at]
     weak = at[(m > padm[at - step]) & (m >= padm[at + step])]
 
-    edges = _hysteresis(weak, padm, row, high)
-    out[edges % ((h + 2) * row) // row - 1, edges % row - 1] = True
+    edges = _hysteresis(weak, padm, (col, row - col, row, row + col), high)
+    out[edges // row - 1, edges % row // col - 1] = True
     return EdgeMask(out)
 
 
@@ -235,19 +270,18 @@ def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
     """Chebyshev-ball (square) dilation; radius 0 is the identity.
 
     The square is separable: the OR of the 2r+1 row shifts, then of the
-    2r+1 column shifts of that.
+    2r+1 column shifts of that, each shift ORed into the slice it overlaps.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    m = mask.mask
-    h, w = m.shape
-    pad = np.pad(m, radius, mode="constant")
-    rows = pad[:h].copy()
-    for d in range(1, 2 * radius + 1):
-        rows |= pad[d : d + h]
-    out = rows[:, :w].copy()
-    for d in range(1, 2 * radius + 1):
-        out |= rows[:, d : d + w]
+    rows = mask.mask.copy()
+    for d in range(1, radius + 1):
+        rows[d:] |= mask.mask[:-d]
+        rows[:-d] |= mask.mask[d:]
+    out = rows.copy()
+    for d in range(1, radius + 1):
+        out[:, d:] |= rows[:, :-d]
+        out[:, :-d] |= rows[:, d:]
     return EdgeMask(out)
 
 

@@ -365,6 +365,8 @@ def predict_batch(model: DualStreamModel, samples: list[DomainSample]) -> list[N
             for k, s in enumerate(chunk):
                 vec = pred.data[k].transpose(1, 2, 0).copy()
                 vec[~s.normal_gt.mask] = [0.0, 0.0, 1.0]
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"predict_batch: the model output for sample {start + k} is non-finite")
                 out.append(NormalMap(vec, s.normal_gt.mask))
     return out
 

@@ -247,20 +247,18 @@ def corrupt_labels_real_domain(
     if sample.domain is not Domain.SYNTH:
         raise ValueError("corruption expects a synthetic-domain sample")
     nm = sample.normal_gt
-    band = metrics.dilate(metrics.canny(nm), band_radius).mask
+    band = np.flatnonzero(metrics.dilate(metrics.canny(nm), band_radius).mask)
     vec = nm.vectors.copy()
-    if band.any():
-        blurred = metrics.gaussian_blur(nm.vectors, blur_sigma, "edge")
-        vec[band] = blurred[band]
+    if band.size:
+        n = metrics.gaussian_blur(nm.vectors, blur_sigma, "edge").reshape(-1, 3).take(band, axis=0)
         rng = SeededRng(seed, _STREAM_CORRUPT)
-        n = vec[band]
         n /= np.linalg.norm(n, axis=-1, keepdims=True)
         # random unit tangents: project a random vector onto each tangent plane
         raw = rng.normal(n.shape)
         raw -= np.sum(raw * n, axis=-1, keepdims=True) * n
         tan = raw / np.maximum(np.linalg.norm(raw, axis=-1, keepdims=True), 1e-12)
         theta = np.radians(rng.normal(n.shape[:1], scale=angle_noise_deg))[:, None]
-        vec[band] = np.cos(theta) * n + np.sin(theta) * tan
+        vec.reshape(-1, 3)[band] = np.cos(theta) * n + np.sin(theta) * tan
     corrupted = NormalMap(vec, nm.mask.copy())
     corrupted.validate_unit()
     return DomainSample(sample.image, corrupted, sample.height_gt, Domain.REAL, sample.index)

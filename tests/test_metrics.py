@@ -122,7 +122,55 @@ def winding_chain(h=21, w=151, amp=2.0, period=40.0, level=0.3):
     return contrast * np.clip(h / 2 + amp * np.sin(2 * np.pi * xx / period) - yy, 0.0, 1.0)
 
 
+def blur_pad_reference(img, sigma, mode):
+    """Gaussian blur through ``np.pad``, taps summed left to right from zero."""
+    radius = int(np.ceil(3.0 * sigma))
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    k = k / k.sum()
+    h, w = img.shape[:2]
+    rest = ((0, 0),) * (img.ndim - 2)
+    pad = np.pad(img, ((radius, radius), (0, 0)) + rest, mode=mode)
+    out = np.zeros(img.shape)
+    for i, kv in enumerate(k):
+        out += kv * pad[i : i + h]
+    pad = np.pad(out, ((0, 0), (radius, radius)) + rest, mode=mode)
+    out = np.zeros(img.shape)
+    for i, kv in enumerate(k):
+        out += kv * pad[:, i : i + w]
+    return out
+
+
+class TestGaussianBlur:
+    @pytest.mark.parametrize("side", range(1, 15))
+    @pytest.mark.parametrize("mode", ["reflect", "edge"])
+    @pytest.mark.parametrize("sigma", [1.4, 4.0])
+    def test_matches_pad_reference_bitwise(self, side, mode, sigma):
+        # sides at and below the radius (5 and 12) included, where np.pad
+        # reflects more than once; negative zeros check the sign of zero sums
+        rng = SeededRng(side)
+        for shape in [(side, side), (side, 15 - side, 3), (7, side)]:
+            img = rng.normal(shape)
+            img[img > 0.8] = -0.0
+            got = metrics.gaussian_blur(img, sigma, mode)
+            want = blur_pad_reference(img, sigma, mode)
+            assert got.shape == img.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"{shape}")
+
+    @pytest.mark.parametrize("mode", ["constant", "wrap", "symmetric", "Reflect"])
+    def test_other_modes_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"unsupported border mode '{mode}'"):
+            metrics.gaussian_blur(np.zeros((8, 8)), 1.4, mode)
+
+
 class TestCannyOracle:
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_small_random_images(self, h):
+        rng = SeededRng(20 + h)
+        for w in range(1, 9):
+            for channels in [(), (3,)]:
+                assert_canny_matches_oracle(rng.uniform(0, 1, (h, w) + channels))
+
     def test_rendered_mesh_views(self):
         hf = toydata.generate_scene(0, 6, size=16, cell_size=2.0 / 15)
         mesh = geom.heightfield_to_mesh(hf)

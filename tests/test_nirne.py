@@ -127,6 +127,23 @@ class TestEvaluateModel:
         with pytest.raises(ValueError, match="no views given"):
             nirne.evaluate_model(model, [])
 
+    def test_non_finite_model_output_names_the_sample(self):
+        samples = toydata.make_dataset(2, Domain.SYNTH, 3, size=SIZE)
+        model = nirne.DualStreamModel(CHANNELS, seed=1)
+        model.head.bias.data[:] = np.nan
+        with pytest.raises(ValueError, match="model output for sample 0 is non-finite"):
+            nirne.evaluate_model(model, samples)
+
+    def test_non_finite_prediction_past_the_first_chunk(self):
+        # every op works per sample, so a NaN image spoils only its own output
+        samples = toydata.make_dataset(3, Domain.SYNTH, 3, size=SIZE)
+        image = samples[2].image.copy()
+        image[5, 7] = np.nan
+        samples[2] = toydata.DomainSample(image, samples[2].normal_gt, samples[2].height_gt, Domain.SYNTH, 2)
+        model = nirne.DualStreamModel(CHANNELS, seed=1)
+        with pytest.raises(ValueError, match="model output for sample 2 is non-finite"):
+            nirne.predict_batch(model, samples)
+
 
 class TestNoiseFreeInference:
     @pytest.mark.parametrize("schedule", [
