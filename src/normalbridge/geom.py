@@ -1,12 +1,12 @@
-"""Triangle meshes: I/O, normals, multi-view rasterization, edge statistics.
+"""Triangle meshes: normals, multi-view rasterization, edge statistics.
 
-The rasterizer is a z-buffer over pixel centers, evaluated as one array
-pass per view. Every face in front of the camera plane expands into
-(face, pixel) fragments over its clipped pixel box, one segment per box
-row; the part of each edge function that depends only on the row is
-taken once per segment. Coverage uses edge functions (all three
-same-signed, boundaries inclusive); depth and normals interpolate
-barycentrically (perspective-correct when the camera is perspective).
+The rasterizer is an orthographic z-buffer over pixel centers, evaluated
+as one array pass per view. Every face in front of the camera plane
+expands into (face, pixel) fragments over its clipped pixel box, one
+segment per box row; the part of each edge function that depends only
+on the row is taken once per segment. Coverage uses edge functions (all
+three same-signed, boundaries inclusive); depth and normals interpolate
+barycentrically.
 Per pixel the nearest positive-depth fragment wins: ``np.minimum.at``
 gives each pixel its nearest depth, and a second ``np.minimum.at`` over
 the fragments at exactly that depth gives the pixel to the lowest
@@ -20,8 +20,7 @@ per-pixel nearest-triangle oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +30,6 @@ __all__ = [
     "TriMesh",
     "Camera",
     "RenderView",
-    "load_obj",
-    "save_obj",
     "face_normals",
     "vertex_normals",
     "viewpoints",
@@ -41,8 +38,6 @@ __all__ = [
     "SharpEdgeReport",
     "dataset_stats",
     "DatasetStats",
-    "cube_mesh",
-    "icosahedron_mesh",
     "uv_sphere_mesh",
     "heightfield_to_mesh",
 ]
@@ -52,19 +47,14 @@ __all__ = [
 class TriMesh:
     vertices: np.ndarray          # (V, 3) float64, world units
     faces: np.ndarray             # (F, 3) int64, CCW outward
-    vertex_norms: np.ndarray | None = None  # (V, 3), finite, no zero row
+    # (V, 3) unit normals: the rasterizer derives and stores them on first use
+    vertex_norms: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ValueError("face indices out of range")
-        if self.vertex_norms is not None:
-            self.vertex_norms = norms = np.asarray(self.vertex_norms, dtype=np.float64)
-            if norms.shape != self.vertices.shape:
-                raise ValueError(f"vertex_norms has shape {norms.shape}, expected {self.vertices.shape}")
-            if not (np.isfinite(norms).all() and norms.any(axis=1).all()):
-                raise ValueError(f"vertex_norms of shape {norms.shape} has a non-finite or zero row")
 
     @property
     def n_vertices(self) -> int:
@@ -73,105 +63,6 @@ class TriMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
-
-
-# -- OBJ -----------------------------------------------------------------
-
-
-def load_obj(source) -> TriMesh:
-    """Parse the ASCII OBJ subset v / vn / f; fans are triangulated.
-
-    Degenerate faces are dropped: those whose edge cross product has
-    zero norm, which covers repeated vertices, collinear corners and
-    faces so small that the norm underflows. Malformed input, a
-    non-finite vertex coordinate included, raises with its line number.
-
-    Each vertex takes the normal that its face corners name (``f v//vn``
-    or ``f v/vt/vn``). A corner that names a zero or non-finite normal
-    raises with the face's line; normals that no corner names are not
-    checked. When some face corner names no normal, or corners name two
-    different normals for one vertex, ``vertex_norms`` is None and
-    callers recompute area-weighted normals. Vertices that no face uses
-    get +z.
-    """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, Path):
-        text = source.read_text()
-    else:
-        text = str(source)
-        if "\n" not in text and text.endswith(".obj"):
-            text = Path(text).read_text()
-
-    verts: list[list[float]] = []
-    norms: list[list[float]] = []
-    usable: list[bool] = []  # per normal: finite and not zero
-    face_idx: list[tuple[int, int, int]] = []
-    corner_normal: dict[int, int] = {}  # vertex -> the vn its corners name
-    normals_bound = True
-
-    def index(tok: str, n: int, what: str) -> int:
-        idx = int(tok)
-        if idx < 0:
-            idx = n + 1 + idx
-        if not 1 <= idx <= n:
-            raise ValueError(f"{what} index {tok} out of range")
-        return idx - 1
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        tag = parts[0]
-        try:
-            if tag == "v":
-                if len(parts) < 4:
-                    raise ValueError("vertex needs 3 coordinates")
-                xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
-                if not all(map(math.isfinite, xyz)):
-                    raise ValueError("vertex coordinate is not finite")
-                verts.append(xyz)
-            elif tag == "vn":
-                if len(parts) < 4:
-                    raise ValueError("normal needs 3 components")
-                n = [float(parts[1]), float(parts[2]), float(parts[3])]
-                norms.append(n)
-                usable.append(all(map(math.isfinite, n)) and any(n))
-            elif tag == "f":
-                if len(parts) < 4:
-                    raise ValueError("face needs at least 3 vertices")
-                ids = []
-                for tok in parts[1:]:
-                    fields = tok.split("/")
-                    ids.append(index(fields[0], len(verts), "vertex"))
-                    if len(fields) == 3 and fields[2]:
-                        nid = index(fields[2], len(norms), "normal")
-                        if not usable[nid]:
-                            raise ValueError(f"normal index {fields[2]} is zero or not finite")
-                        normals_bound &= corner_normal.setdefault(ids[-1], nid) == nid
-                    else:
-                        normals_bound = False
-                for k in range(1, len(ids) - 1):  # fan split
-                    face_idx.append((ids[0], ids[k], ids[k + 1]))
-            # other tags ignored
-        except ValueError as exc:
-            raise ValueError(f"OBJ parse error at line {lineno}: {exc}") from None
-
-    v = np.asarray(verts, dtype=np.float64).reshape(-1, 3)
-    vertex_norms = None
-    if normals_bound and corner_normal:
-        vertex_norms = np.tile([0.0, 0.0, 1.0], (len(v), 1))
-        vertex_norms[list(corner_normal)] = np.asarray(norms, dtype=np.float64)[list(corner_normal.values())]
-    mesh = TriMesh(v, face_idx, vertex_norms=vertex_norms)
-    mesh.faces = mesh.faces[np.linalg.norm(_face_cross(mesh), axis=1) != 0.0]
-    return mesh
-
-
-def save_obj(path, mesh: TriMesh) -> None:
-    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # -- normals ---------------------------------------------------------------
@@ -207,6 +98,7 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
 
 
 _X, _Z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+_ORTHO_WIDTH = 2.5  # world units across the view's width
 
 
 def _cross(a, b) -> np.ndarray:
@@ -218,19 +110,15 @@ def _cross(a, b) -> np.ndarray:
 
 @dataclass
 class Camera:
-    """A camera at ``position`` that looks at the origin with +z up (+x up
-    when it looks within ~8 degrees of the z axis)."""
+    """An orthographic camera at ``position`` that looks at the origin with
+    +z up (+x up when it looks within ~8 degrees of the z axis); the view
+    is ``_ORTHO_WIDTH`` wide."""
 
     position: np.ndarray
-    mode: str = "orthographic"          # or "perspective"
-    ortho_width: float = 2.5
-    fov_y_deg: float = 40.0
     resolution: tuple[int, int] = (96, 96)  # (H, W)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64)
-        if self.mode not in ("orthographic", "perspective"):
-            raise ValueError(f"unknown camera mode {self.mode!r}")
         if np.linalg.norm(self.position) < 1e-12:
             raise ValueError("camera position coincides with the origin it looks at")
 
@@ -252,18 +140,10 @@ class Camera:
         y = d @ up
         depth = d @ fwd
         h_px, w_px = self.resolution
-        if self.mode == "orthographic":
-            half_w = self.ortho_width / 2.0
-            half_h = half_w * h_px / w_px
-            px = (x + half_w) / (2.0 * half_w) * w_px - 0.5
-            py = (half_h - y) / (2.0 * half_h) * h_px - 0.5
-        else:
-            tan_half = math.tan(math.radians(self.fov_y_deg) / 2.0)
-            safe = np.where(np.abs(depth) > 1e-12, depth, 1e-12)
-            xs = x / (safe * tan_half * (w_px / h_px))
-            ys = y / (safe * tan_half)
-            px = (xs * 0.5 + 0.5) * w_px - 0.5
-            py = (0.5 - ys * 0.5) * h_px - 0.5
+        half_w = _ORTHO_WIDTH / 2.0
+        half_h = half_w * h_px / w_px
+        px = (x + half_w) / (2.0 * half_w) * w_px - 0.5
+        py = (half_h - y) / (2.0 * half_h) * h_px - 0.5
         return px, py, depth
 
     def to_camera_normals(self, normals: np.ndarray) -> np.ndarray:
@@ -285,11 +165,7 @@ class RenderView:
 _VIEW_RADIUS = 3.0  # distance of every viewpoint from the origin
 
 
-def viewpoints(
-    n: int = 22,
-    mode: str = "orthographic",
-    resolution: tuple[int, int] = (96, 96),
-) -> list[Camera]:
+def viewpoints(n: int = 22, resolution: tuple[int, int] = (96, 96)) -> list[Camera]:
     """Deterministic near-uniform cameras on a Fibonacci sphere of radius
     ``_VIEW_RADIUS``, all looking at the origin."""
     if n < 1:
@@ -301,7 +177,7 @@ def viewpoints(
         r = math.sqrt(max(0.0, 1.0 - z * z))
         phi = golden * i
         pos = np.array([r * math.cos(phi), r * math.sin(phi), z]) * _VIEW_RADIUS
-        cams.append(Camera(position=pos, mode=mode, resolution=resolution))
+        cams.append(Camera(position=pos, resolution=resolution))
     return cams
 
 
@@ -344,7 +220,7 @@ def _covered_fragments(seg_terms: np.ndarray, seg_w: np.ndarray, base: int) -> n
     return np.compress(inside & (t[9] != 0.0), t[6:], axis=1)
 
 
-def _draw_fragments(frag, corner_depths, corner_normals, persp, zbuf, nbuf, mask, first) -> None:
+def _draw_fragments(frag, corner_depths, corner_normals, zbuf, nbuf, mask, first) -> None:
     """Z-test covered fragments (the rows of ``_covered_fragments``) and
     write the winners into the buffers.
 
@@ -356,16 +232,8 @@ def _draw_fragments(frag, corner_depths, corner_normals, persp, zbuf, nbuf, mask
     """
     lam = frag[:3] / frag[3]
     pix, fid = frag[4].astype(np.int64), frag[5].astype(np.int64)
-    d = np.take(corner_depths, fid, axis=1)
-    if persp:
-        # perspective-correct: interpolate attributes over 1/depth
-        q = lam / d
-        qs = q[0] + q[1] + q[2]
-        qs_safe = np.where(qs == 0.0, 1.0, qs)
-        frag_depth = np.where(qs != 0.0, 1.0 / qs_safe, np.inf)
-    else:
-        ld = lam * d
-        frag_depth = ld[0] + ld[1] + ld[2]
+    ld = lam * np.take(corner_depths, fid, axis=1)
+    frag_depth = ld[0] + ld[1] + ld[2]
 
     cand = np.flatnonzero((frag_depth > 0.0) & (frag_depth < zbuf[pix]))
     pc = pix[cand]
@@ -376,10 +244,7 @@ def _draw_fragments(frag, corner_depths, corner_normals, persp, zbuf, nbuf, mask
     win = tied[first[pt] == tied]
     first[pt] = _NO_FRAGMENT
 
-    if persp:
-        a = np.take(q, win, axis=1) / qs_safe[win]
-    else:
-        a = np.take(lam, win, axis=1)
+    a = np.take(lam, win, axis=1)
     an = np.take(corner_normals, fid[win], axis=2) * a  # (xyz, corner, winner)
     n = an[:, 0] + an[:, 1] + an[:, 2]
     nn = n * n
@@ -415,7 +280,6 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
         if mesh.vertex_norms is None:
             mesh.vertex_norms = vertex_normals(mesh)
         n_cam = camera.to_camera_normals(mesh.vertex_norms)
-        persp = camera.mode == "perspective"
 
         # clipped pixel box of every face; drop faces wholly behind the
         # camera plane and faces whose box holds no pixel center
@@ -461,7 +325,7 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
             stop = max(start + 1, int(np.searchsorted(ends, base + _FRAGMENT_CAP, side="right")))
             seg_stop = int(np.searchsorted(seg_ends, ends[stop - 1])) + 1
             frag = _covered_fragments(seg[:12, seg_start:seg_stop], seg_w[seg_start:seg_stop], base)
-            _draw_fragments(frag, fd, corner_normals, persp, zbuf, nbuf, mask, first)
+            _draw_fragments(frag, fd, corner_normals, zbuf, nbuf, mask, first)
             start, seg_start = stop, seg_stop
 
     return RenderView(
@@ -540,45 +404,6 @@ def dataset_stats(meshes) -> DatasetStats:
 
 
 # -- primitive meshes -----------------------------------------------------------
-
-
-def cube_mesh(size: float = 1.0) -> TriMesh:
-    s = size / 2.0
-    v = np.array(
-        [[-s, -s, -s], [s, -s, -s], [s, s, -s], [-s, s, -s],
-         [-s, -s, s], [s, -s, s], [s, s, s], [-s, s, s]]
-    )
-    quads = [
-        (0, 3, 2, 1),  # bottom (-z)
-        (4, 5, 6, 7),  # top (+z)
-        (0, 1, 5, 4),  # -y
-        (2, 3, 7, 6),  # +y
-        (1, 2, 6, 5),  # +x
-        (3, 0, 4, 7),  # -x
-    ]
-    faces = []
-    for a, b, c, d in quads:
-        faces.append((a, b, c))
-        faces.append((a, c, d))
-    return TriMesh(v, np.array(faces))
-
-
-def icosahedron_mesh(radius: float = 1.0) -> TriMesh:
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    raw = np.array(
-        [[-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
-         [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
-         [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1]],
-        dtype=np.float64,
-    )
-    raw *= radius / np.linalg.norm(raw[0])
-    faces = np.array(
-        [[0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
-         [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
-         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
-         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1]]
-    )
-    return TriMesh(raw, faces)
 
 
 def uv_sphere_mesh(n_lat: int = 24, n_lon: int = 48, radius: float = 1.0) -> TriMesh:

@@ -196,9 +196,10 @@ class DualStreamModel:
         model: the noisy encoder does not run, no noise is drawn and each
         fusion layer reads zeros (so adds only its bias). ``return_raw``
         skips the final per-pixel normalization: the regression loss fits
-        the raw 3-channel output against unit targets, which keeps
-        gradients healthy (normalizing inside the loss makes output scale
-        a flat direction that drifts up and chokes the gradient signal).
+        the raw 3-channel output against unit targets. Whether a loss on
+        the normalized output trains worse is open: a cosine loss on it
+        trained 600 steps at 64 x 64 without trouble, to a held-out NE of
+        7.1-7.5 degrees against 7.2-7.3 for this loss.
         """
         n, c, h, w = images.shape
         if h % 8 or w % 8:

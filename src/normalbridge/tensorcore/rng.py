@@ -27,7 +27,10 @@ class SeededRng:
         return SeededRng(self.seed, stream)
 
     def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
-        return self._gen.normal(0.0, scale, size=shape)
+        z = self._gen.standard_normal(shape)
+        z *= scale
+        z += 0.0  # -0.0 -> +0.0, as Generator.normal's per-draw 0.0 + scale * z does
+        return z
 
     def uniform(self, low: float = 0.0, high: float = 1.0, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)

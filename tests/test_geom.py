@@ -8,116 +8,8 @@ from normalbridge.geom import Camera, TriMesh
 from normalbridge.maps import Heightfield
 from normalbridge.tensorcore import SeededRng
 
+from fixture_meshes import cube_mesh, icosahedron_mesh
 from raster_oracle import rasterize_oracle
-
-CUBE_OBJ = """\
-v -0.5 -0.5 -0.5
-v 0.5 -0.5 -0.5
-v 0.5 0.5 -0.5
-v -0.5 0.5 -0.5
-v -0.5 -0.5 0.5
-v 0.5 -0.5 0.5
-v 0.5 0.5 0.5
-v -0.5 0.5 0.5
-f 1 4 3 2
-f 5 6 7 8
-f 1 2 6 5
-f 3 4 8 7
-f 2 3 7 6
-f 4 1 5 8
-"""
-
-
-class TestLoadObj:
-    def test_cube_counts(self):
-        mesh = geom.load_obj(CUBE_OBJ)
-        assert mesh.n_vertices == 8
-        assert mesh.n_faces == 12  # six quads fan into twelve triangles
-
-    def test_quad_becomes_two_triangles(self):
-        obj = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
-        mesh = geom.load_obj(obj)
-        assert mesh.n_faces == 2
-
-    def test_out_of_range_index_reports_line(self):
-        obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n"
-        with pytest.raises(ValueError, match="line 4"):
-            geom.load_obj(obj)
-
-    def test_malformed_vertex_reports_line(self):
-        with pytest.raises(ValueError, match="line 1"):
-            geom.load_obj("v 0 0\n")
-
-    @pytest.mark.parametrize("bad", ["nan 1 0", "0 inf 0", "0 1 -inf"])
-    def test_non_finite_vertex_reports_line(self, bad):
-        with pytest.raises(ValueError, match="line 3: vertex coordinate is not finite"):
-            geom.load_obj(f"v 0 0 0\nv 1 0 0\nv {bad}\nf 1 2 3\n")
-
-    def test_degenerate_faces_dropped_and_counted(self):
-        obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\nf 1 2 3\n"
-        mesh = geom.load_obj(obj)
-        assert mesh.n_faces == 1
-        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
-
-    def test_face_drop_matches_per_face_loop(self):
-        # repeated vertices, collinear corners and tiny faces: a cross
-        # product below ~1.5e-162 squares to zero, so at 1e-160 the norm
-        # underflows while at 1e-80 it does not
-        verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (3, 0, 0),
-                 (1e-160, 0, 0), (0, 1e-160, 0), (1e-80, 0, 0), (0, 1e-80, 0),
-                 (3e-82, 0, 0), (0, 3e-82, 0)]
-        faces = [(1, 2, 3), (1, 1, 2), (2, 3, 2), (3, 1, 3), (1, 2, 4), (1, 4, 5),
-                 (1, 6, 7), (1, 8, 9), (1, 10, 11), (6, 7, 1), (9, 8, 1)]
-        obj = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in verts)
-        obj += "".join(f"f {a} {b} {c}\n" for a, b, c in faces)
-        mesh = geom.load_obj(obj)
-
-        v = np.asarray(verts, dtype=np.float64)
-        kept = [(a - 1, b - 1, c - 1) for a, b, c in faces
-                if len({a, b, c}) == 3
-                and np.linalg.norm(np.cross(v[b - 1] - v[a - 1], v[c - 1] - v[a - 1])) != 0.0]
-        np.testing.assert_array_equal(mesh.faces, np.asarray(kept).reshape(-1, 3))
-        assert mesh.n_faces == 3  # the unit face and the two 1e-80 faces
-
-    def test_slash_indices_and_comments(self):
-        obj = "# cube face\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 1\nvn 0 0 1\nf 1//1 2//2 3//3\n"
-        mesh = geom.load_obj(obj)
-        assert mesh.n_faces == 1
-        assert mesh.vertex_norms is not None
-
-    def test_normals_follow_face_indices(self):
-        # every corner names vn 3 (+z); by position, vertices 1 and 2 would get -z
-        obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 -1\nvn 0 0 -1\nvn 0 0 1\nf 1//3 2//3 3//3\n"
-        mesh = geom.load_obj(obj)
-        np.testing.assert_array_equal(mesh.vertex_norms, np.tile([0.0, 0.0, 1.0], (3, 1)))
-
-    def test_vt_and_negative_normal_indices(self):
-        obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nvn 1 0 0\nvn 0 1 0\nf 1/1/1 2/1/-1 3/1/-2\n"
-        mesh = geom.load_obj(obj)
-        np.testing.assert_array_equal(mesh.vertex_norms, [[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]])
-
-    def test_conflicting_or_missing_normals_recompute(self):
-        quad = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nvn 0 0 1\nvn 0 0 -1\n"
-        # vertices 2 and 3 are named with vn 1 by one face and vn 2 by the other
-        assert geom.load_obj(quad + "f 1//1 2//1 3//1\nf 2//2 4//2 3//2\n").vertex_norms is None
-        # the second face names no normals
-        assert geom.load_obj(quad + "f 1//1 2//1 3//1\nf 2 4 3\n").vertex_norms is None
-        # vn lines that no face names bind nothing, even when their count matches
-        assert geom.load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn 0 0 1\nvn 0 0 1\nf 1 2 3\n").vertex_norms is None
-
-    def test_normal_index_out_of_range_reports_line(self):
-        with pytest.raises(ValueError, match="line 5.*normal index 2"):
-            geom.load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2//2 3//1\n")
-
-    @pytest.mark.parametrize("bad", ["0 0 0", "nan 0 1"], ids=["zero", "nan"])
-    def test_bad_bound_normal_reports_line(self, bad):
-        obj = f"v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nvn {bad}\nf 1//1 2//2 3//1\n"
-        with pytest.raises(ValueError, match="line 6: normal index 2 is zero or not finite"):
-            geom.load_obj(obj)
-
-    def test_bad_normal_that_no_face_names_binds_nothing(self):
-        obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 0\nvn nan 0 1\nvn 0 0 1\nf 1//3 2//3 3//3\n"
-        np.testing.assert_array_equal(geom.load_obj(obj).vertex_norms, np.tile([0.0, 0.0, 1.0], (3, 1)))
 
 
 class TestNormals:
@@ -126,7 +18,7 @@ class TestNormals:
         np.testing.assert_allclose(geom.face_normals(mesh), [[0, 0, 1]], atol=1e-15)
 
     def test_cube_vertex_normals_diagonal(self):
-        mesh = geom.cube_mesh()
+        mesh = cube_mesh()
         vn = geom.vertex_normals(mesh)
         expect = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
         # area-weighted averaging on a symmetric cube points along the corner diagonals
@@ -222,9 +114,8 @@ def cameras_at_the_up_switch():
 
 
 class TestCameraBasis:
-    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
-    def test_viewpoints_match_np_cross(self, mode):
-        for cam in geom.viewpoints(200, mode=mode):
+    def test_viewpoints_match_np_cross(self):
+        for cam in geom.viewpoints(200):
             for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
                 assert got.tobytes() == want.tobytes()
 
@@ -243,20 +134,29 @@ class TestCameraBasis:
                 assert got.tobytes() == want.tobytes()
 
 
-def facing_triangle(z=0.0, normal=(0.0, 0.0, 1.0)):
+# random scene coordinates are in units of a third of the view's width
+FIT = geom._ORTHO_WIDTH / 3.0
+
+
+def mesh_with_normals(vertices, faces, normals):
+    """A mesh that renders with ``normals`` instead of derived ones."""
+    mesh = TriMesh(vertices, faces)
+    mesh.vertex_norms = normals
+    return mesh
+
+
+def facing_triangle(z=0.0):
     v = np.array([[-1.0, -1.0, z], [1.0, -1.0, z], [0.0, 1.0, z]])
-    n = np.tile(np.asarray(normal, dtype=np.float64), (3, 1))
-    return TriMesh(v, np.array([[0, 1, 2]]), vertex_norms=n)
+    return mesh_with_normals(v, np.array([[0, 1, 2]]), np.tile([0.0, 0.0, 1.0], (3, 1)))
 
 
-def camera_above(resolution=(32, 32)):
-    return Camera(position=np.array([0.0, 0.0, 3.0]), resolution=resolution, ortho_width=3.0)
+def camera_above():
+    return Camera(position=np.array([0.0, 0.0, 3.0]), resolution=(32, 32))
 
 
 def assert_matches_oracle(mesh, cam):
-    with np.errstate(divide="ignore", invalid="ignore"):  # vertices on the camera plane
-        view = geom.rasterize_normals(mesh, cam)
-        o_nm, o_z = rasterize_oracle(mesh, cam)
+    view = geom.rasterize_normals(mesh, cam)
+    o_nm, o_z = rasterize_oracle(mesh, cam)
     assert view.normal_map.vectors.tobytes() == o_nm.vectors.tobytes()
     assert view.depth.tobytes() == o_z.tobytes()
     assert np.array_equal(view.mask, o_nm.mask)
@@ -267,7 +167,7 @@ def random_triangles(r, n_tri, scale=1.0):
     v = r.uniform(-scale, scale, (3 * n_tri, 3))
     n = r.normal((3 * n_tri, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    return TriMesh(v, np.arange(3 * n_tri).reshape(-1, 3), vertex_norms=n)
+    return mesh_with_normals(v, np.arange(3 * n_tri).reshape(-1, 3), n)
 
 
 def bumpy_heightfield_mesh(seed=5, size=8):
@@ -285,8 +185,8 @@ def submitted_copies(mesh, copies=2, seed=9):
     r = SeededRng(seed).stream_rng(0)
     n = r.normal((copies * mesh.n_vertices, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    return TriMesh(np.vstack([mesh.vertices] * copies),
-                   np.vstack([mesh.faces + k * mesh.n_vertices for k in range(copies)]), vertex_norms=n)
+    return mesh_with_normals(np.vstack([mesh.vertices] * copies),
+                             np.vstack([mesh.faces + k * mesh.n_vertices for k in range(copies)]), n)
 
 
 class TestRasterizer:
@@ -304,10 +204,10 @@ class TestRasterizer:
     def test_nearer_triangle_wins(self):
         near = facing_triangle(z=1.0)
         far = facing_triangle(z=0.0)
-        mesh = TriMesh(
+        mesh = mesh_with_normals(
             np.vstack([far.vertices, near.vertices]),
             np.array([[0, 1, 2], [3, 4, 5]]),
-            vertex_norms=np.vstack([far.vertex_norms, near.vertex_norms]),
+            np.vstack([far.vertex_norms, near.vertex_norms]),
         )
         view = geom.rasterize_normals(mesh, camera_above())
         # camera at z=3: near triangle depth 2, far depth 3; contested
@@ -319,47 +219,30 @@ class TestRasterizer:
         rng = SeededRng(21)
         for i in range(10):
             r = rng.stream_rng(i)
-            n_tri = int(r.integers(4, 10))
-            v = r.uniform(-1.0, 1.0, (3 * n_tri, 3))
-            n = r.normal((3 * n_tri, 3))
-            n /= np.linalg.norm(n, axis=1, keepdims=True)
-            mesh = TriMesh(v, np.arange(3 * n_tri).reshape(-1, 3), vertex_norms=n)
+            mesh = random_triangles(r, int(r.integers(4, 10)), scale=FIT)
             direction = r.normal((3,))
             direction /= np.linalg.norm(direction)
-            cam = Camera(position=direction * 3.0, resolution=(32, 32), ortho_width=3.0)
-            view = geom.rasterize_normals(mesh, cam)
-            o_nm, o_z = rasterize_oracle(mesh, cam)
-            assert view.normal_map.vectors.tobytes() == o_nm.vectors.tobytes()
-            assert view.depth.tobytes() == o_z.tobytes()
-            assert np.array_equal(view.mask, o_nm.mask)
+            assert_matches_oracle(mesh, Camera(position=direction * 3.0, resolution=(32, 32)))
 
-    def test_bit_exact_vs_oracle_perspective_random_scenes(self):
-        rng = SeededRng(22)
-        for i in range(8):
-            r = rng.stream_rng(i)
-            mesh = random_triangles(r, int(r.integers(4, 10)))
-            direction = r.normal((3,))
-            direction /= np.linalg.norm(direction)
-            cam = Camera(position=direction * 3.0, mode="perspective", fov_y_deg=50.0, resolution=(32, 32))
-            assert assert_matches_oracle(mesh, cam).mask.any()
-
-    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
-    def test_bit_exact_vs_oracle_heightfield_shared_edges(self, mode):
+    def test_bit_exact_vs_oracle_heightfield_shared_edges(self):
         # neighbouring faces share edges, so pixel centers on an edge pass
         # the inclusive coverage test of both faces
         mesh = bumpy_heightfield_mesh()
-        for cam in geom.viewpoints(4, mode=mode, resolution=(24, 24))[:3]:
+        for cam in geom.viewpoints(4, resolution=(24, 24))[:3]:
             assert_matches_oracle(mesh, cam)
 
-    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
-    def test_exact_ties_go_to_first_submitted_face(self, mode):
-        mesh = submitted_copies(geom.icosahedron_mesh())
-        first_only = TriMesh(mesh.vertices, mesh.faces[: mesh.n_faces // 2], vertex_norms=mesh.vertex_norms)
-        for cam in geom.viewpoints(3, mode=mode, resolution=(24, 24)):
+    def test_exact_ties_go_to_first_submitted_face(self):
+        mesh = submitted_copies(icosahedron_mesh())
+        first_only = mesh_with_normals(mesh.vertices, mesh.faces[: mesh.n_faces // 2], mesh.vertex_norms)
+        copy_only = mesh_with_normals(mesh.vertices, mesh.faces[mesh.n_faces // 2:], mesh.vertex_norms)
+        for cam in geom.viewpoints(3, resolution=(24, 24)):
             view = assert_matches_oracle(mesh, cam)
             assert view.mask.any()
             alone = geom.rasterize_normals(first_only, cam)
             assert view.normal_map.vectors.tobytes() == alone.normal_map.vectors.tobytes()
+            # the copy renders other normals, so a win by it would show
+            copy = geom.rasterize_normals(copy_only, cam)
+            assert view.normal_map.vectors.tobytes() != copy.normal_map.vectors.tobytes()
 
     @pytest.mark.parametrize("faces", [[[0, 1, 2], [0, 2, 3]], [[0, 2, 1], [0, 3, 2]]], ids=["ccw", "cw"])
     def test_pixel_centers_on_edges_are_covered(self, faces):
@@ -367,13 +250,14 @@ class TestRasterizer:
         # center on a side or on the shared diagonal passes the inclusive
         # coverage test, in either winding, so the 9 x 9 block has no hole
         cam = camera_above()
-        cell = cam.ortho_width / cam.resolution[1]
+        half = geom._ORTHO_WIDTH / 2.0
+        cell = geom._ORTHO_WIDTH / cam.resolution[1]
 
         def at(px, py):  # the world point that this camera projects to (px, py)
-            return [(cam.resolution[0] - 0.5 - py) * cell - 1.5, 1.5 - (px + 0.5) * cell, 0.0]
+            return [(cam.resolution[0] - 0.5 - py) * cell - half, half - (px + 0.5) * cell, 0.0]
 
         v = np.array([at(4, 4), at(12, 4), at(12, 12), at(4, 12)])
-        mesh = TriMesh(v, np.array(faces), vertex_norms=np.tile([0.0, 0.0, 1.0], (4, 1)))
+        mesh = mesh_with_normals(v, np.array(faces), np.tile([0.0, 0.0, 1.0], (4, 1)))
         px, py, _ = cam.project(v)
         np.testing.assert_array_equal(np.stack([px, py], axis=1), [[4, 4], [12, 4], [12, 12], [4, 12]])
         view = assert_matches_oracle(mesh, cam)
@@ -382,14 +266,13 @@ class TestRasterizer:
         np.testing.assert_array_equal(view.mask, block)
 
     @pytest.mark.parametrize("cap", [None, 1, 7])
-    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
-    def test_exact_ties_among_three_copies_go_to_the_first(self, monkeypatch, mode, cap):
+    def test_exact_ties_among_three_copies_go_to_the_first(self, monkeypatch, cap):
         # every covered pixel holds three fragments at one depth
         if cap is not None:
             monkeypatch.setattr(geom, "_FRAGMENT_CAP", cap)
-        mesh = submitted_copies(geom.icosahedron_mesh(), 3)
-        first_only = TriMesh(mesh.vertices, mesh.faces[: mesh.n_faces // 3], vertex_norms=mesh.vertex_norms)
-        for cam in geom.viewpoints(3, mode=mode, resolution=(24, 24)):
+        mesh = submitted_copies(icosahedron_mesh(), 3)
+        first_only = mesh_with_normals(mesh.vertices, mesh.faces[: mesh.n_faces // 3], mesh.vertex_norms)
+        for cam in geom.viewpoints(3, resolution=(24, 24)):
             view = geom.rasterize_normals(mesh, cam)
             alone = geom.rasterize_normals(first_only, cam)
             assert view.mask.any()
@@ -397,21 +280,18 @@ class TestRasterizer:
             assert view.depth.tobytes() == alone.depth.tobytes()
             assert np.array_equal(view.mask, alone.mask)
 
-    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
-    def test_bit_exact_vs_oracle_straddling_camera_plane(self, mode):
+    def test_bit_exact_vs_oracle_straddling_camera_plane(self):
         r = SeededRng(23).stream_rng(0)
-        mesh = random_triangles(r, 12, scale=2.0)
-        cam = Camera(position=np.array([0.3, -0.2, 0.4]), mode=mode, fov_y_deg=70.0,
-                     resolution=(24, 24), ortho_width=3.0)
+        mesh = random_triangles(r, 12, scale=2.0 * FIT)
+        cam = Camera(position=np.array([0.3, -0.2, 0.4]), resolution=(24, 24))
         _, _, depth = cam.project(mesh.vertices)
         straddling = (depth[mesh.faces] > 0).any(axis=1) & (depth[mesh.faces] <= 0).any(axis=1)
         assert straddling.any()
         assert assert_matches_oracle(mesh, cam).mask.any()
 
-    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
-    def test_bit_exact_vs_oracle_non_square(self, mode):
+    def test_bit_exact_vs_oracle_non_square(self):
         mesh = bumpy_heightfield_mesh(seed=6)
-        for cam in geom.viewpoints(2, mode=mode, resolution=(18, 40)):
+        for cam in geom.viewpoints(2, resolution=(18, 40)):
             view = assert_matches_oracle(mesh, cam)
             assert view.depth.shape == (18, 40)
 
@@ -419,10 +299,9 @@ class TestRasterizer:
     def test_bit_exact_vs_oracle_across_chunks(self, monkeypatch, cap):
         # a cap of one fragment puts every face in a chunk of its own
         monkeypatch.setattr(geom, "_FRAGMENT_CAP", cap)
-        for mode in ("orthographic", "perspective"):
-            cam = geom.viewpoints(2, mode=mode, resolution=(20, 20))[0]
-            assert_matches_oracle(bumpy_heightfield_mesh(), cam)
-            assert_matches_oracle(submitted_copies(geom.cube_mesh()), cam)
+        cam = geom.viewpoints(2, resolution=(20, 20))[0]
+        assert_matches_oracle(bumpy_heightfield_mesh(), cam)
+        assert_matches_oracle(submitted_copies(cube_mesh()), cam)
 
     def test_non_finite_vertex_rejected(self):
         mesh = facing_triangle()
@@ -430,37 +309,15 @@ class TestRasterizer:
         with pytest.raises(ValueError, match="finite"):
             geom.rasterize_normals(mesh, camera_above())
 
-    def test_perspective_mode_runs(self):
-        cam = Camera(position=np.array([0.0, 0.0, 3.0]), mode="perspective",
-                     fov_y_deg=50.0, resolution=(32, 32))
-        view = geom.rasterize_normals(facing_triangle(), cam)
-        assert view.mask.sum() > 10
-        covered = view.normal_map.vectors[view.mask]
-        np.testing.assert_allclose(covered, np.broadcast_to([0, 0, 1.0], covered.shape), atol=1e-9)
-
     def test_empty_mesh(self):
         mesh = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
         view = geom.rasterize_normals(mesh, camera_above())
         assert view.mask.sum() == 0
 
 
-class TestVertexNormsValidation:
-    @pytest.mark.parametrize("norms,match", [
-        (np.tile([0.0, 0.0, 1.0], (2, 1)), r"vertex_norms has shape \(2, 3\), expected \(3, 3\)"),
-        (np.tile([0.0, 0.0, 1.0], (5, 1)), r"vertex_norms has shape \(5, 3\), expected \(3, 3\)"),
-        (np.zeros((3, 3)), r"vertex_norms of shape \(3, 3\) has a non-finite or zero row"),
-        (np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]]),
-         r"vertex_norms of shape \(3, 3\) has a non-finite or zero row"),
-    ], ids=["too_few_rows", "too_many_rows", "zero_rows", "nan_row"])
-    def test_bad_vertex_norms_rejected(self, norms, match):
-        v = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(ValueError, match=match):
-            TriMesh(v, np.array([[0, 1, 2]]), vertex_norms=norms)
-
-
 class TestSharpEdges:
     def test_cube_is_twelve(self):
-        assert geom.sharp_edge_report(geom.cube_mesh(), 30.0).sharp_count == 12
+        assert geom.sharp_edge_report(cube_mesh(), 30.0).sharp_count == 12
 
     def test_coplanar_triangles_zero(self):
         mesh = TriMesh(
@@ -478,7 +335,7 @@ class TestSharpEdges:
         assert rep.sharp_count == 0
 
     def test_icosahedron_is_thirty(self):
-        mesh = geom.icosahedron_mesh()
+        mesh = icosahedron_mesh()
         rep = geom.sharp_edge_report(mesh, 30.0)
         assert rep.interior_edges == 30
         assert rep.sharp_count == 30
@@ -505,7 +362,7 @@ class TestSharpEdges:
 
     def test_invariant_under_permutation_and_rotation(self):
         rng = SeededRng(31)
-        mesh = geom.cube_mesh()
+        mesh = cube_mesh()
         for i in range(5):
             r = rng.stream_rng(i)
             q, _ = np.linalg.qr(r.normal((3, 3)))
@@ -552,20 +409,20 @@ class TestSharpEdges:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            geom.sharp_edge_report(geom.cube_mesh(), 0.0)
+            geom.sharp_edge_report(cube_mesh(), 0.0)
 
 
 class TestDatasetStats:
     def test_single_mesh(self):
-        assert geom.dataset_stats([geom.cube_mesh()]).counts == [12]
+        assert geom.dataset_stats([cube_mesh()]).counts == [12]
 
     def test_counts_in_mesh_order(self):
         computed = geom.dataset_stats(
             [  # counts 0, 12, 30: coplanar pair, cube, icosahedron
                 TriMesh(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
                         np.array([[0, 1, 2], [0, 2, 3]])),
-                geom.cube_mesh(),
-                geom.icosahedron_mesh(),
+                cube_mesh(),
+                icosahedron_mesh(),
             ]
         )
         assert computed.counts == [0, 12, 30]
@@ -600,11 +457,10 @@ class TestHeightfieldMesh:
                 loop.append(((r + 1) * w + c, (r + 1) * w + c + 1, r * w + c + 1))
         np.testing.assert_array_equal(mesh.faces, loop)
 
-    @pytest.mark.parametrize("mode", ["orthographic", "perspective"])
-    def test_stored_vertex_normals_render_like_recomputed(self, mode):
+    def test_stored_vertex_normals_render_like_recomputed(self):
         mesh = bumpy_heightfield_mesh(seed=11, size=12)
         assert mesh.vertex_norms is None  # derived on first use
-        for cam in geom.viewpoints(3, mode=mode, resolution=(24, 28)):
+        for cam in geom.viewpoints(3, resolution=(24, 28)):
             # from the second view on, mesh renders with the normals the
             # first render stored; a fresh copy derives its own each time
             bare = TriMesh(mesh.vertices, mesh.faces)
@@ -640,10 +496,3 @@ class TestHeightfieldMesh:
         assert len(geom.dataset_stats(meshes).counts) == 3
         assert calls == []
         assert all(m.vertex_norms is None for m in meshes)
-
-    def test_obj_round_trip(self, tmp_path):
-        mesh = geom.icosahedron_mesh()
-        geom.save_obj(tmp_path / "ico.obj", mesh)
-        back = geom.load_obj((tmp_path / "ico.obj").read_text())
-        np.testing.assert_allclose(back.vertices, mesh.vertices, atol=1e-15)
-        np.testing.assert_array_equal(back.faces, mesh.faces)

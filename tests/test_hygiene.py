@@ -10,6 +10,14 @@ attributes) that nothing there reads, defaulted parameters, of
 functions and methods alike, that no call there sets, and ``None``
 defaults that every call there overrides. A call that passes a
 parameter its own default literal does not set it.
+
+The checks match names, not types: a member or callable counts as read
+or set when any attribute or call of the same name is, such as
+``Tensor.sum`` by numpy's ``ndarray.sum`` or ``SeededRng.normal`` by
+another object's ``normal``. So a finding of the unused-import,
+unreached, unread and unset checks is always real, but an absence of
+findings is no proof that everything is used. (The ``None``-default
+check can also invent a finding; see its test.)
 """
 
 import ast
@@ -105,10 +113,6 @@ REACHABILITY_EXEMPT = {
     # pin them
     "freq.py": {"dft2", "radial_power_spectrum", "fit_alpha", "snr_curves",
                 "snr_crossing_time", "power_law_image"},
-    # OBJ I/O: the way to bring an outside mesh to the renderer and the
-    # sharp-edge statistics; primitive meshes with known sharp-edge counts
-    # and normals, the fixtures of the rasterizer and edge tests
-    "geom.py": {"load_obj", "save_obj", "cube_mesh", "icosahedron_mesh"},
 }
 REACHABILITY_ROOTS = (PACKAGE, PACKAGE.parents[1] / "benchmarks")
 
@@ -277,11 +281,6 @@ DEFAULT_EXEMPT = {
     # tests sweep these
     "freq.py:radial_power_spectrum.n_bins", "freq.py:snr_curves.g",
     "freq.py:power_law_image.seed", "freq.py:power_law_image.random_amplitude",
-    # the perspective camera and its field of view, and the orthographic
-    # width: the rasterizer oracle tests render with them
-    "geom.py:viewpoints.mode", "geom.py:Camera.ortho_width", "geom.py:Camera.fov_y_deg",
-    # fixture meshes of the rasterizer and sharp-edge tests
-    "geom.py:cube_mesh.size", "geom.py:icosahedron_mesh.radius",
     # the training and data factors that the search for a task NiRNE
     # measurably learns varies one at a time; they become constants once
     # that task is frozen

@@ -613,6 +613,19 @@ class TestSeededRng:
         b = SeededRng(5, 1).normal((100,))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 25.0, 0.0, 5e-324])
+    @pytest.mark.parametrize("shape", [(), (5,), (4, 8, 64, 64)], ids=["scalar", "vector", "feature_map"])
+    def test_normal_matches_generator_normal_bitwise(self, shape, scale):
+        # bytes include sign bits: at scale 0, and at 5e-324 for |z| < 0.5,
+        # negative draws round to -0.0, which Generator.normal returns as +0.0
+        ours = SeededRng(3, 4)
+        ref = np.random.Generator(np.random.Philox(key=np.array([3, 4], dtype=np.uint64)))
+        got, want = ours.normal(shape, scale=scale), ref.normal(0.0, scale, size=shape)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the stream stays in step with the reference after the draw
+        assert ours.normal((7,)).tobytes() == ref.normal(0.0, 1.0, size=7).tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
