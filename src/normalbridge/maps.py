@@ -100,7 +100,9 @@ def encode_normal_image(nm: NormalMap) -> np.ndarray:
 
 def decode_normal_image(img: np.ndarray, mask: np.ndarray) -> NormalMap:
     """Invert :func:`encode_normal_image` under the foreground ``mask``;
-    decoded vectors are re-normalized."""
+    decoded vectors are re-normalized. A mask of another shape raises."""
+    if mask.shape != img.shape[:2]:
+        raise ValueError(f"mask shape {mask.shape} differs from the normal image's {img.shape[:2]}")
     v = img.astype(np.float64) / 255.0 * 2.0 - 1.0
     n = np.linalg.norm(v, axis=-1, keepdims=True)
     v = np.where(n > 1e-12, v / np.maximum(n, 1e-12), SENTINEL_NORMAL)

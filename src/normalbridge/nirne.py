@@ -9,6 +9,9 @@ the clean stream keeps low-frequency reliability. The decoder upsamples
 from the clean stream's skips while the noisy stream enters through
 per-level 1x1 fusion projections added to each decoder block, so the
 noisy path is a residual detail channel that can be fine-tuned alone.
+Every activation is tensorcore's LeakyReLU (slope ``LEAKY_SLOPE``,
+0.1); each encoder norm applies it in its own graph node. Parameters are
+named after each layer's ``Tensor`` attributes (``noisy.stem_a.weight``).
 
 Training is two-stage: stage 1 fits everything on real-domain data
 (noisy edge labels, broad coverage); stage 2 freezes the clean stream
@@ -35,7 +38,6 @@ from .tensorcore import (
     Tensor,
     adamw_step,
     backward,
-    collect_params,
     concat,
     l2_normalize,
     no_grad,
@@ -59,8 +61,6 @@ _LEVELS = (3, 2, 1, 0)
 _PREDICT_CHUNK = 2
 # SNE dilation radius of evaluate_model, in pixels
 _SNE_RADIUS = 2
-# negative-side slope of every LeakyReLU in the encoders and the decoder
-_LEAKY_SLOPE = 0.1
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,11 @@ class _Encoder:
 
     def __call__(self, x: Tensor) -> list[Tensor]:
         # each norm applies its LeakyReLU in the same graph node
-        s = self.stem_b(self.stem_a(x).leaky_relu(_LEAKY_SLOPE))
-        f0 = self.norm0(s, _LEAKY_SLOPE)
-        f1 = self.norm1(self.down1(f0), _LEAKY_SLOPE)
-        f2 = self.norm2(self.down2(f1), _LEAKY_SLOPE)
-        f3 = self.norm3(self.down3(f2), _LEAKY_SLOPE)
+        s = self.stem_b(self.stem_a(x).leaky_relu())
+        f0 = self.norm0(s)
+        f1 = self.norm1(self.down1(f0))
+        f2 = self.norm2(self.down2(f1))
+        f3 = self.norm3(self.down3(f2))
         return [f0, f1, f2, f3]
 
     def layers(self, prefix):
@@ -165,7 +165,10 @@ class DualStreamModel:
         return layers
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return collect_params(self._layer_map())
+        """``{layer}.{attribute}`` -> parameter, for every ``Tensor``
+        attribute of every layer, in checkpoint order."""
+        return {f"{name}.{attr}": value for name, layer in self._layer_map().items()
+                for attr, value in vars(layer).items() if isinstance(value, Tensor)}
 
     def stage2_trainable_names(self) -> set[str]:
         """Noisy encoder + fusion projections; everything when single-stream."""
@@ -229,7 +232,7 @@ class DualStreamModel:
                 skip = clean_feats[k] + self.fuse[k](skip)
             if x is not None:
                 skip = concat([upsample_nearest(x), skip], axis=1)
-            x = self.dec[k](skip).leaky_relu(_LEAKY_SLOPE)
+            x = self.dec[k](skip).leaky_relu()
         raw = self.head(x)
         if return_raw:
             return raw

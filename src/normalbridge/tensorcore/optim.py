@@ -1,8 +1,8 @@
 """AdamW with decoupled weight decay.
 
-The learning rate and the weight decay are settings (defaults 3e-4 and
-1e-2, the toy-scale values used across this package); the betas and eps
-are the module constants ``BETA1``, ``BETA2`` and ``EPS``.
+The learning rate and the weight decay are required settings of
+``AdamWState`` (training passes ``TrainConfig``'s); the betas and eps are
+the module constants ``BETA1``, ``BETA2`` and ``EPS``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ EPS = 1e-8
 
 @dataclass
 class AdamWState:
-    lr: float = 3e-4
-    weight_decay: float = 1e-2
+    lr: float
+    weight_decay: float
     step_count: int = field(default=0, init=False)
     m: dict = field(default_factory=dict, init=False)
     v: dict = field(default_factory=dict, init=False)

@@ -33,9 +33,10 @@ alive.
 Conventions fixed here once and relied on by tests:
   * all buffers are float64,
   * ``conv2d`` computes cross-correlation (no kernel flip),
-  * ``leaky_relu`` takes a slope with ``0 < slope < 1`` and is
-    ``max(x, slope * x)``, the bits of ``np.where(x > 0, x, slope * x)``;
-    its derivative is read back from the output, so no mask is stored,
+  * ``leaky_relu`` has the one slope ``LEAKY_SLOPE`` and is
+    ``max(x, LEAKY_SLOPE * x)``, the bits of ``np.where(x > 0, x,
+    LEAKY_SLOPE * x)``; its derivative is read back from the output, so
+    no mask is stored,
   * broadcasting follows numpy; gradients are summed back to the
     un-broadcast shape.
 """
@@ -56,6 +57,13 @@ __all__ = [
     "upsample_nearest",
 ]
 
+# negative-side slope of every LeakyReLU. Only for 0 < slope < 1 does
+# max(x, slope * x) have the bits of np.where(x > 0, x, slope * x) on every
+# float64 (signed zeros, subnormals, infinities and NaN included), with
+# out > 0 exactly where x > 0: a negative slope differs at -0.0 and makes
+# out positive where x < 0, and a slope above 1 picks the other branch
+LEAKY_SLOPE = 0.1
+
 # per thread (and per asyncio task): a no_grad block in one does not stop
 # graph recording in another
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
@@ -69,11 +77,6 @@ class no_grad:
 
     def __exit__(self, *exc):
         _grad_enabled.reset(self._token)
-
-
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
 
 
 class Tensor:
@@ -90,7 +93,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple[Tensor, ...] = ()
@@ -221,20 +224,19 @@ class Tensor:
         out._set_backward(lambda: self._accumulate(out.grad * 0.5 / out.data))
         return out
 
-    def leaky_relu(self, slope: float):
-        """``max(x, slope * x)``; any slope outside ``0 < slope < 1`` raises.
+    def leaky_relu(self):
+        """``max(x, LEAKY_SLOPE * x)``, the bits of ``np.where(x > 0, x,
+        LEAKY_SLOPE * x)`` on every float64 (signed zeros, subnormals,
+        infinities and NaN included).
 
-        In that range it has the bits of ``np.where(x > 0, x, slope * x)``
-        on every float64 (signed zeros, subnormals, infinities and NaN
-        included), and backward multiplies the gradient by
-        ``fmax(sign(out), slope)``, the bits of ``np.where(x > 0, 1,
-        slope)``, read from the output; nothing else is stored.
+        Backward multiplies the gradient by ``fmax(sign(out),
+        LEAKY_SLOPE)``, the bits of ``np.where(x > 0, 1, LEAKY_SLOPE)``,
+        read from the output; nothing else is stored.
         """
-        _check_slope(slope)
-        data = self.data * slope
+        data = self.data * LEAKY_SLOPE
         np.maximum(self.data, data, out=data)
         out = Tensor._result(data, (self,), "leaky_relu")
-        out._set_backward(lambda: self._accumulate(_leaky_relu_grad(out.grad, out.data, slope)))
+        out._set_backward(lambda: self._accumulate(_leaky_relu_grad(out.grad, out.data)))
         return out
 
     # -- reductions -------------------------------------------------------
@@ -282,28 +284,16 @@ class Tensor:
 # -- LeakyReLU ------------------------------------------------------------
 
 
-def _check_slope(slope: float) -> None:
-    """LeakyReLU slopes are limited to ``0 < slope < 1``.
-
-    There ``max(x, slope * x)`` has the bits of ``np.where(x > 0, x,
-    slope * x)`` on every float64, signed zeros, subnormals, infinities
-    and NaN included, and ``out > 0`` exactly where ``x > 0``. A negative
-    slope differs at -0.0 and makes ``out`` positive where ``x < 0``, a
-    slope above 1 picks the other branch, and 0 and 1 are not leaky.
-    """
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must satisfy 0 < slope < 1, got {slope!r}")
-
-
-def _leaky_relu_grad(grad: np.ndarray, out: np.ndarray, slope: float) -> np.ndarray:
+def _leaky_relu_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``grad`` times the LeakyReLU derivative, read from the output ``out``.
 
-    ``fmax(sign(out), slope)`` is 1 where ``out > 0`` and ``slope``
-    elsewhere, NaN and both zeros included, so no mask or factor is kept
-    from the forward pass; ``out > 0`` exactly where the input was.
+    ``fmax(sign(out), LEAKY_SLOPE)`` is 1 where ``out > 0`` and
+    ``LEAKY_SLOPE`` elsewhere, NaN and both zeros included, so no mask or
+    factor is kept from the forward pass; ``out > 0`` exactly where the
+    input was.
     """
     factor = np.sign(out)
-    np.fmax(factor, slope, out=factor)
+    np.fmax(factor, LEAKY_SLOPE, out=factor)
     return np.multiply(grad, factor, out=factor)
 
 

@@ -339,14 +339,23 @@ def write_dataset(out_dir, samples: list[DomainSample]) -> None:
 
 
 def read_dataset(path) -> list[DomainSample]:
+    """The samples ``write_dataset`` wrote to ``path``. A malformed
+    manifest or sample raises ``ValueError``, naming the directory and
+    ``manifest.json`` or the sample's stem."""
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
+    try:
+        items = json.loads((root / "manifest.json").read_text())["items"]
+        stems = [item["stem"] for item in items]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{root / 'manifest.json'}: {type(exc).__name__}: {exc}") from exc
     samples = []
-    for item in manifest["items"]:
-        stem = item["stem"]
-        img = read_ppm(root / f"{stem}_img.ppm").astype(np.float64) / 255.0
-        mask = read_pgm(root / f"{stem}_mask.pgm") > 127
-        nm = decode_normal_image(read_ppm(root / f"{stem}_normal.ppm"), mask)
-        hf = read_height_bin(root / f"{stem}_height.bin")
-        samples.append(DomainSample(img, nm, hf, Domain(item["domain"]), item["index"]))
+    for item, stem in zip(items, stems):
+        try:
+            img = read_ppm(root / f"{stem}_img.ppm").astype(np.float64) / 255.0
+            mask = read_pgm(root / f"{stem}_mask.pgm") > 127
+            nm = decode_normal_image(read_ppm(root / f"{stem}_normal.ppm"), mask)
+            hf = read_height_bin(root / f"{stem}_height.bin")
+            samples.append(DomainSample(img, nm, hf, Domain(item["domain"]), item["index"]))
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{root}: sample {stem!r}: {type(exc).__name__}: {exc}") from exc
     return samples

@@ -7,9 +7,10 @@ drifted from the submodules on disk, module-level functions and
 classes that nothing in ``src/`` or ``benchmarks/`` refers to, class
 members (methods, properties, dataclass fields and ``__init__``
 attributes) that nothing there reads, defaulted parameters, of
-functions and methods alike, that no call there sets, and ``None``
-defaults that every call there overrides. A call that passes a
-parameter its own default literal does not set it.
+functions and methods alike, that no call there sets, ``None``
+defaults that every call there overrides, and parameters that every
+call there passes one and the same literal or upper-case constant. A
+call that passes a parameter its own default literal does not set it.
 
 The checks match names, not types: a member or callable counts as read
 or set when any attribute or call of the same name is, such as
@@ -317,15 +318,15 @@ def _not_in_init(value: ast.expr | None) -> bool:
         for kw in value.keywords)
 
 
-def _defaulted_params(fn: ast.FunctionDef, skip_self: bool) -> list[tuple[str, int | None, ast.expr]]:
-    """(name, position, default) of each defaulted parameter; keyword-only
-    ones have no position."""
+def _parameters(fn: ast.FunctionDef, skip_self: bool) -> list[tuple[str, int | None, ast.expr | None]]:
+    """(name, position, default or None) of each named parameter;
+    keyword-only ones have no position."""
     positional = fn.args.posonlyargs + fn.args.args
     if skip_self:
         positional = positional[1:]
-    first = len(positional) - len(fn.args.defaults)
-    out = [(arg.arg, i, fn.args.defaults[i - first]) for i, arg in enumerate(positional) if i >= first]
-    out += [(arg.arg, None, d) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    defaults = [None] * (len(positional) - len(fn.args.defaults)) + fn.args.defaults
+    out = [(arg.arg, i, d) for i, (arg, d) in enumerate(zip(positional, defaults))]
+    out += [(arg.arg, None, d) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)]
     return out
 
 
@@ -333,33 +334,38 @@ def _is_static(fn: ast.FunctionDef) -> bool:
     return any(getattr(dec, "id", None) == "staticmethod" for dec in fn.decorator_list)
 
 
-def _settings(path: Path) -> list[tuple[str, str, str, int | None, str | None, ast.expr]]:
-    """(key, callee, parameter, position, own scope, default) of every
-    defaulted parameter of a module-level function, a class ``__init__``,
-    a dataclass init field or a method. A call from the own scope (a
-    function's or method's body) does not set it."""
+def _signatures(path: Path) -> list[tuple[str, str, str, int | None, str | None, ast.expr | None]]:
+    """(key, callee, parameter, position, own scope, default or None) of
+    every parameter of a module-level function, a class ``__init__``, a
+    dataclass init field or a method. A call from the own scope (a
+    function's or method's body) does not count."""
     out = []
     for node in _tree(path).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             out += [(f"{node.name}.{name}", node.name, name, pos, node.name, default)
-                    for name, pos, default in _defaulted_params(node, False)]
+                    for name, pos, default in _parameters(node, False)]
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 if item.name == "__init__":
                     out += [(f"{node.name}.{name}", node.name, name, pos, None, default)
-                            for name, pos, default in _defaulted_params(item, True)]
+                            for name, pos, default in _parameters(item, True)]
                 else:
                     out += [(f"{node.name}.{item.name}.{name}", item.name, name, pos,
                              f"{node.name}.{item.name}", default)
-                            for name, pos, default in _defaulted_params(item, not _is_static(item))]
+                            for name, pos, default in _parameters(item, not _is_static(item))]
             if _is_dataclass(node):
                 fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
                           and isinstance(item.target, ast.Name) and not _not_in_init(item.value)]
                 out += [(f"{node.name}.{item.target.id}", node.name, item.target.id, pos, None, item.value)
-                        for pos, item in enumerate(fields) if item.value is not None]
+                        for pos, item in enumerate(fields)]
     return out
+
+
+def _settings(path: Path) -> list[tuple[str, str, str, int | None, str | None, ast.expr]]:
+    """The defaulted parameters among ``_signatures``."""
+    return [sig for sig in _signatures(path) if sig[-1] is not None]
 
 
 def _same_literal(a: ast.expr, b: ast.expr) -> bool:
@@ -371,16 +377,29 @@ def _same_literal(a: ast.expr, b: ast.expr) -> bool:
     return type(x) is type(y) and x == y
 
 
+def _unpacks(call: ast.Call) -> bool:
+    """``*args`` or ``**kwargs`` may carry any parameter."""
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords)
+
+
+def _given(call: ast.Call, param: str, position: int | None) -> ast.expr | None:
+    """What ``call`` passes for the parameter, by keyword or by position."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    if position is not None and len(call.args) > position:
+        return call.args[position]
+    return None
+
+
 def _passes(call: ast.Call, param: str, position: int | None, default: ast.expr) -> bool:
     """Whether ``call`` sets the parameter: it passes a value other than the
     default's own literal, by keyword or by position, or ``*args`` or
     ``**kwargs`` may carry one."""
-    if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+    if _unpacks(call):
         return True
-    given = [kw.value for kw in call.keywords if kw.arg == param]
-    if not given and position is not None and len(call.args) > position:
-        given = [call.args[position]]
-    return bool(given) and not _same_literal(given[0], default)
+    given = _given(call, param, position)
+    return given is not None and not _same_literal(given, default)
 
 
 def _calls_by_name(package: Path, roots) -> dict[str, list[tuple[ast.Call, Path, str | None]]]:
@@ -436,14 +455,53 @@ def test_default_exemptions_are_defaulted():
     assert not missing, f"exempt settings that are not defaulted parameters: {sorted(missing)}"
 
 
+def _fixed_value(expr: ast.expr | None) -> str | None:
+    """A key for a literal, equal for ``1e-6`` and ``1e-06``, or for a
+    bare upper-case name, a module constant such as ``SLOPE``; None for
+    anything else."""
+    if expr is None:
+        return None
+    try:
+        value = ast.literal_eval(expr)
+    except (ValueError, TypeError, SyntaxError):
+        name = getattr(expr, "id", None)
+        return f"name {name}" if name and name.isupper() else None
+    return f"{type(value).__name__} {value!r}"
+
+
+def _one_value_parameters(package: Path, roots) -> list[str]:
+    """Parameters of ``package`` that every call of that name under
+    ``roots``, outside the callable's own body, passes one and the same
+    literal or upper-case module constant (and there is at least one such
+    call), as "module:callable.parameter"."""
+    calls = _calls_by_name(package, roots)
+    found = []
+    for path, rel in _modules(package):
+        for key, callee, param, position, own, _ in _signatures(path):
+            outside = _outside_calls(calls, callee, path, own)
+            values = {None if _unpacks(call) else _fixed_value(_given(call, param, position))
+                      for call in outside}
+            if outside and len(values) == 1 and None not in values:
+                found.append(f"{rel}:{key}")
+    return found
+
+
+def test_no_parameter_has_one_value_in_use():
+    """No parameter in src/ is passed one and the same literal or
+    upper-case module constant by every call of that name in src/ or
+    benchmarks/ outside its own body: a setting with one value in use is
+    a constant.
+
+    Calls are matched by name, as in ``test_every_default_is_set``; a
+    same-named call that passes another value, or none, hides a finding.
+    """
+    found = _one_value_parameters(PACKAGE, REACHABILITY_ROOTS)
+    assert not found, f"parameters in src/ that every call in src/ or benchmarks/ passes one value: {found}"
+
+
 # None defaults kept though every call in src/ or benchmarks/ overrides
 # them, as "module:callable.parameter", each for a reason of its own.
-NONE_DEFAULT_EXEMPT = {
-    # the unfused norm is the reference the fused norm and activation are
-    # tested against (test_folded_leaky_relu_matches_norm_then_where_form,
-    # grad_cases.case_group_norm_leaky_relu)
-    "tensorcore/nn.py:group_norm.slope",
-}
+NONE_DEFAULT_EXEMPT: set[str] = set()
 
 
 def _overridden_none_defaults(package: Path, roots, exempt: set[str]) -> list[str]:
@@ -515,6 +573,10 @@ def scaled(x, factor=None):
 
 def rounded(x, digits=3):
     return round(x, digits)
+
+
+def clipped(x, limit):
+    return min(x, limit)
 """
 
 PLANTED_BENCHMARK = """
@@ -526,6 +588,9 @@ MESSAGE = "named_by_string"
 DOUBLED = mod.scaled(1.0, factor=2.0)
 HALVED = mod.scaled(1.0, 0.5)
 ROUNDED = mod.rounded(1.25, 3)
+LIMIT = 4
+LOW = mod.clipped(1.0, LIMIT)
+HIGH = mod.clipped(9.0, limit=LIMIT)
 """
 
 
@@ -535,8 +600,10 @@ def test_checks_on_a_planted_source(tmp_path):
     are read, a default that only the method's own body passes is unset,
     so is one that calls pass only as its own literal, a None default
     that every call overrides is found until one call passes it as
-    ``None``, and a module-level function that only a string in the
-    package names is unreached."""
+    ``None``, a parameter that every call passes one upper-case constant
+    is found until one call passes another value, as is each that every
+    call passes one literal, and a module-level function that only a
+    string in the package names is unreached."""
     package = tmp_path / "src" / "pkg"
     bench = tmp_path / "benchmarks"
     package.mkdir(parents=True)
@@ -551,9 +618,14 @@ def test_checks_on_a_planted_source(tmp_path):
     assert _overridden_none_defaults(package, roots, set()) == ["mod.py:scaled.factor"]
     assert _overridden_none_defaults(package, roots, {"mod.py:scaled.factor"}) == []
     assert _unreached_definitions(package, roots, {}) == []
+    # every call passes each of these one literal
+    one_value = ["mod.py:Report.kept", "mod.py:Report.unread", "mod.py:scaled.x",
+                 "mod.py:rounded.x", "mod.py:rounded.digits"]
+    assert _one_value_parameters(package, roots) == one_value + ["mod.py:clipped.limit"]
 
     (bench / "bench.py").write_text(PLANTED_BENCHMARK.replace('"named_by_string"', '"other"'))
     (package / "mod.py").write_text(PLANTED_MODULE + '\nNAME = "named_by_string"\n'
-                                    'PLAIN = scaled(1.0, None)\n')
+                                    'PLAIN = scaled(1.0, None)\nMID = clipped(5.0, 4)\n')
     assert _overridden_none_defaults(package, roots, set()) == []
+    assert _one_value_parameters(package, roots) == one_value
     assert _unreached_definitions(package, roots, {}) == ["mod.py:named_by_string"]

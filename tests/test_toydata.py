@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from normalbridge import metrics, toydata
-from normalbridge.maps import Heightfield
+from normalbridge.maps import Heightfield, write_pgm, write_ppm
 from normalbridge.tensorcore import SeededRng, Tensor, backward
 from normalbridge.toydata import Domain
 
@@ -234,6 +236,44 @@ class TestMakeDataset:
             assert x.height_gt.heights.tobytes() == y.height_gt.heights.tobytes()
 
 
+def _edit_manifest(ds, edit):
+    """Rewrite the manifest of the dataset at ``ds`` as ``edit`` returns its text."""
+    path = ds / "manifest.json"
+    path.write_text(edit(path.read_text()))
+
+
+def _edit_second_entry(ds, edit):
+    def rewrite(text):
+        manifest = json.loads(text)
+        edit(manifest["items"][1])
+        return json.dumps(manifest)
+    _edit_manifest(ds, rewrite)
+
+
+# how sample 0001 or the manifest of a two-sample 32x32 dataset is broken,
+# and what the error names besides the directory
+_BROKEN_DATASETS = {
+    "mask_of_another_size": (
+        lambda ds: write_pgm(ds / "0001_mask.pgm", np.zeros((32, 31), np.uint8)),
+        ["'0001'", "(32, 31)", "(32, 32)"]),
+    "image_of_another_size": (
+        lambda ds: write_ppm(ds / "0001_img.ppm", np.zeros((24, 32, 3), np.uint8)),
+        ["'0001'", "dimensions disagree"]),
+    "unknown_domain": (
+        lambda ds: _edit_second_entry(ds, lambda item: item.update(domain="bogus")),
+        ["'0001'", "'bogus'"]),
+    "entry_without_stem": (
+        lambda ds: _edit_second_entry(ds, lambda item: item.pop("stem")),
+        ["manifest.json", "'stem'"]),
+    "truncated_manifest": (
+        lambda ds: _edit_manifest(ds, lambda text: text[: len(text) // 2]),
+        ["manifest.json"]),
+    "manifest_not_an_object": (
+        lambda ds: _edit_manifest(ds, lambda text: "[]"),
+        ["manifest.json", "TypeError"]),
+}
+
+
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         samples = toydata.make_dataset(3, Domain.SYNTH, seed=5, size=32)
@@ -247,3 +287,15 @@ class TestDatasetIo:
             np.testing.assert_array_equal(orig.normal_gt.mask, got.normal_gt.mask)
             # 8-bit normal encoding: ~1/255 per channel before renormalization
             assert np.max(np.abs(orig.normal_gt.vectors - got.normal_gt.vectors)) < 0.02
+
+    @pytest.mark.parametrize("case", list(_BROKEN_DATASETS))
+    def test_bad_sample_names_directory_and_stem(self, tmp_path, case):
+        ds = tmp_path / "ds"
+        toydata.write_dataset(ds, toydata.make_dataset(2, Domain.SYNTH, seed=5, size=32))
+        breaks, named = _BROKEN_DATASETS[case]
+        breaks(ds)
+        with pytest.raises(ValueError) as info:
+            toydata.read_dataset(ds)
+        message = str(info.value)
+        for part in [str(ds)] + named:
+            assert part in message, f"{part!r} not in {message!r}"
