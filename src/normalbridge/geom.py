@@ -110,17 +110,23 @@ def _cross(a, b) -> np.ndarray:
 
 @dataclass
 class Camera:
-    """An orthographic camera at ``position`` that looks at the origin with
-    +z up (+x up when it looks within ~8 degrees of the z axis); the view
-    is ``_ORTHO_WIDTH`` wide."""
+    """An orthographic camera at ``position``, a finite 3-vector, that looks
+    at the origin with +z up (+x up when it looks within ~8 degrees of the
+    z axis); the view is ``_ORTHO_WIDTH`` wide and ``resolution``, two
+    positive integers, pixels high and wide."""
 
     position: np.ndarray
     resolution: tuple[int, int] = (96, 96)  # (H, W)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64)
+        if self.position.shape != (3,) or not np.isfinite(self.position).all():
+            raise ValueError(f"camera position must be a finite 3-vector, got {self.position!r}")
         if np.linalg.norm(self.position) < 1e-12:
             raise ValueError("camera position coincides with the origin it looks at")
+        if np.shape(self.resolution) != (2,) or not all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in self.resolution):
+            raise ValueError(f"camera resolution must be two positive integers, got {self.resolution!r}")
 
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Right-handed (right, up, forward); forward points at the origin."""
@@ -344,23 +350,24 @@ class SharpEdgeReport:
     nonmanifold_edges: int
 
 
-def sharp_edge_report(mesh: TriMesh, dihedral_threshold_deg: float = 30.0) -> SharpEdgeReport:
+SHARP_EDGE_DEG = 30.0  # face-normal angle above which an edge is sharp, read at call time
+
+
+def sharp_edge_report(mesh: TriMesh) -> SharpEdgeReport:
     """Classify mesh edges by adjacent-face-normal angle.
 
-    Interior edges (2 faces) count as sharp above the threshold; boundary
-    edges are excluded; non-manifold edges (>2 faces) count once if any
-    adjacent face pair exceeds the threshold; their count is reported
+    Interior edges (2 faces) count as sharp above ``SHARP_EDGE_DEG``;
+    boundary edges are excluded; non-manifold edges (>2 faces) count once
+    if any adjacent face pair exceeds it; their count is reported
     separately.
     A zero-area face has no normal, so no pair with one is ever sharp.
     """
-    if not 0.0 < dihedral_threshold_deg < 180.0:
-        raise ValueError("threshold must be in (0, 180) degrees")
     fn = face_normals(mesh)
     has_normal = np.einsum("ij,ij->i", fn, fn) > 0.0  # face_normals gives zero-area faces 0
 
     def sharp(fa, fb):
         dot = np.clip(np.sum(fn[fa] * fn[fb], axis=-1), -1.0, 1.0)
-        angle_exceeded = np.degrees(np.arccos(dot)) > dihedral_threshold_deg
+        angle_exceeded = np.degrees(np.arccos(dot)) > SHARP_EDGE_DEG
         return angle_exceeded & has_normal[fa] & has_normal[fb]
 
     # one key per undirected edge, grouped by a stable sort: the faces of
@@ -395,8 +402,7 @@ class DatasetStats:
 
 
 def dataset_stats(meshes) -> DatasetStats:
-    """Sharp-edge count of each mesh, in order, at the default 30-degree
-    threshold."""
+    """Sharp-edge count of each mesh, in order."""
     counts = [sharp_edge_report(m).sharp_count for m in meshes]
     if not counts:
         raise ValueError("dataset_stats needs at least one mesh")

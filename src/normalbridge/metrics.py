@@ -9,7 +9,8 @@ by a Chebyshev ball, intersected with the foreground.
 empty; ``multiview_report`` averages NE and SNE over the views.
 
 The Canny gradient magnitude is normalized to max 1 before thresholding,
-so ``low``/``high`` are relative thresholds on unit-scaled gradients.
+so ``CANNY_LOW``/``CANNY_HIGH`` are relative thresholds on unit-scaled
+gradients.
 
 Canny works on all channels at once, as one (H, W, C) image, in the same
 per-pixel float expressions as a loop over channels, so the mask does
@@ -19,7 +20,7 @@ index vector; flattened, every blur and Sobel tap is one contiguous
 slice and every product goes through one scratch. ``hypot`` runs only
 where both gradient components are nonzero: ``hypot(x, +-0)`` is ``|x|``
 (C99 Annex F). Non-maximum suppression looks only at the pixels that
-clear ``low``. Hysteresis lists the pairs of 8-neighbouring weak pixels
+clear ``CANNY_LOW``. Hysteresis lists the pairs of 8-neighbouring weak pixels
 within a channel once, then grows the kept set from the strong pixels
 across those pairs until no pair has one end kept and the other not: the
 fixed point of growing the strong pixels through weak ones, without a
@@ -51,8 +52,8 @@ __all__ = [
 
 REFERENCE_RESOLUTION = 768  # dilation radius 5 is calibrated at this height
 DEFAULT_DILATION_RADIUS = 5
-DEFAULT_CANNY_LOW = 0.1
-DEFAULT_CANNY_HIGH = 0.2
+CANNY_LOW = 0.1  # relative Canny thresholds, read at call time
+CANNY_HIGH = 0.2
 
 
 @dataclass
@@ -177,13 +178,13 @@ def _sobel(p: np.ndarray) -> np.ndarray:
     return g
 
 
-def _hysteresis(weak: np.ndarray, mag: np.ndarray, forward: tuple[int, ...], high: float) -> np.ndarray:
+def _hysteresis(weak: np.ndarray, mag: np.ndarray, forward: tuple[int, ...]) -> np.ndarray:
     """The weak pixels 8-connected, through weak pixels, to a strong one.
 
     ``mag`` is the flat, zero-bordered magnitude stack, ``forward`` the flat
     offsets of a pixel's right, lower-left, lower and lower-right
     neighbours in it, and ``weak`` the sorted flat indices of the weak
-    pixels; a strong pixel is a weak one with magnitude ``>= high``.
+    pixels; a strong pixel is a weak one with magnitude ``>= CANNY_HIGH``.
     Each pair of 8-neighbouring weak pixels is listed once; every round
     keeps both ends of each pair that has exactly one end kept, starting
     from the strong pixels, until no pair grows. Returns the indices of
@@ -200,7 +201,7 @@ def _hysteresis(weak: np.ndarray, mag: np.ndarray, forward: tuple[int, ...], hig
         vs.append(np.searchsorted(weak, weak[hit] + off))
     u, v = np.concatenate(us), np.concatenate(vs)
 
-    keep = mag[weak] >= high
+    keep = mag[weak] >= CANNY_HIGH
     while True:
         grow = keep[u] != keep[v]
         if not grow.any():
@@ -209,16 +210,15 @@ def _hysteresis(weak: np.ndarray, mag: np.ndarray, forward: tuple[int, ...], hig
     return weak[keep]
 
 
-def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HIGH) -> EdgeMask:
-    """Edge mask of a NormalMap (encoded rgb, per-channel union) or float image.
+def canny(source) -> EdgeMask:
+    """Edge mask of a NormalMap (encoded rgb, per-channel union) or float
+    image, at the thresholds ``CANNY_LOW`` and ``CANNY_HIGH``.
 
     Accepts a NormalMap, an HxWx3 float image in [0,1], or an HxW gray
     image; a non-finite pixel raises. Per-channel masks are unioned so
     pure-direction discontinuities with equal luminance still register. A
     channel whose gradient is zero everywhere adds nothing.
     """
-    if not (0.0 < low < high):
-        raise ValueError("need 0 < low < high")
     if isinstance(source, NormalMap):
         # the encoded image over 255: background white, foreground levels
         img = np.ones(source.shape + (3,))
@@ -251,17 +251,17 @@ def canny(source, low: float = DEFAULT_CANNY_LOW, high: float = DEFAULT_CANNY_HI
         plane /= top  # unit-scaled gradients
 
     # non-maximum suppression along the quantized gradient direction, at
-    # the pixels that clear ``low`` (no other can be weak); the asymmetric
+    # the pixels that clear ``CANNY_LOW`` (no other can be weak); the asymmetric
     # (>, >=) pair keeps exactly one pixel on plateau ties
     padm = mag.reshape(-1)
-    at = np.flatnonzero(padm >= low)
+    at = np.flatnonzero(padm >= CANNY_LOW)
     ang = np.mod(np.arctan2(gy.take(at), gx.take(at)), np.pi)
     sector = np.floor((ang + np.pi / 8) / (np.pi / 4)).astype(int) % 4
     step = np.array([dy * row + dx * col for dy, dx in _NMS_OFFSETS])[sector]
     m = padm[at]
     weak = at[(m > padm[at - step]) & (m >= padm[at + step])]
 
-    edges = _hysteresis(weak, padm, (col, row - col, row, row + col), high)
+    edges = _hysteresis(weak, padm, (col, row - col, row, row + col))
     out[edges // row - 1, edges % row // col - 1] = True
     return EdgeMask(out)
 
@@ -287,8 +287,8 @@ def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
 
 def sharp_normal_error(pred: NormalMap, gt: NormalMap, radius: int = DEFAULT_DILATION_RADIUS) -> float | None:
     """NE restricted to the sharp region: the Canny edges of the ground-truth
-    normals at the default thresholds, dilated by ``radius``, within the
-    joint foreground ``pred.mask & gt.mask``.
+    normals, dilated by ``radius``, within the joint foreground
+    ``pred.mask & gt.mask``.
 
     An empty sharp mask yields None rather than 0.
     """
@@ -305,13 +305,16 @@ def multiview_report(
     radius: int | None = None,
 ) -> AngularErrorReport:
     """NE/SNE averaged over paired views with nonempty masks; SNE dilates by
-    ``radius``, or by each view's ``scaled_dilation_radius`` when it is None."""
+    ``radius``, or by each view's ``scaled_dilation_radius`` when it is None.
+    A pair whose shapes differ raises, naming the view."""
     if len(pred_views) != len(gt_views):
         raise ValueError(f"view count mismatch: {len(pred_views)} vs {len(gt_views)}")
     if not pred_views:
         raise ValueError("no views given")
     nes, snes = [], []
-    for p, g in zip(pred_views, gt_views):
+    for i, (p, g) in enumerate(zip(pred_views, gt_views)):
+        if p.shape != g.shape:
+            raise ValueError(f"view {i}: prediction shape {p.shape} differs from ground truth {g.shape}")
         r = scaled_dilation_radius(g.shape[0]) if radius is None else radius
         fg = p.mask & g.mask
         if not fg.any():

@@ -18,6 +18,9 @@ class SeededRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"SeededRng {name} {value} is outside [0, 2**64)")
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
         )

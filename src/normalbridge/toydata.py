@@ -74,8 +74,13 @@ class DomainSample:
     index: int = 0
 
     def __post_init__(self):
-        if self.image.shape[:2] != self.normal_gt.shape or self.image.shape[:2] != self.height_gt.shape:
-            raise ValueError("image/normal/height dimensions disagree")
+        img = self.image
+        # a NaN fails both comparisons
+        if img.ndim != 3 or img.shape[2] != 3 or not (img.min() >= 0.0 and img.max() <= 1.0):
+            raise ValueError(f"sample {self.index}: image of shape {img.shape} is not H x W x 3 "
+                             f"with values in [0, 1]")
+        if img.shape[:2] != self.normal_gt.shape or img.shape[:2] != self.height_gt.shape:
+            raise ValueError(f"sample {self.index}: image/normal/height dimensions disagree")
 
 
 # -- scenes ----------------------------------------------------------------
@@ -180,35 +185,26 @@ def heightfield_normals(hf: Heightfield) -> NormalMap:
 # -- shading ----------------------------------------------------------------
 
 
-def _procedural_albedo(shape, rng: SeededRng, contrast: float, max_freq: float) -> np.ndarray:
+def _procedural_albedo(shape, rng: SeededRng, style: dict) -> np.ndarray:
     size_y, size_x = shape
     yy, xx = np.mgrid[0:size_y, 0:size_x].astype(np.float64)
     albedo = np.empty((size_y, size_x, 3))
     for ch in range(3):
-        fy = rng.uniform(0.5, max_freq)
-        fx = rng.uniform(0.5, max_freq)
+        fy = rng.uniform(0.5, style["albedo_max_freq"])
+        fx = rng.uniform(0.5, style["albedo_max_freq"])
         phase = rng.uniform(0.0, 2.0 * np.pi)
         wave = np.sin(2.0 * np.pi * (fy * yy / size_y + fx * xx / size_x) + phase)
-        albedo[..., ch] = 0.7 + contrast * wave
+        albedo[..., ch] = 0.7 + style["albedo_contrast"] * wave
     return albedo
 
 
-def shade_image(
-    hf: Heightfield,
-    normals: NormalMap,
-    light_dir=(0.35, -0.25, 0.9),
-    albedo_seed: int | None = 0,
-    noise_std: float = 0.02,
-    albedo_contrast: float = 0.25,
-    albedo_max_freq: float = 3.0,
-) -> np.ndarray:
-    """Lambertian shading with procedural albedo and sensor noise.
+def shade_image(normals: NormalMap, light_dir, albedo_seed: int, style: dict) -> np.ndarray:
+    """Lambertian shading of ``normals`` with procedural albedo and sensor noise.
 
     The albedo pattern and the additive noise deliberately inject the
-    lighting/texture ambiguity a normal estimator has to see through;
-    the contrast/frequency/noise knobs set how strong that ambiguity is
-    (they define the gap between the real and synthetic image styles).
-    ``albedo_seed=None`` shades a flat unit albedo.
+    lighting/texture ambiguity a normal estimator has to see through.
+    ``style``, a ``DOMAIN_STYLES`` entry, sets how strong that ambiguity
+    is: the albedo's contrast and highest frequency and the noise level.
     """
     light = np.asarray(light_dir, dtype=np.float64)
     norm = np.linalg.norm(light)
@@ -216,16 +212,8 @@ def shade_image(
         raise ValueError("light direction must be nonzero")
     light = light / norm
     lam = np.maximum(normals.vectors @ light, 0.0)
-    if albedo_seed is None:
-        albedo = np.ones(hf.shape + (3,))
-    else:
-        albedo = _procedural_albedo(
-            hf.shape, SeededRng(albedo_seed, _STREAM_SHADE), albedo_contrast, albedo_max_freq
-        )
-    img = lam[..., None] * albedo
-    if noise_std > 0:
-        rng = SeededRng(0 if albedo_seed is None else albedo_seed, _STREAM_SHADE + 1)
-        img = img + noise_std * rng.normal(img.shape)
+    img = lam[..., None] * _procedural_albedo(normals.shape, SeededRng(albedo_seed, _STREAM_SHADE), style)
+    img = img + style["noise_std"] * SeededRng(albedo_seed, _STREAM_SHADE + 1).normal(img.shape)
     return np.clip(img, 0.0, 1.0)
 
 
@@ -286,15 +274,7 @@ def _make_sample(seed: int, index: int, domain: Domain, complexity_range, size, 
     style = DOMAIN_STYLES[domain]
     tilt = item.normal((2,), scale=style["light_tilt"])
     light = np.array([0.2 + tilt[0], -0.2 + tilt[1], 0.95])
-    img = shade_image(
-        hf,
-        nm,
-        light_dir=light,
-        albedo_seed=seed * 1_000_003 + index,
-        noise_std=style["noise_std"],
-        albedo_contrast=style["albedo_contrast"],
-        albedo_max_freq=style["albedo_max_freq"],
-    )
+    img = shade_image(nm, light, seed * 1_000_003 + index, style)
     sample = DomainSample(img, nm, hf, Domain.SYNTH, index)
     if domain is Domain.REAL:
         sample = corrupt_labels_real_domain(sample, seed * 2_000_003 + index)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestCameraBasis:
         for cam in cams:
             for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
                 assert got.tobytes() == want.tobytes()
+
+
+class TestCameraArguments:
+    @pytest.mark.parametrize("position", [[np.nan, 0.0, 3.0], [0.0, np.inf, 3.0], [0.0, 3.0]])
+    def test_position_not_a_finite_3_vector_rejected(self, position):
+        value = repr(np.asarray(position, dtype=np.float64))
+        with pytest.raises(ValueError, match=re.escape(value)):
+            Camera(np.array(position))
+
+    @pytest.mark.parametrize("resolution", [(0, 96), (96, -1), (96,), (96.0, 96), (True, 96)])
+    def test_resolution_not_two_positive_integers_rejected(self, resolution):
+        with pytest.raises(ValueError, match=re.escape(repr(resolution))):
+            Camera(np.array([0.0, 0.0, 3.0]), resolution)
 
 
 # random scene coordinates are in units of a third of the view's width
@@ -315,9 +329,16 @@ class TestRasterizer:
         assert view.mask.sum() == 0
 
 
+def sharp_report_at(mesh, deg):
+    """``geom.sharp_edge_report`` of ``mesh`` with its angle set to ``deg``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "SHARP_EDGE_DEG", deg)
+        return geom.sharp_edge_report(mesh)
+
+
 class TestSharpEdges:
     def test_cube_is_twelve(self):
-        assert geom.sharp_edge_report(cube_mesh(), 30.0).sharp_count == 12
+        assert geom.sharp_edge_report(cube_mesh()).sharp_count == 12
 
     def test_coplanar_triangles_zero(self):
         mesh = TriMesh(
@@ -330,25 +351,25 @@ class TestSharpEdges:
         # two coplanar triangles plus a sliver (0, 4, 2) on their shared diagonal
         v = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]])
         mesh = TriMesh(v, np.array([[0, 1, 2], [0, 2, 3], [0, 4, 2]]))
-        rep = geom.sharp_edge_report(mesh, 30.0)
+        rep = geom.sharp_edge_report(mesh)
         assert rep.nonmanifold_edges == 1
         assert rep.sharp_count == 0
 
     def test_icosahedron_is_thirty(self):
         mesh = icosahedron_mesh()
-        rep = geom.sharp_edge_report(mesh, 30.0)
+        rep = geom.sharp_edge_report(mesh)
         assert rep.interior_edges == 30
         assert rep.sharp_count == 30
         # analytic: face-normal angle of the icosahedron is ~41.81 degrees
-        assert geom.sharp_edge_report(mesh, 41.0).sharp_count == 30
-        assert geom.sharp_edge_report(mesh, 42.0).sharp_count == 0
+        assert sharp_report_at(mesh, 41.0).sharp_count == 30
+        assert sharp_report_at(mesh, 42.0).sharp_count == 0
 
     def test_boundary_edges_excluded(self):
         mesh = TriMesh(
             np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 0]]),
             np.array([[0, 1, 2], [0, 2, 3]]),
         )
-        rep = geom.sharp_edge_report(mesh, 30.0)
+        rep = geom.sharp_edge_report(mesh)
         assert rep.boundary_edges == 4
         assert rep.interior_edges == 1
 
@@ -356,7 +377,7 @@ class TestSharpEdges:
         # three faces sharing the edge (0, 1), pairwise angles ~90 degrees
         v = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, 0, 1], [0.5, -1, 0]])
         mesh = TriMesh(v, np.array([[0, 1, 2], [0, 3, 1], [0, 4, 1]]))
-        rep = geom.sharp_edge_report(mesh, 30.0)
+        rep = geom.sharp_edge_report(mesh)
         assert rep.nonmanifold_edges == 1
         assert rep.sharp_count == 1
 
@@ -371,7 +392,7 @@ class TestSharpEdges:
             perm = np.argsort(r.uniform(shape=mesh.n_vertices))
             inv = np.argsort(perm)
             rotated = TriMesh(mesh.vertices[perm] @ q.T, inv[mesh.faces])
-            assert geom.sharp_edge_report(rotated, 30.0).sharp_count == 12
+            assert geom.sharp_edge_report(rotated).sharp_count == 12
 
     def test_matches_edge_dict_reference(self):
         def reference(mesh, thr):
@@ -399,17 +420,13 @@ class TestSharpEdges:
             f = f[(f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])]
             mesh = TriMesh(r.normal((nv, 3)), f)
             for thr in (20.0, 60.0):
-                assert geom.sharp_edge_report(mesh, thr) == reference(mesh, thr)
+                assert sharp_report_at(mesh, thr) == reference(mesh, thr)
         mesh = bumpy_heightfield_mesh(size=12)
-        assert geom.sharp_edge_report(mesh, 10.0) == reference(mesh, 10.0)
+        assert sharp_report_at(mesh, 10.0) == reference(mesh, 10.0)
 
     def test_empty_mesh(self):
         mesh = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
         assert geom.sharp_edge_report(mesh) == geom.SharpEdgeReport(0, 0, 0, 0)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            geom.sharp_edge_report(cube_mesh(), 0.0)
 
 
 class TestDatasetStats:

@@ -297,9 +297,6 @@ DEFAULT_EXEMPT = {
     "nirne.py:DualStreamModel.dual_stream", "nirne.py:DualStreamModel.schedule",
     "nirne.py:NoiseSchedule.sigma_lo", "nirne.py:NoiseSchedule.sigma_hi",
     "nirne.py:DualStreamModel.forward_t.zero_noisy_stream",
-    # algorithm parameters that tests sweep against oracles and references
-    "metrics.py:canny.low", "metrics.py:canny.high",
-    "geom.py:sharp_edge_report.dihedral_threshold_deg",
 }
 
 

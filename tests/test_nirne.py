@@ -137,9 +137,7 @@ class TestEvaluateModel:
     def test_non_finite_prediction_past_the_first_chunk(self):
         # every op works per sample, so a NaN image spoils only its own output
         samples = toydata.make_dataset(3, Domain.SYNTH, 3, size=SIZE)
-        image = samples[2].image.copy()
-        image[5, 7] = np.nan
-        samples[2] = toydata.DomainSample(image, samples[2].normal_gt, samples[2].height_gt, Domain.SYNTH, 2)
+        samples[2].image[5, 7] = np.nan  # in place: a DomainSample refuses a NaN image
         model = nirne.DualStreamModel(CHANNELS, seed=1)
         with pytest.raises(ValueError, match="model output for sample 2 is non-finite"):
             nirne.predict_batch(model, samples)

@@ -577,6 +577,16 @@ class TestSeededRng:
         b = SeededRng(5, 9).normal((100,))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, stream, named", [
+        (-1, 0, "seed -1"), (1 << 64, 0, f"seed {1 << 64}"), (0, -1, "stream -1"), (0, 1 << 64, f"stream {1 << 64}"),
+    ])
+    def test_key_outside_64_bits_rejected(self, seed, stream, named):
+        with pytest.raises(ValueError, match=f"{named} is outside"):
+            SeededRng(seed, stream)
+
+    def test_key_at_the_64_bit_ends_accepted(self):
+        assert SeededRng((1 << 64) - 1, (1 << 64) - 1).normal((3,)).shape == (3,)
+
     def test_streams_independent(self):
         a = SeededRng(5, 0).normal((100,))
         b = SeededRng(5, 1).normal((100,))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,39 +103,59 @@ class TestHeightfieldNormals:
         assert max_rel_err(t.grad, fd) < 1e-4
 
 
+LIGHT = (0.35, -0.25, 0.9)
+# no albedo pattern and no noise: the albedo is 0.7 everywhere
+PLAIN_STYLE = {"albedo_contrast": 0.0, "albedo_max_freq": 3.0, "noise_std": 0.0}
+
+
 class TestShadeImage:
-    def test_flat_unit_albedo_no_noise(self):
-        hf = Heightfield(np.zeros((16, 16)))
-        nm = toydata.heightfield_normals(hf)
-        img = toydata.shade_image(hf, nm, light_dir=(0, 0, 1), albedo_seed=None, noise_std=0.0)
-        np.testing.assert_array_equal(img, np.ones((16, 16, 3)))
+    def test_flat_albedo_no_noise(self):
+        nm = toydata.heightfield_normals(Heightfield(np.zeros((16, 16))))
+        img = toydata.shade_image(nm, (0, 0, 1), 0, PLAIN_STYLE)
+        np.testing.assert_array_equal(img, np.full((16, 16, 3), 0.7))
 
     def test_orthogonal_light_black(self):
-        hf = Heightfield(np.zeros((16, 16)))
-        nm = toydata.heightfield_normals(hf)
-        img = toydata.shade_image(hf, nm, light_dir=(1, 0, 0), albedo_seed=None, noise_std=0.0)
+        nm = toydata.heightfield_normals(Heightfield(np.zeros((16, 16))))
+        img = toydata.shade_image(nm, (1, 0, 0), 0, PLAIN_STYLE)
         np.testing.assert_array_equal(img, np.zeros((16, 16, 3)))
 
     def test_seed_deterministic(self):
-        hf = toydata.generate_scene(5, 4)
-        nm = toydata.heightfield_normals(hf)
-        a = toydata.shade_image(hf, nm, albedo_seed=9)
-        b = toydata.shade_image(hf, nm, albedo_seed=9)
+        nm = toydata.heightfield_normals(toydata.generate_scene(5, 4))
+        style = toydata.DOMAIN_STYLES[Domain.REAL]
+        a = toydata.shade_image(nm, LIGHT, 9, style)
+        b = toydata.shade_image(nm, LIGHT, 9, style)
         assert a.tobytes() == b.tobytes()
-        c = toydata.shade_image(hf, nm, albedo_seed=10)
+        c = toydata.shade_image(nm, LIGHT, 10, style)
         assert a.tobytes() != c.tobytes()
 
     def test_zero_light_rejected(self):
-        hf = Heightfield(np.zeros((16, 16)))
-        nm = toydata.heightfield_normals(hf)
+        nm = toydata.heightfield_normals(Heightfield(np.zeros((16, 16))))
         with pytest.raises(ValueError, match="nonzero"):
-            toydata.shade_image(hf, nm, light_dir=(0, 0, 0))
+            toydata.shade_image(nm, (0, 0, 0), 0, PLAIN_STYLE)
 
     def test_range_clamped(self):
-        hf = toydata.generate_scene(1, 6)
-        nm = toydata.heightfield_normals(hf)
-        img = toydata.shade_image(hf, nm, albedo_seed=1)
+        nm = toydata.heightfield_normals(toydata.generate_scene(1, 6))
+        img = toydata.shade_image(nm, LIGHT, 1, toydata.DOMAIN_STYLES[Domain.REAL])
         assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+class TestDomainSample:
+    @staticmethod
+    def _sample(image):
+        hf = Heightfield(np.zeros((8, 8)))
+        return toydata.DomainSample(image, toydata.heightfield_normals(hf), hf, Domain.SYNTH, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_image_value_outside_unit_range_rejected(self, bad):
+        img = np.full((8, 8, 3), 0.5)
+        img[2, 3, 1] = bad
+        with pytest.raises(ValueError, match=r"sample 4: .*\[0, 1\]"):
+            self._sample(img)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 4), (8, 8, 3, 1)])
+    def test_image_not_h_by_w_by_3_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"sample 4: image of shape {re.escape(str(shape))}"):
+            self._sample(np.full(shape, 0.5))
 
 
 class TestCorruptLabels:
@@ -141,7 +163,7 @@ class TestCorruptLabels:
     def _synth_sample(seed=0, complexity=3):
         hf = toydata.generate_scene(seed, complexity, primitives=("box",))
         nm = toydata.heightfield_normals(hf)
-        img = toydata.shade_image(hf, nm, albedo_seed=seed)
+        img = toydata.shade_image(nm, LIGHT, seed, toydata.DOMAIN_STYLES[Domain.SYNTH])
         return toydata.DomainSample(img, nm, hf, Domain.SYNTH)
 
     def test_flat_scene_unchanged(self):
@@ -178,7 +200,7 @@ class TestCorruptLabels:
             return _blur_edge_loop(img, sigma)
 
         monkeypatch.setattr(metrics, "canny", lambda nm: metrics.EdgeMask(
-            canny_oracle(nm, metrics.DEFAULT_CANNY_LOW, metrics.DEFAULT_CANNY_HIGH)))
+            canny_oracle(nm, metrics.CANNY_LOW, metrics.CANNY_HIGH)))
         monkeypatch.setattr(metrics, "dilate", lambda em, r: metrics.EdgeMask(dilate_loop(em.mask, r)))
         monkeypatch.setattr(metrics, "gaussian_blur", blur)
         want = toydata.corrupt_labels_real_domain(sample, seed).normal_gt
@@ -193,7 +215,28 @@ class TestCorruptLabels:
             toydata.corrupt_labels_real_domain(real, 0)
 
 
+# sha256 of each 64x64 sample's normal vectors, then its mask, at seed 0:
+# ``sample_digest`` hashes only the image, so these pin the labels, the
+# REAL ones made by Canny, dilation and the blur among them
+LABEL_DIGESTS = {
+    Domain.REAL: ["b67b0a288937092ba6ad5c54858e88e33d0f4c9d6a1cecafba1aeb9b7df5eba7",
+                  "99dcecfd01f2531d009847af310b658f6a1b61b2315780261df8867964047149",
+                  "396155bdf64333a6a863e0197badbf4dc1fe067dbe8a7f3ae4c0cc60bbab6946",
+                  "18fdc18e81dc2ab0755165696f11b756933e2968556fd1cc020ee2e8a53d86a7"],
+    Domain.SYNTH: ["9481b051bfba603174050a60a19b6ba71db67620f54d88862567f1528708dfdd",
+                   "4fa8215ced2bc5b5e7a3bb36ffeba6420bb0499eb9c7f882c3f997a3712f1ce4",
+                   "d3d74249d9da1facec7f73f710e7b5923060d7d533fac4092b55c7d1b9a56081",
+                   "d53e22a29634e3ec241a4c22a6d6e686491e35bb2d2ae26c75f3d10c4184cb3f"],
+}
+
+
 class TestMakeDataset:
+    @pytest.mark.parametrize("domain", [Domain.REAL, Domain.SYNTH])
+    def test_labels_match_recorded_digests(self, domain):
+        got = [hashlib.sha256(s.normal_gt.vectors.tobytes() + s.normal_gt.mask.tobytes()).hexdigest()
+               for s in toydata.make_dataset(4, domain, 0)]
+        assert got == LABEL_DIGESTS[domain]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             toydata.make_dataset(0, Domain.SYNTH, 0)
