@@ -177,7 +177,7 @@ def power_law_image(
     statistics around the same law.
     """
     rng = SeededRng(0 if seed is None else seed, 77)
-    ghat = np.fft.fft2(rng.normal((size, size)))  # Hermitian by construction
+    ghat = np.fft.fft2(rng.normal(size=(size, size)))  # Hermitian by construction
     r = radial_freq((size, size))
     amp = np.zeros((size, size))
     nz = r > 0

@@ -54,6 +54,10 @@ REFERENCE_RESOLUTION = 768  # dilation radius 5 is calibrated at this height
 DEFAULT_DILATION_RADIUS = 5
 CANNY_LOW = 0.1  # relative Canny thresholds, read at call time
 CANNY_HIGH = 0.2
+# a channel whose gradient peak is at most this times its largest absolute
+# blurred value adds no edge: a constant image's Sobel residue is at most
+# ~3.3e-16 times its value, and a real step's peak is many orders above
+CANNY_PEAK_FLOOR = 1e-12
 
 
 @dataclass
@@ -217,7 +221,9 @@ def canny(source) -> EdgeMask:
     Accepts a NormalMap, an HxWx3 float image in [0,1], or an HxW gray
     image; a non-finite pixel raises. Per-channel masks are unioned so
     pure-direction discontinuities with equal luminance still register. A
-    channel whose gradient is zero everywhere adds nothing.
+    channel whose gradient peak does not exceed ``CANNY_PEAK_FLOOR`` times
+    its largest absolute blurred value, such as a constant one, adds
+    nothing.
     """
     if isinstance(source, NormalMap):
         # the encoded image over 255: background white, foreground levels
@@ -241,7 +247,8 @@ def canny(source) -> EdgeMask:
     mag.reshape(-1)[both] = np.hypot(gx.take(both), gy.take(both))
     # per-channel strided planes: reducing over the short last axis is slower
     peak = np.array([plane.max() for plane in mag.reshape(-1, mag.shape[2]).T])
-    live = peak > 0
+    scale = np.array([np.abs(plane).max() for plane in img.reshape(-1, img.shape[2]).T])
+    live = peak > CANNY_PEAK_FLOOR * scale
     if not live.any():
         return EdgeMask(out)
     if not live.all():

@@ -1,14 +1,17 @@
 """Noise-injected dual-stream normal regression.
 
-Two encoders with identical architecture but independent weights read
-the same image. During training the "noisy" stream's features receive
-scaled Gaussian noise (one sigma per sample, log-uniform and shared by
-every feature level, times a fresh standard normal draw per level),
-biasing it toward high-frequency structure that survives corruption;
-the clean stream keeps low-frequency reliability. The decoder upsamples
-from the clean stream's skips while the noisy stream enters through
-per-level 1x1 fusion projections added to each decoder block, so the
-noisy path is a residual detail channel that can be fine-tuned alone.
+Two encoders with identical architecture read the same image. Their
+weights are meant to be independent, but both encoders draw their init
+from the same random keys, so they start equal (see ``_Encoder``); the
+decoder, fusion and head convs reuse those keys too. During training
+the "noisy" stream's features receive scaled Gaussian noise (one sigma
+per sample, log-uniform and shared by every feature level, times a
+fresh standard normal draw per level), biasing it toward
+high-frequency structure that survives corruption; the clean stream
+keeps low-frequency reliability. The decoder upsamples from the clean
+stream's skips while the noisy stream enters through per-level 1x1
+fusion projections added to each decoder block, so the noisy path is a
+residual detail channel that can be fine-tuned alone.
 Every activation is tensorcore's LeakyReLU (slope ``LEAKY_SLOPE``,
 0.1); each encoder norm applies it in its own graph node. Parameters are
 named after each layer's ``Tensor`` attributes (``noisy.stem_a.weight``).
@@ -95,14 +98,16 @@ class _Encoder:
     run to run), like noise levels defined against unit-variance latents.
     """
 
-    def __init__(self, channels, rng: SeededRng):
-        # the layers are the instance's only attributes, in checkpoint order
+    def __init__(self, channels, seed: int):
+        # the layers are the instance's only attributes, in checkpoint order;
+        # both encoders draw from the same keys, so they start equal (a
+        # known defect, kept until the numbers it sets are re-recorded)
         c0, c1, c2, c3 = channels
-        self.stem_a = Conv2d(3, c0, rng=rng.stream_rng(1))
-        self.stem_b = Conv2d(c0, c0, rng=rng.stream_rng(5))
-        self.down1 = Conv2d(c0, c1, stride=2, rng=rng.stream_rng(2))
-        self.down2 = Conv2d(c1, c2, stride=2, rng=rng.stream_rng(3))
-        self.down3 = Conv2d(c2, c3, stride=2, rng=rng.stream_rng(4))
+        self.stem_a = Conv2d(3, c0, rng=SeededRng(seed, 1))
+        self.stem_b = Conv2d(c0, c0, rng=SeededRng(seed, 5))
+        self.down1 = Conv2d(c0, c1, stride=2, rng=SeededRng(seed, 2))
+        self.down2 = Conv2d(c1, c2, stride=2, rng=SeededRng(seed, 3))
+        self.down3 = Conv2d(c2, c3, stride=2, rng=SeededRng(seed, 4))
         self.norm0 = GroupNorm(c0)
         self.norm1 = GroupNorm(c1)
         self.norm2 = GroupNorm(c2)
@@ -135,21 +140,20 @@ class DualStreamModel:
         self.schedule = schedule
         self.stage_trained = 0
         ch = tuple(channels)
-        rng = SeededRng(seed)
-        self.noisy_enc = _Encoder(ch, rng.stream_rng(10))
-        self.clean_enc = _Encoder(ch, rng.stream_rng(20)) if dual_stream else None
+        self.noisy_enc = _Encoder(ch, seed)
+        self.clean_enc = _Encoder(ch, seed) if dual_stream else None
         # dec[k] is level k's decoder conv: it reads level k's skip, below
         # the coarsest level concatenated after level k+1's upsampled
-        # output, and writes level k-1's width (c0 at level 0)
-        dec_rng = rng.stream_rng(30)
+        # output, and writes level k-1's width (c0 at level 0). Its key,
+        # fuse[k]'s and the head's are encoder keys too: each of these
+        # layers starts from a rescaled prefix of an encoder layer's draws
         self.dec = [Conv2d(ch[lvl] if lvl == 3 else 2 * ch[lvl], ch[max(lvl - 1, 0)],
-                           rng=dec_rng.stream_rng(4 - lvl)) for lvl in range(4)]
-        self.head = Conv2d(ch[0], 3, rng=dec_rng.stream_rng(5))
+                           rng=SeededRng(seed, 4 - lvl)) for lvl in range(4)]
+        self.head = Conv2d(ch[0], 3, rng=SeededRng(seed, 5))
         # fuse[k] projects the noisy stream into level k's skip; small but
         # nonzero init: the residual detail path is live from the start and
         # grows during training
-        fuse_rng = rng.stream_rng(40)
-        self.fuse = [Conv2d(ch[lvl], ch[lvl], k=1, rng=fuse_rng.stream_rng(4 - lvl), init_scale=0.3)
+        self.fuse = [Conv2d(ch[lvl], ch[lvl], k=1, rng=SeededRng(seed, 4 - lvl), init_scale=0.3)
                      for lvl in range(4)] if dual_stream else []
 
     # -- parameter bookkeeping ------------------------------------------
@@ -182,36 +186,34 @@ class DualStreamModel:
 
     # -- forward ----------------------------------------------------------
 
-    def forward_t(self, images: Tensor, train: bool = False,
-                  rng: SeededRng | None = None,
-                  zero_noisy_stream: bool = False,
-                  return_raw: bool = False) -> Tensor:
-        """(N,3,H,W) images -> (N,3,H,W) unit normals.
+    def forward_t(self, images: Tensor, rng: SeededRng | None = None,
+                  zero_noisy_stream: bool = False) -> Tensor:
+        """(N,3,H,W) images -> (N,3,H,W) unit normals, or with ``rng`` a
+        training pass's raw output.
 
-        Train mode injects noise on the noisy stream's encoder output: it
-        draws one sigma per sample, log-uniform in the schedule's band and
-        shared by the levels, then adds sigma times one standard normal
-        draw per level, levels in order 0 -> 3. The decoder runs
-        levels 3 -> 0; level k's skip is ``clean_k + fuse_k(noisy_k)``,
-        or ``noisy_k`` in the single-stream ablation, and below level 3
-        it is concatenated after the upsampled output of level k+1.
-        ``zero_noisy_stream`` ablates the residual path of the dual-stream
-        model: the noisy encoder does not run, no noise is drawn and each
-        fusion layer reads zeros (so adds only its bias). ``return_raw``
-        skips the final per-pixel normalization: the regression loss fits
-        the raw 3-channel output against unit targets. Whether a loss on
-        the normalized output trains worse is open: a cosine loss on it
-        trained 600 steps at 64 x 64 without trouble, to a held-out NE of
-        7.1-7.5 degrees against 7.2-7.3 for this loss.
+        With ``rng`` the pass injects noise on the noisy stream's encoder
+        output: it draws one sigma per sample, log-uniform in the
+        schedule's band and shared by the levels, then adds sigma times one
+        standard normal draw per level, levels in order 0 -> 3. It returns
+        the raw 3-channel output, which the regression loss fits against
+        unit targets; without ``rng`` nothing is drawn and the output is
+        normalized per pixel. Whether a loss on the normalized output
+        trains worse is open: a cosine loss on it trained 600 steps at
+        64 x 64 without trouble, to a held-out NE of 7.1-7.5 degrees
+        against 7.2-7.3 for this loss. The decoder runs levels 3 -> 0;
+        level k's skip is ``clean_k + fuse_k(noisy_k)``, or ``noisy_k`` in
+        the single-stream ablation, and below level 3 it is concatenated
+        after the upsampled output of level k+1. ``zero_noisy_stream``
+        ablates the residual path of the dual-stream model: the noisy
+        encoder does not run, no noise is drawn and each fusion layer
+        reads zeros (so adds only its bias).
         """
         n, c, h, w = images.shape
         if h % 8 or w % 8:
             raise ValueError(f"image dims must be divisible by 8, got {h}x{w}")
         if zero_noisy_stream and not self.dual_stream:
             raise ValueError("zero_noisy_stream would zero the single-stream model's only stream")
-        inject = train and not self.schedule.disabled and not zero_noisy_stream
-        if inject and rng is None:
-            raise ValueError("training forward needs an rng for noise injection")
+        inject = rng is not None and not self.schedule.disabled and not zero_noisy_stream
 
         clean_feats = self.clean_enc(images) if self.dual_stream else None
         if zero_noisy_stream:
@@ -221,7 +223,7 @@ class DualStreamModel:
         if inject:
             lo, hi = np.log(self.schedule.sigma_lo), np.log(self.schedule.sigma_hi)
             sigma = np.exp(rng.uniform(lo, hi, (n,)))[:, None, None, None]
-            noisy_feats = [f + Tensor(sigma * rng.normal(f.shape)) for f in noisy_feats]
+            noisy_feats = [f + Tensor(sigma * rng.normal(size=f.shape)) for f in noisy_feats]
         x = None
         for k in _LEVELS:
             skip = noisy_feats[k]
@@ -234,9 +236,7 @@ class DualStreamModel:
                 skip = concat([upsample_nearest(x), skip], axis=1)
             x = self.dec[k](skip).leaky_relu()
         raw = self.head(x)
-        if return_raw:
-            return raw
-        return l2_normalize(raw, axis=1)
+        return raw if rng is not None else l2_normalize(raw, axis=1)
 
 
 # -- training -----------------------------------------------------------------
@@ -291,7 +291,7 @@ def _train_loop(model, dataset, seed, trainable: dict[str, Tensor],
     for step in range(steps):
         idx = rng_batch.integers(0, len(dataset), (config.batch_size,))
         imgs, tgts, masks = _batch_arrays(dataset, idx)
-        pred = model.forward_t(Tensor(imgs), train=True, rng=rng_noise, return_raw=True)
+        pred = model.forward_t(Tensor(imgs), rng=rng_noise)
         loss = _masked_mse(pred, tgts, masks)
         val = loss.item()
         if not np.isfinite(val):
@@ -365,7 +365,7 @@ def predict_batch(model: DualStreamModel, samples: list[DomainSample]) -> list[N
         for start in range(0, len(samples), _PREDICT_CHUNK):
             chunk = samples[start : start + _PREDICT_CHUNK]
             imgs = np.stack([s.image.transpose(2, 0, 1) for s in chunk])
-            pred = model.forward_t(Tensor(imgs), train=False)
+            pred = model.forward_t(Tensor(imgs))
             for k, s in enumerate(chunk):
                 vec = pred.data[k].transpose(1, 2, 0).copy()
                 vec[~s.normal_gt.mask] = [0.0, 0.0, 1.0]

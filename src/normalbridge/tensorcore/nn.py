@@ -26,7 +26,7 @@ class Conv2d:
         self.stride = stride
         self.padding = k // 2
         std = init_scale * np.sqrt(2.0 / (c_in * k * k))
-        self.weight = Tensor(rng.normal((c_out, c_in, k, k), scale=std), requires_grad=True)
+        self.weight = Tensor(rng.normal(0.0, std, (c_out, c_in, k, k)), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -137,9 +137,15 @@ def generate_scene(
     primitives: tuple[str, ...] = DEFAULT_PRIMITIVES,
     stream: int = 0,
 ) -> Heightfield:
-    """Union-by-max composite of ``complexity`` primitives on a ground plane."""
+    """Union-by-max composite of ``complexity`` primitives on a ground plane,
+    on a ``size`` x ``size`` grid (``size`` >= 8, which leaves room for
+    every primitive's placement band)."""
     if not 1 <= complexity <= 10:
         raise ValueError(f"complexity must be in 1..10, got {complexity}")
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 8:
+        raise ValueError(f"generate_scene: size must be an integer >= 8, got {size!r}")
+    if not (np.isfinite(cell_size) and cell_size > 0):
+        raise ValueError(f"generate_scene: cell_size must be finite and > 0, got {cell_size!r}")
     rng = SeededRng(seed, _STREAM_SCENE + stream)
     h = np.zeros((size, size))
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
@@ -213,7 +219,7 @@ def shade_image(normals: NormalMap, light_dir, albedo_seed: int, style: dict) ->
     light = light / norm
     lam = np.maximum(normals.vectors @ light, 0.0)
     img = lam[..., None] * _procedural_albedo(normals.shape, SeededRng(albedo_seed, _STREAM_SHADE), style)
-    img = img + style["noise_std"] * SeededRng(albedo_seed, _STREAM_SHADE + 1).normal(img.shape)
+    img = img + style["noise_std"] * SeededRng(albedo_seed, _STREAM_SHADE + 1).normal(size=img.shape)
     return np.clip(img, 0.0, 1.0)
 
 
@@ -242,10 +248,10 @@ def corrupt_labels_real_domain(
         rng = SeededRng(seed, _STREAM_CORRUPT)
         n /= np.linalg.norm(n, axis=-1, keepdims=True)
         # random unit tangents: project a random vector onto each tangent plane
-        raw = rng.normal(n.shape)
+        raw = rng.normal(size=n.shape)
         raw -= np.sum(raw * n, axis=-1, keepdims=True) * n
         tan = raw / np.maximum(np.linalg.norm(raw, axis=-1, keepdims=True), 1e-12)
-        theta = np.radians(rng.normal(n.shape[:1], scale=angle_noise_deg))[:, None]
+        theta = np.radians(rng.normal(0.0, angle_noise_deg, n.shape[:1]))[:, None]
         vec.reshape(-1, 3)[band] = np.cos(theta) * n + np.sin(theta) * tan
     corrupted = NormalMap(vec, nm.mask.copy())
     corrupted.validate_unit()
@@ -272,7 +278,7 @@ def _make_sample(seed: int, index: int, domain: Domain, complexity_range, size, 
     hf = generate_scene(seed, complexity, size=size, cell_size=cell_size, stream=index + 1)
     nm = heightfield_normals(hf)
     style = DOMAIN_STYLES[domain]
-    tilt = item.normal((2,), scale=style["light_tilt"])
+    tilt = item.normal(0.0, style["light_tilt"], (2,))
     light = np.array([0.2 + tilt[0], -0.2 + tilt[1], 0.95])
     img = shade_image(nm, light, seed * 1_000_003 + index, style)
     sample = DomainSample(img, nm, hf, Domain.SYNTH, index)
@@ -313,7 +319,7 @@ def write_dataset(out_dir, samples: list[DomainSample]) -> None:
         write_ppm(out / f"{stem}_normal.ppm", encode_normal_image(s.normal_gt))
         write_pgm(out / f"{stem}_mask.pgm", np.where(s.normal_gt.mask, 255, 0).astype(np.uint8))
         write_height_bin(out / f"{stem}_height.bin", s.height_gt)
-        entries.append({"index": i, "stem": stem, "domain": s.domain.value})
+        entries.append({"index": s.index, "stem": stem, "domain": s.domain.value})
     manifest = {"n": len(samples), "items": entries}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

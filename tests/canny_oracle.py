@@ -1,8 +1,9 @@
 """Per-channel Canny reference with dilation-loop hysteresis.
 
 One channel at a time: separable Gaussian blur with reflect padding,
-3x3 Sobel with every tap (zeros included), gradient magnitude scaled to
-its peak, non-maximum suppression along the quantized direction, then
+3x3 Sobel with every tap (zeros included), no edge where the gradient
+peak is at most 1e-12 times the largest absolute blurred value,
+gradient magnitude scaled to its peak, non-maximum suppression along the quantized direction, then
 hysteresis by growing the strong pixels one full-image 3x3 dilation at
 a time, restricted to the weak pixels, until nothing changes. The
 per-channel masks are unioned. Every float expression is in the order
@@ -69,7 +70,8 @@ def _canny_channel(gray, low, high, sigma=1.4):
     gy = _conv3(blur, _SOBEL_Y)
     mag = np.hypot(gx, gy)
     peak = mag.max()
-    if peak <= 0:
+    # a constant channel's rounding residue is no gradient
+    if peak <= 1e-12 * np.abs(blur).max():
         return np.zeros_like(gray, dtype=bool)
     mag = mag / peak
 

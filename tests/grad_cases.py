@@ -31,21 +31,21 @@ def _rand_shape(rng, max_rank=4, max_extent=5):
 
 def case_add(rng):
     shape = _rand_shape(rng)
-    a = rng.normal(shape)
-    b = rng.normal(shape)
+    a = rng.normal(size=shape)
+    b = rng.normal(size=shape)
     p = _proj(rng, shape)
     return lambda ta, tb: p(ta + tb), [a, b]
 
 
 def case_mul_broadcast(rng):
-    a = rng.normal((3, 4, 2))
-    b = rng.normal((4, 1))
+    a = rng.normal(size=(3, 4, 2))
+    b = rng.normal(size=(4, 1))
     p = _proj(rng, (3, 4, 2))
     return lambda ta, tb: p(ta * tb), [a, b]
 
 
 def case_div(rng):
-    a = rng.normal((2, 5))
+    a = rng.normal(size=(2, 5))
     b = _away_from(rng, (2, 5), keepout=0.5)
     p = _proj(rng, (2, 5))
     return lambda ta, tb: p(ta / tb), [a, b]
@@ -64,7 +64,7 @@ def case_leaky_relu(rng):
 
 
 def case_sum_axis(rng):
-    a = rng.normal((3, 4, 2))
+    a = rng.normal(size=(3, 4, 2))
     axis = int(rng.integers(0, 3))
     keep = bool(rng.integers(0, 2))
 
@@ -76,65 +76,65 @@ def case_sum_axis(rng):
 
 
 def case_reshape_transpose(rng):
-    a = rng.normal((2, 3, 4))
+    a = rng.normal(size=(2, 3, 4))
     p = _proj(rng, (4, 6))
     return lambda ta: p(ta.transpose(2, 0, 1).reshape(4, 6)), [a]
 
 
 def case_slice(rng):
-    a = rng.normal((4, 6))
+    a = rng.normal(size=(4, 6))
     p = _proj(rng, (2, 3))
     return lambda ta: p(ta[1:3, ::2]), [a]
 
 
 def case_slice_repeated_index(rng):
     # rows 0 and 2 are each read twice, so their gradients add up
-    a = rng.normal((4, 3))
+    a = rng.normal(size=(4, 3))
     p = _proj(rng, (5, 2))
     return lambda ta: p(ta[[0, 2, 0, 3, 2], 1:]), [a]
 
 
 def case_concat(rng):
-    a = rng.normal((2, 3))
-    b = rng.normal((2, 2))
+    a = rng.normal(size=(2, 3))
+    b = rng.normal(size=(2, 2))
     p = _proj(rng, (2, 5))
     return lambda ta, tb: p(tc.concat([ta, tb], axis=1)), [a, b]
 
 
 def case_conv2d(rng):
-    x = rng.normal((1, 2, 5, 5))
-    w = rng.normal((2, 2, 3, 3)) * 0.5
-    b = rng.normal((2,))
+    x = rng.normal(size=(1, 2, 5, 5))
+    w = rng.normal(size=(2, 2, 3, 3)) * 0.5
+    b = rng.normal(size=(2,))
     p = _proj(rng, (1, 2, 5, 5))
     return lambda tx, tw, tb: p(tc.conv2d(tx, tw, tb, stride=1, padding=1)), [x, w, b]
 
 
 def case_conv2d_stride(rng):
-    x = rng.normal((2, 1, 6, 6))
-    w = rng.normal((3, 1, 3, 3)) * 0.5
+    x = rng.normal(size=(2, 1, 6, 6))
+    w = rng.normal(size=(3, 1, 3, 3)) * 0.5
     p = _proj(rng, (2, 3, 2, 2))
     b = tc.Tensor(np.zeros(3))  # a constant bias: the fd case checks x and w
     return lambda tx, tw: p(tc.conv2d(tx, tw, b, stride=2, padding=0)), [x, w]
 
 
 def case_conv2d_stride2_pad1_odd(rng):
-    x = rng.normal((2, 2, 7, 5))
-    w = rng.normal((3, 2, 3, 3)) * 0.5
-    b = rng.normal((3,))
+    x = rng.normal(size=(2, 2, 7, 5))
+    w = rng.normal(size=(3, 2, 3, 3)) * 0.5
+    b = rng.normal(size=(3,))
     p = _proj(rng, (2, 3, 4, 3))
     return lambda tx, tw, tb: p(tc.conv2d(tx, tw, tb, stride=2, padding=1)), [x, w, b]
 
 
 def case_conv2d_nonsquare_kernel(rng):
-    x = rng.normal((2, 2, 5, 6))
-    w = rng.normal((3, 2, 2, 3)) * 0.5
-    b = rng.normal((3,))
+    x = rng.normal(size=(2, 2, 5, 6))
+    w = rng.normal(size=(3, 2, 2, 3)) * 0.5
+    b = rng.normal(size=(3,))
     p = _proj(rng, (2, 3, 6, 6))
     return lambda tx, tw, tb: p(tc.conv2d(tx, tw, tb, stride=1, padding=1)), [x, w, b]
 
 
 def case_upsample(rng):
-    x = rng.normal((1, 2, 3, 3))
+    x = rng.normal(size=(1, 2, 3, 3))
     p = _proj(rng, (1, 2, 6, 6))
     return lambda tx: p(tc.upsample_nearest(tx)), [x]
 
@@ -143,9 +143,9 @@ def _group_norm_case(rng, shape):
     # redrawn until no normalized value sits within 0.01 of the kink of
     # the activation that the node applies
     while True:
-        x = rng.normal(shape)
+        x = rng.normal(size=shape)
         gamma = rng.uniform(0.5, 1.5, (shape[1],))
-        beta = rng.normal((shape[1],))
+        beta = rng.normal(size=(shape[1],))
         y = group_norm_composed(tc.Tensor(x), 1, tc.Tensor(gamma), tc.Tensor(beta)).data
         if np.abs(y).min() > 0.01:
             break
@@ -170,10 +170,10 @@ def case_l2_normalize(rng):
 
 
 def case_composite_conv_relu_mse(rng):
-    x = rng.normal((1, 1, 6, 6))
-    w = rng.normal((2, 1, 3, 3)) * 0.5
-    b = rng.normal((2,))
-    tgt = rng.normal((1, 2, 6, 6))
+    x = rng.normal(size=(1, 1, 6, 6))
+    w = rng.normal(size=(2, 1, 3, 3)) * 0.5
+    b = rng.normal(size=(2,))
+    tgt = rng.normal(size=(1, 2, 6, 6))
 
     def fn(tx, tw, tb):
         diff = tc.conv2d(tx, tw, tb, padding=1).leaky_relu() - tc.Tensor(tgt)

@@ -51,13 +51,13 @@ class TestVertexNormalsReference:
     def test_random_meshes(self, seed):
         rng = SeededRng(60 + seed)
         # repeated faces, unused vertices and zero-area faces included
-        mesh = TriMesh(rng.normal((40, 3)), rng.integers(0, 40, (150, 3)))
+        mesh = TriMesh(rng.normal(size=(40, 3)), rng.integers(0, 40, (150, 3)))
         assert geom.vertex_normals(mesh).tobytes() == _vertex_normals_add_at(mesh).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_heightfield_meshes(self, seed):
         rng = SeededRng(70 + seed)
-        mesh = geom.heightfield_to_mesh(Heightfield(rng.normal((24, 17)).cumsum(axis=0), 0.1))
+        mesh = geom.heightfield_to_mesh(Heightfield(rng.normal(size=(24, 17)).cumsum(axis=0), 0.1))
         assert geom.vertex_normals(mesh).tobytes() == _vertex_normals_add_at(mesh).tobytes()
 
     def test_empty_mesh(self):
@@ -179,14 +179,14 @@ def assert_matches_oracle(mesh, cam):
 
 def random_triangles(r, n_tri, scale=1.0):
     v = r.uniform(-scale, scale, (3 * n_tri, 3))
-    n = r.normal((3 * n_tri, 3))
+    n = r.normal(size=(3 * n_tri, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     return mesh_with_normals(v, np.arange(3 * n_tri).reshape(-1, 3), n)
 
 
 def bumpy_heightfield_mesh(seed=5, size=8):
-    r = SeededRng(seed).stream_rng(0)
-    return geom.heightfield_to_mesh(Heightfield(r.normal((size, size)) * 0.15, 2.0 / (size - 1)))
+    r = SeededRng(seed)
+    return geom.heightfield_to_mesh(Heightfield(r.normal(size=(size, size)) * 0.15, 2.0 / (size - 1)))
 
 
 def submitted_copies(mesh, copies=2, seed=9):
@@ -196,8 +196,8 @@ def submitted_copies(mesh, copies=2, seed=9):
     Every pixel then holds exact depth ties between a face and its
     copies, and they differ in normal, so the render shows which one won.
     """
-    r = SeededRng(seed).stream_rng(0)
-    n = r.normal((copies * mesh.n_vertices, 3))
+    r = SeededRng(seed)
+    n = r.normal(size=(copies * mesh.n_vertices, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     return mesh_with_normals(np.vstack([mesh.vertices] * copies),
                              np.vstack([mesh.faces + k * mesh.n_vertices for k in range(copies)]), n)
@@ -230,11 +230,10 @@ class TestRasterizer:
         assert np.all(np.abs(covered - 2.0) < 1e-9)
 
     def test_bit_exact_vs_oracle_random_scenes(self):
-        rng = SeededRng(21)
         for i in range(10):
-            r = rng.stream_rng(i)
+            r = SeededRng(21, i)
             mesh = random_triangles(r, int(r.integers(4, 10)), scale=FIT)
-            direction = r.normal((3,))
+            direction = r.normal(size=(3,))
             direction /= np.linalg.norm(direction)
             assert_matches_oracle(mesh, Camera(position=direction * 3.0, resolution=(32, 32)))
 
@@ -295,7 +294,7 @@ class TestRasterizer:
             assert np.array_equal(view.mask, alone.mask)
 
     def test_bit_exact_vs_oracle_straddling_camera_plane(self):
-        r = SeededRng(23).stream_rng(0)
+        r = SeededRng(23)
         mesh = random_triangles(r, 12, scale=2.0 * FIT)
         cam = Camera(position=np.array([0.3, -0.2, 0.4]), resolution=(24, 24))
         _, _, depth = cam.project(mesh.vertices)
@@ -382,14 +381,13 @@ class TestSharpEdges:
         assert rep.sharp_count == 1
 
     def test_invariant_under_permutation_and_rotation(self):
-        rng = SeededRng(31)
         mesh = cube_mesh()
         for i in range(5):
-            r = rng.stream_rng(i)
-            q, _ = np.linalg.qr(r.normal((3, 3)))
+            r = SeededRng(31, i)
+            q, _ = np.linalg.qr(r.normal(size=(3, 3)))
             if np.linalg.det(q) < 0:
                 q[:, 0] *= -1
-            perm = np.argsort(r.uniform(shape=mesh.n_vertices))
+            perm = np.argsort(r.uniform(size=mesh.n_vertices))
             inv = np.argsort(perm)
             rotated = TriMesh(mesh.vertices[perm] @ q.T, inv[mesh.faces])
             assert geom.sharp_edge_report(rotated).sharp_count == 12
@@ -412,13 +410,12 @@ class TestSharpEdges:
                 sharp += exceeded
             return geom.SharpEdgeReport(sharp, interior, boundary, nm)
 
-        rng = SeededRng(32)
         for i in range(30):
-            r = rng.stream_rng(i)
+            r = SeededRng(32, i)
             nv = int(r.integers(4, 10))
             f = r.integers(0, nv, (int(r.integers(1, 25)), 3))
             f = f[(f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])]
-            mesh = TriMesh(r.normal((nv, 3)), f)
+            mesh = TriMesh(r.normal(size=(nv, 3)), f)
             for thr in (20.0, 60.0):
                 assert sharp_report_at(mesh, thr) == reference(mesh, thr)
         mesh = bumpy_heightfield_mesh(size=12)

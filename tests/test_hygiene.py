@@ -14,8 +14,8 @@ call that passes a parameter its own default literal does not set it.
 
 The checks match names, not types: a member or callable counts as read
 or set when any attribute or call of the same name is, such as
-``Tensor.sum`` by numpy's ``ndarray.sum`` or ``SeededRng.normal`` by
-another object's ``normal``. So a finding of the unused-import,
+``Tensor.sum`` by numpy's ``ndarray.sum`` or ``Tensor.reshape`` by
+``ndarray.reshape``. So a finding of the unused-import,
 unreached, unread and unset checks is always real, but an absence of
 findings is no proof that everything is used. (The ``None``-default
 check can also invent a finding; see its test.)

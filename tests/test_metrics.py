@@ -49,9 +49,9 @@ class TestNormalError:
 
     def test_symmetric(self):
         rng = SeededRng(0)
-        v = rng.normal((6, 6, 3))
+        v = rng.normal(size=(6, 6, 3))
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        w = rng.normal((6, 6, 3))
+        w = rng.normal(size=(6, 6, 3))
         w /= np.linalg.norm(w, axis=-1, keepdims=True)
         a, b = full_map(v), full_map(w)
         assert metrics.normal_error(a, b, a.mask) == metrics.normal_error(b, a, a.mask)
@@ -75,6 +75,19 @@ class TestCanny:
     def test_constant_map_empty(self):
         em = metrics.canny(flat_map(16, 16, (0, 0, 1)))
         assert em.count == 0
+
+    def test_constant_images_have_no_edges(self):
+        # a constant's blur and Sobel leave a rounding residue at every
+        # pixel; scaled by its own peak it would read as a full-strength edge
+        for i in range(60):
+            r = SeededRng(12, i)
+            h, w = (int(n) for n in r.integers(1, 40, 2))
+            gray = np.full((h, w), 10.0 ** r.uniform(-6.0, 3.0))
+            assert metrics.canny(gray).count == 0, gray[0, 0]
+            np.testing.assert_array_equal(canny_oracle(gray, 0.1, 0.2), np.zeros((h, w), bool))
+            vec = r.normal(size=3)
+            vec[2] = abs(vec[2]) + 0.1
+            assert metrics.canny(flat_map(h, w, vec / np.linalg.norm(vec))).count == 0, vec
 
     def test_vertical_step_single_column(self):
         col = 16
@@ -154,7 +167,7 @@ class TestGaussianBlur:
         # reflects more than once; negative zeros check the sign of zero sums
         rng = SeededRng(side)
         for shape in [(side, side), (side, 15 - side, 3), (7, side)]:
-            img = rng.normal(shape)
+            img = rng.normal(size=shape)
             img[img > 0.8] = -0.0
             got = metrics.gaussian_blur(img, sigma, mode)
             want = blur_pad_reference(img, sigma, mode)
@@ -228,9 +241,8 @@ class TestCannyOracle:
 class TestDilate:
     @pytest.mark.parametrize("radius", range(7))
     def test_matches_square_loop(self, radius):
-        rng = SeededRng(9)
         for k, shape in enumerate([(17, 29), (30, 9)]):
-            m = rng.stream_rng(k).uniform(0, 1, shape) > 0.9
+            m = SeededRng(9, k).uniform(0, 1, shape) > 0.9
             m[0, 3] = m[-1, -1] = m[5, 0] = m[2, -1] = True  # every border
             np.testing.assert_array_equal(metrics.dilate(metrics.EdgeMask(m), radius).mask, dilate_loop(m, radius))
 
@@ -249,9 +261,8 @@ class TestDilate:
         np.testing.assert_array_equal(out.mask, m)
 
     def test_semigroup_property(self):
-        rng = SeededRng(5)
         for i in range(10):
-            m = metrics.EdgeMask(rng.stream_rng(i).uniform(0, 1, (32, 32)) > 0.92)
+            m = metrics.EdgeMask(SeededRng(5, i).uniform(0, 1, (32, 32)) > 0.92)
             for r1, r2 in [(1, 1), (1, 2), (2, 3), (0, 4)]:
                 a = metrics.dilate(metrics.dilate(m, r1), r2)
                 b = metrics.dilate(m, r1 + r2)
@@ -294,10 +305,9 @@ class TestSharpNormalError:
 
 class TestMultiview:
     def _views(self, k=4):
-        rng = SeededRng(6)
         out = []
         for i in range(k):
-            v = rng.stream_rng(i).normal((16, 16, 3))
+            v = SeededRng(6, i).normal(size=(16, 16, 3))
             v /= np.linalg.norm(v, axis=-1, keepdims=True)
             out.append(full_map(v))
         return out

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from normalbridge import nirne, toydata
 from normalbridge.nirne import NoiseSchedule
-from normalbridge.tensorcore import SeededRng, Tensor, backward, no_grad
+from normalbridge.tensorcore import SeededRng, Tensor, backward, l2_normalize, no_grad
 from normalbridge.tensorcore import nn as tc_nn
 from normalbridge.toydata import Domain
 
@@ -68,6 +69,29 @@ class TestParameterNames:
         assert list(nirne.DualStreamModel(CHANNELS, seed=3).named_parameters()) == want
         single = nirne.DualStreamModel(CHANNELS, seed=3, dual_stream=False)
         assert list(single.named_parameters()) == [n for n in want if not n.startswith(("clean.", "fuse"))]
+
+
+class TestInitialization:
+    def test_parameters_match_recorded_digest(self):
+        # sha256 over each name and its float64 bytes, in checkpoint order
+        digest = hashlib.sha256()
+        for name, p in nirne.DualStreamModel(seed=0).named_parameters().items():
+            digest.update(name.encode())
+            digest.update(p.data.tobytes())
+        assert digest.hexdigest() == "cec7e463941e44a266036aa5185f345e906c1195b3e35bfee5fe74904c68c8cd"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the conv weights of DualStreamModel(seed) come from 5 Philox streams, "
+        "not 19, so the noisy and clean encoders start equal and the decoder, fusion and head "
+        "layers reuse their draws"))
+    def test_no_two_weights_share_leading_draws(self):
+        weights = {k: p.data.ravel()[:4] for k, p in nirne.DualStreamModel(seed=0).named_parameters().items()
+                   if k.endswith(".weight")}
+        assert len(weights) == 19
+        # draws shared by two tensors agree up to each tensor's init scale
+        shared = [(a, b) for a in weights for b in weights if a < b
+                  and np.allclose(weights[a] / weights[a][0], weights[b] / weights[b][0], rtol=1e-12, atol=0)]
+        assert not shared, shared
 
 
 class TestStage2Freezing:
@@ -152,16 +176,14 @@ class TestNoiseFreeInference:
     def test_eval_forward_adds_no_noise_and_repeats(self, real, schedule):
         images = Tensor(np.stack([s.image.transpose(2, 0, 1) for s in real[:2]]))
         quiet = nirne.DualStreamModel(CHANNELS, seed=3, schedule=NoiseSchedule(sigma_lo=0.0, sigma_hi=0.0))
-        want = quiet.forward_t(images, train=False).data
+        want = quiet.forward_t(images).data
         model = nirne.DualStreamModel(CHANNELS, seed=3, schedule=schedule)
-        rng = SeededRng(1)
-        first = model.forward_t(images, train=False, rng=rng).data
-        second = model.forward_t(images, train=False, rng=rng).data
+        first = model.forward_t(images).data
+        second = model.forward_t(images).data
         np.testing.assert_array_equal(first, want)
         np.testing.assert_array_equal(second, want)
-        np.testing.assert_array_equal(rng.normal((4,)), SeededRng(1).normal((4,)))  # nothing drawn
         if not schedule.disabled:
-            noised = model.forward_t(images, train=True, rng=SeededRng(1)).data
+            noised = l2_normalize(model.forward_t(images, rng=SeededRng(1)), axis=1).data
             assert not np.array_equal(noised, want)
 
 
@@ -176,12 +198,12 @@ class TestModelGradient:
         params = model.named_parameters()
 
         img = Tensor(images.copy(), requires_grad=True)
-        backward((model.forward_t(img, train=False) * proj).sum())
+        backward((model.forward_t(img) * proj).sum())
         analytic = [img.grad] + [p.grad for p in params.values()]
 
         def loss(x, *_):
             with no_grad():
-                return (model.forward_t(Tensor(x), train=False) * proj).sum().item()
+                return (model.forward_t(Tensor(x)) * proj).sum().item()
 
         # the parameter arrays are probed in place and restored by the checker
         numeric = central_fd_grads(loss, [images.copy()] + [p.data for p in params.values()])
@@ -273,7 +295,7 @@ class TestZeroNoisyStream:
             noisy = [p for k, p in model.named_parameters().items() if k.startswith("noisy.")]
             assert noisy
             for p in noisy:
-                p.data += rng.normal(p.shape)
+                p.data += rng.normal(size=p.shape)
             np.testing.assert_array_equal(model.forward_t(images, zero_noisy_stream=True).data, zeroed)
             assert not np.array_equal(model.forward_t(images).data, plain)
 
@@ -307,9 +329,9 @@ class TestZeroNoisyStream:
         model = nirne.DualStreamModel(CHANNELS, seed=3)
         rng = SeededRng(1)
         with no_grad():
-            trained = model.forward_t(images, train=True, rng=rng, zero_noisy_stream=True).data
+            trained = l2_normalize(model.forward_t(images, rng=rng, zero_noisy_stream=True), axis=1).data
             evaluated = model.forward_t(images, zero_noisy_stream=True).data
-        np.testing.assert_array_equal(rng.normal((4,)), SeededRng(1).normal((4,)))  # nothing drawn
+        np.testing.assert_array_equal(rng.normal(size=(4,)), SeededRng(1).normal(size=(4,)))  # nothing drawn
         np.testing.assert_array_equal(trained, evaluated)
 
     def test_single_stream_model_rejects_flag(self, real):
@@ -326,7 +348,7 @@ class TestNoiseSchedule:
         images = _images(real[:2])
         model = nirne.DualStreamModel(CHANNELS, seed=3, schedule=schedule)
         with no_grad():
-            trained = model.forward_t(images, train=True).data  # no rng needed
+            trained = l2_normalize(model.forward_t(images, rng=SeededRng(1)), axis=1).data
             evaluated = model.forward_t(images).data
         np.testing.assert_array_equal(trained, evaluated)
 

@@ -55,7 +55,7 @@ class TestConv2d:
 
     def test_identity_kernel(self):
         rng = SeededRng(1)
-        x = rng.normal((1, 1, 5, 5))
+        x = rng.normal(size=(1, 1, 5, 5))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
         out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), padding=1)
@@ -63,9 +63,9 @@ class TestConv2d:
 
     def test_matches_nested_loop_oracle(self):
         rng = SeededRng(2)
-        x = rng.normal((1, 2, 5, 5))
-        w = rng.normal((3, 2, 3, 3))
-        b = rng.normal((3,))
+        x = rng.normal(size=(1, 2, 5, 5))
+        w = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=(3,))
         for stride, pad in [(1, 0), (1, 1), (2, 1)]:
             got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad).data
             want = conv2d_oracle(x, w, b, stride=stride, padding=pad)
@@ -75,9 +75,9 @@ class TestConv2d:
         rng = SeededRng(4)
         for hw in [(7, 9), (8, 6), (5, 10)]:
             for kh, kw in [(3, 3), (2, 3), (3, 1), (1, 1)]:
-                x = rng.normal((2, 3) + hw)
-                w = rng.normal((4, 3, kh, kw))
-                b = rng.normal((4,))
+                x = rng.normal(size=(2, 3) + hw)
+                w = rng.normal(size=(4, 3, kh, kw))
+                b = rng.normal(size=(4,))
                 for stride in (1, 2, 3):
                     for pad in (0, 1, 2):
                         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad).data
@@ -100,7 +100,7 @@ class TestConv2dSampleBlocks:
         x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
         out = conv2d(x, w, b, stride=stride, padding=padding)
         if proj is None:
-            proj = SeededRng(99).normal(out.shape)
+            proj = SeededRng(99).normal(size=out.shape)
         backward((out * Tensor(proj)).sum())
         return (out.data, x.grad, w.grad, b.grad), proj
 
@@ -118,7 +118,7 @@ class TestConv2dSampleBlocks:
     @pytest.mark.parametrize("batch", [1, 3, 5])
     def test_any_block_size_matches_whole_batch(self, monkeypatch, batch, stride, ksize):
         rng = SeededRng(30 + batch)
-        arrays = (rng.normal((batch, 3, 9, 11)), rng.normal((4, 3, ksize, ksize)), rng.normal((4,)))
+        arrays = (rng.normal(size=(batch, 3, 9, 11)), rng.normal(size=(4, 3, ksize, ksize)), rng.normal(size=(4,)))
         # from one sample per block up to the whole batch, through every
         # block count in between, short last blocks included
         sizes = [1] + list(range(1 << 11, 1 << 17, 1 << 11))
@@ -132,7 +132,7 @@ class TestConv2dSampleBlocks:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_default_blocks_on_a_full_resolution_layer(self, monkeypatch, stride):
         rng = SeededRng(41)
-        arrays = (rng.normal((3, 8, 64, 64)), rng.normal((8, 8, 3, 3)), rng.normal((8,)))
+        arrays = (rng.normal(size=(3, 8, 64, 64)), rng.normal(size=(8, 8, 3, 3)), rng.normal(size=(8,)))
         self._assert_block_invariant(monkeypatch, arrays, stride, 1, [tc_tensor._BLOCK_BYTES])
 
     def test_one_column_kernel_matches_whole_batch(self, monkeypatch):
@@ -140,7 +140,7 @@ class TestConv2dSampleBlocks:
         # phase image and the taps add straight into the output (the 1x1
         # kernel is test_any_block_size_matches_whole_batch[*-1-1])
         rng = SeededRng(53)
-        arrays = (rng.normal((5, 3, 9, 11)), rng.normal((4, 3, 3, 1)), rng.normal((4,)))
+        arrays = (rng.normal(size=(5, 3, 9, 11)), rng.normal(size=(4, 3, 3, 1)), rng.normal(size=(4,)))
         sizes = [1] + list(range(1 << 11, 1 << 17, 1 << 11))
         self._assert_block_invariant(monkeypatch, arrays, 1, 0, sizes)
 
@@ -154,7 +154,7 @@ class TestConv2dWidthOne:
     def test_one_by_one_is_a_matrix_product_per_sample(self, shape):
         rng = SeededRng(60)
         n, c, h, w = shape
-        x, kernel, bias = rng.normal(shape), rng.normal((6, c, 1, 1)), rng.normal((6,))
+        x, kernel, bias = rng.normal(size=shape), rng.normal(size=(6, c, 1, 1)), rng.normal(size=(6,))
         out = conv2d(Tensor(x), Tensor(kernel), Tensor(bias)).data
         for i in range(n):
             want = kernel[:, :, 0, 0] @ x[i].reshape(c, h * w) + bias[:, None]
@@ -165,7 +165,7 @@ class TestConv2dWidthOne:
         # only the one-column kernel reads its input in place; a wider
         # kernel's last taps run past the flattened grid into a zero tail
         rng = SeededRng(80)
-        x, w, b = rng.normal((2, 3, 6, 7)), rng.normal((4, 3, kh, kw)), rng.normal((4,))
+        x, w, b = rng.normal(size=(2, 3, 6, 7)), rng.normal(size=(4, 3, kh, kw)), rng.normal(size=(4,))
         got = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.max(np.abs(got - conv2d_oracle(x, w, b))) < 1e-12
 
@@ -179,11 +179,11 @@ class TestConv2dWidthOne:
     @pytest.mark.parametrize("kh", [1, 3], ids=["1x1", "3x1"])
     def test_input_and_gradient_layouts_give_the_same_bits(self, kh):
         rng = SeededRng(70 + kh)
-        x0, w0, b0 = rng.normal((3, 4, 7, 6)), rng.normal((5, 4, kh, 1)), rng.normal((5,))
+        x0, w0, b0 = rng.normal(size=(3, 4, 7, 6)), rng.normal(size=(5, 4, kh, 1)), rng.normal(size=(5,))
         oh = 7 - kh + 1
-        other = rng.normal((3, 2, oh, 6))
+        other = rng.normal(size=(3, 2, oh, 6))
         ones = np.ones((3, 5, oh, 6))
-        proj = rng.normal((3, 7, oh, 6))
+        proj = rng.normal(size=(3, 7, oh, 6))
         # a contiguous input and gradient, against a Fortran-ordered input
         # with a broadcast gradient (from sum), and against a gradient that
         # is a per-sample block of a concat's
@@ -224,10 +224,10 @@ class TestGroupNorm:
         slope = tc_tensor.LEAKY_SLOPE
         rng = SeededRng(21)
         c = shape[1]
-        x0 = rng.normal(shape) * 2.0 + 0.5
+        x0 = rng.normal(size=shape) * 2.0 + 0.5
         gamma0 = rng.uniform(0.5, 1.5, (c,))
-        beta0 = rng.normal((c,))
-        proj = rng.normal(shape)
+        beta0 = rng.normal(size=(c,))
+        proj = rng.normal(size=shape)
         x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (x0, gamma0, beta0))
         out = tc.group_norm(x, gamma, beta)
         backward((out * Tensor(proj)).sum())
@@ -320,9 +320,9 @@ class TestGradientOwnership:
         # an add hands the same out.grad to both parents; when a then gets a
         # second gradient, b's stored gradient must not change with it
         rng = SeededRng(12)
-        w = rng.normal((2, 3))
-        a = Tensor(rng.normal((2, 3)), requires_grad=True)
-        b = Tensor(rng.normal((2, 3)), requires_grad=True)
+        w = rng.normal(size=(2, 3))
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         via_add = ((a + b) * Tensor(w)).sum()
         other = (a * 3.0).sum()
         backward(other + via_add if other_use_first else via_add + other)
@@ -358,8 +358,8 @@ class TestGraphLifetime:
     @staticmethod
     def _params():
         rng = SeededRng(8)
-        x = Tensor(rng.normal((2, 2, 6, 6)))
-        w = Tensor(rng.normal((3, 2, 3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 2, 6, 6)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         gamma = Tensor(np.ones(3), requires_grad=True)
         beta = Tensor(np.zeros(3), requires_grad=True)
         return x, w, gamma, beta
@@ -460,8 +460,7 @@ class TestNoGradThreads:
 class TestGradChecks:
     @pytest.mark.parametrize("name,builder", CASES, ids=[c[0] for c in CASES])
     def test_analytic_matches_fd(self, name, builder):
-        rng = SeededRng(100)
-        worst = max(run_case(builder, rng.stream_rng(i)) for i in range(5))
+        worst = max(run_case(builder, SeededRng(100, i)) for i in range(5))
         assert worst < 1e-4, f"{name}: max rel err {worst:.3e}"
 
 
@@ -498,8 +497,8 @@ class TestAdamW:
     @staticmethod
     def _two_params_after_one_step():
         rng = SeededRng(9)
-        params = {"a": Tensor(rng.normal((3,)), requires_grad=True),
-                  "b": Tensor(rng.normal((2, 2)), requires_grad=True)}
+        params = {"a": Tensor(rng.normal(size=(3,)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=(2, 2)), requires_grad=True)}
         st = AdamWState(lr=3e-4, weight_decay=1e-2)
         for p in params.values():
             p.grad = np.ones_like(p.data)
@@ -531,13 +530,13 @@ class TestDeterminism:
     @staticmethod
     def _train_trajectory(seed):
         rng = SeededRng(seed)
-        w = Tensor(rng.normal((3, 2, 3, 3)) * 0.1, requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.1, requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         st = AdamWState(lr=3e-4, weight_decay=1e-2)
         params = {"w": w, "b": b}
         for step in range(100):
-            x = Tensor(rng.normal((2, 2, 5, 5)))
-            diff = conv2d(x, w, b, padding=1).leaky_relu() - Tensor(rng.normal((2, 3, 5, 5)))
+            x = Tensor(rng.normal(size=(2, 2, 5, 5)))
+            diff = conv2d(x, w, b, padding=1).leaky_relu() - Tensor(rng.normal(size=(2, 3, 5, 5)))
             loss = (diff * diff).sum()
             for p in params.values():
                 p.zero_grad()
@@ -559,13 +558,12 @@ class TestDeterminism:
 
 class TestNoNanProperty:
     def test_finite_inputs_stay_finite(self):
-        rng = SeededRng(7)
         for i in range(30):
-            r = rng.stream_rng(i)
-            x = Tensor(r.normal((2, 4, 4, 4)) * 10.0)
-            w = Tensor(r.normal((3, 4, 3, 3)))
+            r = SeededRng(7, i)
+            x = Tensor(r.normal(size=(2, 4, 4, 4)) * 10.0)
+            w = Tensor(r.normal(size=(3, 4, 3, 3)))
             g = Tensor(r.uniform(0.5, 1.5, (3,)))
-            be = Tensor(r.normal((3,)))
+            be = Tensor(r.normal(size=(3,)))
             out = tc.group_norm(tc.conv2d(x, w, Tensor(np.zeros(3)), padding=1).leaky_relu(), g, be)
             out = tc.l2_normalize(out, axis=1)
             assert np.isfinite(out.data).all()
@@ -573,8 +571,8 @@ class TestNoNanProperty:
 
 class TestSeededRng:
     def test_same_key_same_sequence(self):
-        a = SeededRng(5, 9).normal((100,))
-        b = SeededRng(5, 9).normal((100,))
+        a = SeededRng(5, 9).normal(size=(100,))
+        b = SeededRng(5, 9).normal(size=(100,))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed, stream, named", [
@@ -585,33 +583,38 @@ class TestSeededRng:
             SeededRng(seed, stream)
 
     def test_key_at_the_64_bit_ends_accepted(self):
-        assert SeededRng((1 << 64) - 1, (1 << 64) - 1).normal((3,)).shape == (3,)
+        assert SeededRng((1 << 64) - 1, (1 << 64) - 1).normal(size=(3,)).shape == (3,)
 
     def test_streams_independent(self):
-        a = SeededRng(5, 0).normal((100,))
-        b = SeededRng(5, 1).normal((100,))
+        a = SeededRng(5, 0).normal(size=(100,))
+        b = SeededRng(5, 1).normal(size=(100,))
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("scale", [1.0, 0.3, 25.0, 0.0, 5e-324])
     @pytest.mark.parametrize("shape", [(), (5,), (4, 8, 64, 64)], ids=["scalar", "vector", "feature_map"])
     def test_normal_matches_generator_normal_bitwise(self, shape, scale):
-        # bytes include sign bits: at scale 0, and at 5e-324 for |z| < 0.5,
-        # negative draws round to -0.0, which Generator.normal returns as +0.0
+        # the reference is the form the recorded digests were drawn in: a
+        # plain Generator on Philox keyed [seed, stream], standard normals
+        # times scale, plus 0.0. Bytes include sign bits: at scale 0, and at
+        # 5e-324 for |z| < 0.5, negative draws round to -0.0, which both
+        # forms return as +0.0
         ours = SeededRng(3, 4)
         ref = np.random.Generator(np.random.Philox(key=np.array([3, 4], dtype=np.uint64)))
-        got, want = ours.normal(shape, scale=scale), ref.normal(0.0, scale, size=shape)
+        got, want = ours.normal(0.0, scale, shape), ref.standard_normal(shape)
+        want *= scale
+        want += 0.0
         assert type(got) is type(want) and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         # the stream stays in step with the reference after the draw
-        assert ours.normal((7,)).tobytes() == ref.normal(0.0, 1.0, size=7).tobytes()
+        assert ours.normal(size=(7,)).tobytes() == ref.standard_normal(7).tobytes()
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = SeededRng(11)
         params = {
-            "enc.w": Tensor(rng.normal((3, 2, 3, 3))),
-            "enc.b": Tensor(rng.normal((3,))),
+            "enc.w": Tensor(rng.normal(size=(3, 2, 3, 3))),
+            "enc.b": Tensor(rng.normal(size=(3,))),
             "scalar": Tensor(np.array(0.1234567890123456789)),
         }
         path = tmp_path / "model.nblb"
@@ -704,7 +707,7 @@ class TestCheckpoint:
 
     def test_load_into_assigns_every_parameter(self, tmp_path):
         rng = SeededRng(13)
-        stored = {"a": Tensor(rng.normal((2, 2))), "b": Tensor(rng.normal((3,)))}
+        stored = {"a": Tensor(rng.normal(size=(2, 2))), "b": Tensor(rng.normal(size=(3,)))}
         path = tmp_path / "model.nblb"
         save_checkpoint(path, stored)
         params = {"a": Tensor(np.zeros((2, 2))), "b": Tensor(np.zeros(3))}

@@ -62,6 +62,20 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             toydata.generate_scene(0, 11)
 
+    @pytest.mark.parametrize("size", [0, 4, 7, 8.0, True])
+    def test_bad_size_named(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"size must be an integer >= 8, got {size!r}")):
+            toydata.generate_scene(0, 3, size=size)
+
+    def test_smallest_size_places_every_primitive(self):
+        for seed in range(20):
+            assert toydata.generate_scene(seed, 10, size=8).shape == (8, 8)
+
+    @pytest.mark.parametrize("cell_size", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_cell_size_named(self, cell_size):
+        with pytest.raises(ValueError, match=re.escape(f"cell_size must be finite and > 0, got {cell_size!r}")):
+            toydata.generate_scene(0, 3, cell_size=cell_size)
+
 
 class TestHeightfieldNormals:
     def test_constant_field_points_up(self):
@@ -86,7 +100,7 @@ class TestHeightfieldNormals:
 
     def test_gradient_matches_finite_differences(self):
         rng = SeededRng(11)
-        h = rng.normal((8, 8))
+        h = rng.normal(size=(8, 8))
         w = rng.uniform(-1, 1, (8, 8, 3))
 
         def loss_fn(arr):
@@ -319,10 +333,11 @@ _BROKEN_DATASETS = {
 
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
-        samples = toydata.make_dataset(3, Domain.SYNTH, seed=5, size=32)
+        # a slice, so each sample's index differs from its list position
+        samples = toydata.make_dataset(4, Domain.SYNTH, seed=5, size=32)[1:]
         toydata.write_dataset(tmp_path / "ds", samples)
         back = toydata.read_dataset(tmp_path / "ds")
-        assert len(back) == 3
+        assert [s.index for s in back] == [1, 2, 3]
         for orig, got in zip(samples, back):
             assert got.domain is Domain.SYNTH
             assert np.max(np.abs(orig.image - got.image)) <= 0.5 / 255 + 1e-12
