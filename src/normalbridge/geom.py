@@ -20,7 +20,8 @@ per-pixel nearest-triangle oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +48,6 @@ __all__ = [
 class TriMesh:
     vertices: np.ndarray          # (V, 3) float64, world units
     faces: np.ndarray             # (F, 3) int64, CCW outward
-    # (V, 3) unit normals: the rasterizer derives and stores them on first use
-    vertex_norms: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -64,25 +63,33 @@ class TriMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
+    @cached_property
+    def vertex_norms(self) -> np.ndarray:
+        """(V, 3) unit normals: the area-weighted ``vertex_normals``, derived
+        on first read and kept; assigning other normals makes the mesh
+        render with those."""
+        return vertex_normals(self)
+
 
 # -- normals ---------------------------------------------------------------
 
 
-def _face_cross(mesh: TriMesh) -> np.ndarray:
+def _area_normals(mesh: TriMesh) -> np.ndarray:
+    """Face normals scaled by twice the face area."""
     v = mesh.vertices
     f = mesh.faces
     return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
 
 
 def face_normals(mesh: TriMesh) -> np.ndarray:
-    cross = _face_cross(mesh)
+    cross = _area_normals(mesh)
     norm = np.linalg.norm(cross, axis=1, keepdims=True)
     return cross / np.maximum(norm, 1e-300)
 
 
 def vertex_normals(mesh: TriMesh) -> np.ndarray:
     """Area-weighted average of incident face normals, unit length."""
-    cross = _face_cross(mesh)  # |cross| = 2 * area, so summing is area weighting
+    cross = _area_normals(mesh)  # |cross| = 2 * area, so summing is area weighting
     # corner-major: every face's first corner, then second, then third,
     # so each vertex sums its faces in the order three add.at passes would
     corners = mesh.faces.T.ravel()
@@ -97,15 +104,8 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
 # -- cameras -----------------------------------------------------------------
 
 
-_X, _Z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+_X, _Z = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
 _ORTHO_WIDTH = 2.5  # world units across the view's width
-
-
-def _cross(a, b) -> np.ndarray:
-    """``np.cross`` of two 3-vectors given as float sequences: the same
-    products and differences in the same order, without its array set-up."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 @dataclass
@@ -113,7 +113,8 @@ class Camera:
     """An orthographic camera at ``position``, a finite 3-vector, that looks
     at the origin with +z up (+x up when it looks within ~8 degrees of the
     z axis); the view is ``_ORTHO_WIDTH`` wide and ``resolution``, two
-    positive integers, pixels high and wide."""
+    positive integers, pixels high and wide. ``basis`` is derived on first
+    use and kept, so ``position`` stays fixed from then on."""
 
     position: np.ndarray
     resolution: tuple[int, int] = (96, 96)  # (H, W)
@@ -128,19 +129,18 @@ class Camera:
                 isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in self.resolution):
             raise ValueError(f"camera resolution must be two positive integers, got {self.resolution!r}")
 
+    @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Right-handed (right, up, forward); forward points at the origin."""
         fwd = 0.0 - self.position  # not -position: a zero coordinate stays +0.0
         fwd = fwd / np.linalg.norm(fwd)
-        f = fwd.tolist()
-        right = _cross(f, _X if abs(f[2]) > 0.99 else _Z)
+        right = np.cross(fwd, _X if abs(fwd[2]) > 0.99 else _Z)
         right /= np.linalg.norm(right)
-        true_up = _cross(right.tolist(), f)
-        return right, true_up, fwd
+        return right, np.cross(right, fwd), fwd
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """World points -> (px, py, depth). Pixel centers sit at integers."""
-        right, up, fwd = self.basis()
+        right, up, fwd = self.basis
         d = points - self.position
         x = d @ right
         y = d @ up
@@ -154,7 +154,7 @@ class Camera:
 
     def to_camera_normals(self, normals: np.ndarray) -> np.ndarray:
         """World normals -> camera space with +z toward the viewer."""
-        right, up, fwd = self.basis()
+        right, up, fwd = self.basis
         return np.stack([normals @ right, normals @ up, -(normals @ fwd)], axis=-1)
 
 
@@ -269,9 +269,8 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
     normal. Fragments at depth <= 0 (behind the camera plane) are culled.
     Each pixel keeps its nearest fragment; of fragments at exactly that
     depth, the one whose face was submitted first. A mesh with a
-    non-finite vertex raises ValueError. A mesh without ``vertex_norms``
-    gets its area-weighted ``vertex_normals`` stored on first use, so
-    later renders of it do not recompute them.
+    non-finite vertex raises ValueError. The normals are the mesh's
+    ``vertex_norms``, derived once per mesh, not once per render.
     """
     h_px, w_px = camera.resolution
     n_pix = h_px * w_px
@@ -283,8 +282,6 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
         if not np.isfinite(mesh.vertices).all():
             raise ValueError("mesh vertices must be finite")
         px, py, depth = camera.project(mesh.vertices)
-        if mesh.vertex_norms is None:
-            mesh.vertex_norms = vertex_normals(mesh)
         n_cam = camera.to_camera_normals(mesh.vertex_norms)
 
         # clipped pixel box of every face; drop faces wholly behind the
@@ -412,43 +409,32 @@ def dataset_stats(meshes) -> DatasetStats:
 # -- primitive meshes -----------------------------------------------------------
 
 
-def uv_sphere_mesh(n_lat: int = 24, n_lon: int = 48, radius: float = 1.0) -> TriMesh:
-    verts = [np.array([0.0, 0.0, radius])]
-    for i in range(1, n_lat):
-        theta = math.pi * i / n_lat
-        for j in range(n_lon):
-            phi = 2.0 * math.pi * j / n_lon
-            verts.append(
-                radius
-                * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-            )
-    verts.append(np.array([0.0, 0.0, -radius]))
-    v = np.array(verts)
-    south = len(verts) - 1
-
-    def ring(i, j):
-        return 1 + (i - 1) * n_lon + (j % n_lon)
-
-    faces = []
-    for j in range(n_lon):
-        faces.append((0, ring(1, j), ring(1, j + 1)))
-    for i in range(1, n_lat - 1):
-        for j in range(n_lon):
-            a, b = ring(i, j), ring(i, j + 1)
-            c, d = ring(i + 1, j), ring(i + 1, j + 1)
-            faces.append((a, c, d))
-            faces.append((a, d, b))
-    for j in range(n_lon):
-        faces.append((south, ring(n_lat - 1, j + 1), ring(n_lat - 1, j)))
-    return TriMesh(v, np.array(faces))
+def uv_sphere_mesh(n_lat: int = 24, n_lon: int = 48) -> TriMesh:
+    """The unit sphere: the poles and ``n_lat - 1`` rings of ``n_lon``
+    vertices, a fan at each pole and two triangles per quad between rings."""
+    if n_lat < 2 or n_lon < 3:
+        raise ValueError(f"uv_sphere_mesh needs n_lat >= 2 and n_lon >= 3, got ({n_lat}, {n_lon})")
+    theta = np.pi * np.arange(1, n_lat) / n_lat
+    phi = 2.0 * np.pi * np.arange(n_lon) / n_lon
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    rings = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), ct), axis=-1)
+    v = np.concatenate([[[0.0, 0.0, 1.0]], rings.reshape(-1, 3), [[0.0, 0.0, -1.0]]])
+    ring = 1 + n_lon * np.arange(n_lat - 1)[:, None] + np.arange(n_lon)  # vertex j of ring i
+    nxt = np.roll(ring, -1, axis=1)  # vertex j + 1 of ring i
+    a, b, c, d = ring[:-1], nxt[:-1], ring[1:], nxt[1:]  # quad (i, j): (a, c, d), then (a, d, b)
+    faces = np.concatenate([
+        np.stack([np.zeros(n_lon, np.int64), ring[0], nxt[0]], axis=-1),
+        np.stack([a, c, d, a, d, b], axis=-1).reshape(-1, 3),
+        np.stack([np.full(n_lon, len(v) - 1), nxt[-1], ring[-1]], axis=-1),
+    ])
+    return TriMesh(v, faces)
 
 
 def heightfield_to_mesh(hf) -> TriMesh:
     """Triangulate a heightfield grid (x right, y up, z = height).
 
-    The vertex normals are derived on first use: ``rasterize_normals``
-    computes and stores them, and the sharp-edge statistics never need
-    them.
+    The vertex normals are derived on first read of ``vertex_norms``:
+    renders read them, the sharp-edge statistics never do.
     """
     h, w = hf.shape
     cell = hf.cell_size

@@ -245,11 +245,7 @@ class Tensor:
         out = Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
 
         def bwd():
-            g = out.grad
-            if not keepdims and axis is not None:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(a % self.data.ndim for a in axes)
-                g = np.expand_dims(g, tuple(sorted(axes)))
+            g = out.grad if keepdims or axis is None else np.expand_dims(out.grad, axis)
             self._accumulate(np.broadcast_to(g, self.shape))
 
         out._set_backward(bwd)
@@ -307,13 +303,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = Tensor._result(data, tensors, "concat")
 
     def bwd():
-        start = 0
-        for t in tensors:
-            idx = [slice(None)] * data.ndim
-            stop = start + t.shape[axis]
-            idx[axis] = slice(start, stop)
-            t._accumulate(out.grad[tuple(idx)])
-            start = stop
+        ends = np.cumsum([t.shape[axis] for t in tensors])
+        for t, g in zip(tensors, np.split(out.grad, ends[:-1], axis=axis)):
+            t._accumulate(g)
 
     out._set_backward(bwd)
     return out

@@ -194,14 +194,13 @@ def heightfield_normals(hf: Heightfield) -> NormalMap:
 def _procedural_albedo(shape, rng: SeededRng, style: dict) -> np.ndarray:
     size_y, size_x = shape
     yy, xx = np.mgrid[0:size_y, 0:size_x].astype(np.float64)
-    albedo = np.empty((size_y, size_x, 3))
-    for ch in range(3):
-        fy = rng.uniform(0.5, style["albedo_max_freq"])
-        fx = rng.uniform(0.5, style["albedo_max_freq"])
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        wave = np.sin(2.0 * np.pi * (fy * yy / size_y + fx * xx / size_x) + phase)
-        albedo[..., ch] = 0.7 + style["albedo_contrast"] * wave
-    return albedo
+    # one (fy, fx, phase) row per channel, drawn in channel order
+    draws = rng.uniform([0.5, 0.5, 0.0], [style["albedo_max_freq"]] * 2 + [2.0 * np.pi], (3, 3))
+    fy, fx, phase = draws.T[:, :, None, None]
+    # the waves channel-first, one contiguous (H, W) plane per channel: a
+    # channel-last broadcast over (H, W, 3) is slower
+    wave = np.sin(2.0 * np.pi * (fy * yy / size_y + fx * xx / size_x) + phase)
+    return (0.7 + style["albedo_contrast"] * wave).transpose(1, 2, 0)
 
 
 def shade_image(normals: NormalMap, light_dir, albedo_seed: int, style: dict) -> np.ndarray:

@@ -69,8 +69,9 @@ def case_sum_axis(rng):
     keep = bool(rng.integers(0, 2))
 
     def fn(ta):
-        s = ta.sum(axis=axis, keepdims=keep)
-        return (s * s).sum()
+        # the drawn axis, a negative axis and a tuple of axes without keepdims
+        s, t, u = ta.sum(axis=axis, keepdims=keep), ta.sum(axis=-2), ta.sum(axis=(2, -3))
+        return (s * s).sum() + (t * t).sum() + (u * u).sum()
 
     return fn, [a]
 
@@ -97,8 +98,11 @@ def case_slice_repeated_index(rng):
 def case_concat(rng):
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(2, 2))
+    c = rng.normal(size=(2, 1))
     p = _proj(rng, (2, 5))
-    return lambda ta, tb: p(tc.concat([ta, tb], axis=1)), [a, b]
+    q = _proj(rng, (2, 6))
+    # two inputs along axis 1, then three along axis -1
+    return lambda x, y, z: p(tc.concat([x, y], axis=1)) + q(tc.concat([z, x, y], axis=-1)), [a, b, c]
 
 
 def case_conv2d(rng):

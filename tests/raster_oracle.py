@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from normalbridge.geom import TriMesh, Camera, vertex_normals
+from normalbridge.geom import TriMesh, Camera
 from normalbridge.maps import NormalMap
 
 
@@ -22,9 +22,7 @@ def rasterize_oracle(mesh: TriMesh, camera: Camera):
     mask = np.zeros((h_px, w_px), dtype=bool)
 
     px, py, depth = camera.project(mesh.vertices)
-    n_cam = camera.to_camera_normals(
-        mesh.vertex_norms if mesh.vertex_norms is not None else vertex_normals(mesh)
-    )
+    n_cam = camera.to_camera_normals(mesh.vertex_norms)
 
     tris = []
     for f in mesh.faces:

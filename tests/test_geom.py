@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -38,12 +39,32 @@ class TestNormals:
 
 def _vertex_normals_add_at(mesh):
     """The three-pass ``np.add.at`` form, the reference for ``vertex_normals``."""
-    cross = geom._face_cross(mesh)
+    cross = geom._area_normals(mesh)
     acc = np.zeros_like(mesh.vertices)
     for k in range(3):
         np.add.at(acc, mesh.faces[:, k], cross)
     norm = np.linalg.norm(acc, axis=1, keepdims=True)
     return np.where(norm > 1e-300, acc / np.maximum(norm, 1e-300), [0.0, 0.0, 1.0])
+
+
+# sha256 of the vertices, then the faces, of ``uv_sphere_mesh(n_lat, n_lon)``
+SPHERE_DIGESTS = {
+    (24, 48): "e43d45050b83f523868d1747e962aef3a2be5ea5e7ac9f482ef4a987aa1a8fcb",
+    (12, 24): "b8d48a2a2689032e9a9b15aa605c71bd1d1692140f98e13ee42f9b6ae0b44161",
+}
+
+
+class TestUvSphere:
+    @pytest.mark.parametrize("size", list(SPHERE_DIGESTS), ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_recorded_digest(self, size):
+        mesh = geom.uv_sphere_mesh(*size)
+        digest = hashlib.sha256(mesh.vertices.tobytes() + mesh.faces.tobytes()).hexdigest()
+        assert digest == SPHERE_DIGESTS[size]
+
+    @pytest.mark.parametrize("size", [(1, 4), (0, 4), (4, 2), (4, 0)])
+    def test_too_few_rings_or_longitudes_rejected(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"got {size}")):
+            geom.uv_sphere_mesh(*size)
 
 
 class TestVertexNormalsReference:
@@ -94,7 +115,7 @@ class TestViewpoints:
 
 
 def basis_by_np_cross(cam):
-    """``Camera.basis`` written with ``np.cross``, the form it replaces."""
+    """``Camera.basis`` written out here with ``np.cross``, as a reference."""
     fwd = 0.0 - cam.position
     fwd = fwd / np.linalg.norm(fwd)
     right = np.cross(fwd, np.array([1.0, 0.0, 0.0]) if abs(fwd[2]) > 0.99 else np.array([0.0, 0.0, 1.0]))
@@ -117,21 +138,21 @@ def cameras_at_the_up_switch():
 class TestCameraBasis:
     def test_viewpoints_match_np_cross(self):
         for cam in geom.viewpoints(200):
-            for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
+            for got, want in zip(cam.basis, basis_by_np_cross(cam)):
                 assert got.tobytes() == want.tobytes()
 
     def test_cameras_on_the_z_axis_match_np_cross(self):
         for pos in ([0.0, 0.0, 3.0], [0.0, 0.0, -3.0], [-0.0, 0.0, 3.0], [0.0, -0.0, -0.5]):
             cam = Camera(np.array(pos))
-            for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
+            for got, want in zip(cam.basis, basis_by_np_cross(cam)):
                 assert got.tobytes() == want.tobytes()  # signed zeros included
 
     def test_cameras_either_side_of_the_up_switch_match_np_cross(self):
         cams = cameras_at_the_up_switch()
-        above = [abs(cam.basis()[2][2]) > 0.99 for cam in cams]
+        above = [abs(cam.basis[2][2]) > 0.99 for cam in cams]
         assert any(above) and not all(above)
         for cam in cams:
-            for got, want in zip(cam.basis(), basis_by_np_cross(cam)):
+            for got, want in zip(cam.basis, basis_by_np_cross(cam)):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -473,7 +494,7 @@ class TestHeightfieldMesh:
 
     def test_stored_vertex_normals_render_like_recomputed(self):
         mesh = bumpy_heightfield_mesh(seed=11, size=12)
-        assert mesh.vertex_norms is None  # derived on first use
+        assert "vertex_norms" not in vars(mesh)  # derived on first read
         for cam in geom.viewpoints(3, resolution=(24, 28)):
             # from the second view on, mesh renders with the normals the
             # first render stored; a fresh copy derives its own each time
@@ -509,4 +530,4 @@ class TestHeightfieldMesh:
         meshes = [bumpy_heightfield_mesh(seed=s, size=12) for s in range(3)]
         assert len(geom.dataset_stats(meshes).counts) == 3
         assert calls == []
-        assert all(m.vertex_norms is None for m in meshes)
+        assert all("vertex_norms" not in vars(m) for m in meshes)

@@ -10,7 +10,9 @@ attributes) that nothing there reads, defaulted parameters, of
 functions and methods alike, that no call there sets, ``None``
 defaults that every call there overrides, and parameters that every
 call there passes one and the same literal or upper-case constant. A
-call that passes a parameter its own default literal does not set it.
+call that passes a parameter its own default literal does not set it,
+and ``f(*v)``, where ``v`` is bound only by a ``for`` over a literal
+tuple of tuples, passes just the positions those tuples fill.
 
 The checks match names, not types: a member or callable counts as read
 or set when any attribute or call of the same name is, such as
@@ -22,6 +24,7 @@ check can also invent a finding; see its test.)
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
@@ -399,14 +402,57 @@ def _passes(call: ast.Call, param: str, position: int | None, default: ast.expr)
     return given is not None and not _same_literal(given, default)
 
 
+def _literal_rows(loop: ast.For) -> list[list[ast.expr]] | None:
+    """The rows of ``for v in ((a, b), (c,)):``, a loop of one name over a
+    literal tuple or list of literal tuples without ``*``; None for any
+    other loop."""
+    rows = loop.iter.elts if isinstance(loop.iter, (ast.Tuple, ast.List)) else []
+    if isinstance(loop.target, ast.Name) and rows and all(
+            isinstance(row, ast.Tuple) and not any(isinstance(e, ast.Starred) for e in row.elts) for row in rows):
+        return [row.elts for row in rows]
+    return None
+
+
+def _unrolled(call: ast.Call, loop_rows: dict[str, list]) -> list[ast.Call]:
+    """``call`` as one call per row when its only ``*`` argument is a name
+    of ``loop_rows``; otherwise ``[call]``."""
+    starred = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+    if len(starred) != 1:
+        return [call]
+    i = starred[0]
+    name = getattr(call.args[i].value, "id", None)
+    if name not in loop_rows:
+        return [call]
+    return [ast.Call(call.func, call.args[:i] + row + call.args[i + 1:], call.keywords)
+            for row in loop_rows[name]]
+
+
 def _calls_by_name(package: Path, roots) -> dict[str, list[tuple[ast.Call, Path, str | None]]]:
-    """(call, file, scope) of every call under ``roots``, by the called name."""
+    """(call, file, scope) of every call under ``roots``, by the called name.
+
+    A call ``f(*v)`` inside ``for v in ((a, b), (c,)):``, where nothing
+    else in the scope binds ``v``, counts as the calls ``f(a, b)`` and
+    ``f(c)``.
+    """
+    nodes = list(_scoped_nodes(package, roots))
+    bindings = Counter()
+    loop_rows = {}  # id(call) -> {loop name: rows} of the literal loops around it
+    for node, path, _, scope, _ in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bindings[path, scope, node.id] += 1
+        elif isinstance(node, ast.arg):
+            bindings[path, scope, node.arg] += 1
+        elif isinstance(node, ast.For) and (rows := _literal_rows(node)) is not None:
+            for inner in (n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Call)):
+                loop_rows.setdefault(id(inner), {})[node.target.id] = rows
     calls = {}
-    for node, path, _, scope, _ in _scoped_nodes(package, roots):
+    for node, path, _, scope, _ in nodes:
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if name:
-                calls.setdefault(name, []).append((node, path, scope))
+                rows = {v: r for v, r in loop_rows.get(id(node), {}).items() if bindings[path, scope, v] == 1}
+                for call in _unrolled(node, rows):
+                    calls.setdefault(name, []).append((call, path, scope))
     return calls
 
 
@@ -434,7 +480,9 @@ def test_every_default_is_set():
     ``__init__``, a dataclass init field or a method in src/ is passed, by
     keyword, by position or through ``*args``/``**kwargs``, by some call
     of that name in src/ or benchmarks/ outside its own body; a setting no
-    caller sets is a constant.
+    caller sets is a constant. ``f(*v)`` with ``v`` bound only by a
+    ``for`` over a literal tuple of tuples passes just the positions those
+    tuples fill.
 
     A call that passes the default's own literal, such as ``tol=1e-6``
     for ``tol: float = 1e-6``, does not set it. Calls are matched by name,
@@ -574,6 +622,18 @@ def rounded(x, digits=3):
 
 def clipped(x, limit):
     return min(x, limit)
+
+
+def sphere(n_lat=24, n_lon=48, radius=1.0):
+    return n_lat * n_lon * radius
+
+
+def ring(n=8, radius=1.0):
+    return n * radius
+
+
+def shifted(x, by=1.0):
+    return x + by
 """
 
 PLANTED_BENCHMARK = """
@@ -588,6 +648,12 @@ ROUNDED = mod.rounded(1.25, 3)
 LIMIT = 4
 LOW = mod.clipped(1.0, LIMIT)
 HIGH = mod.clipped(9.0, limit=LIMIT)
+for shape in ((48, 96), (24, 48)):
+    SPHERE = mod.sphere(*shape)
+for args in ((4,), (6, 2.0)):
+    RING = mod.ring(*args)
+PAIR = (1.0, 0.5)
+SHIFTED = mod.shifted(*PAIR)
 """
 
 
@@ -600,7 +666,10 @@ def test_checks_on_a_planted_source(tmp_path):
     ``None``, a parameter that every call passes one upper-case constant
     is found until one call passes another value, as is each that every
     call passes one literal, and a module-level function that only a
-    string in the package names is unreached."""
+    string in the package names is unreached. A ``*`` argument bound only
+    by a loop over literal tuples sets just the positions they fill
+    (``sphere.radius`` stays unset, ``ring.radius`` is set); any other
+    ``*`` argument may set every parameter (``shifted.by``)."""
     package = tmp_path / "src" / "pkg"
     bench = tmp_path / "benchmarks"
     package.mkdir(parents=True)
@@ -611,7 +680,7 @@ def test_checks_on_a_planted_source(tmp_path):
     assert _unread_members(package, roots, set()) == ["mod.py:Report.unread"]
     assert _unread_members(package, roots, {"mod.py:Report.unread"}) == []
     assert _unset_defaults(package, roots, set()) == ["mod.py:Probe.traced.scale",
-                                                      "mod.py:rounded.digits"]
+                                                      "mod.py:rounded.digits", "mod.py:sphere.radius"]
     assert _overridden_none_defaults(package, roots, set()) == ["mod.py:scaled.factor"]
     assert _overridden_none_defaults(package, roots, {"mod.py:scaled.factor"}) == []
     assert _unreached_definitions(package, roots, {}) == []

@@ -47,6 +47,32 @@ class TestNormalError:
         b = flat_map(4, 4, (0, 0, -1))
         assert metrics.normal_error(a, b, a.mask) == 180.0
 
+    @staticmethod
+    def _random_unit_map(seed, side=16):
+        v = SeededRng(seed).normal(size=(side, side, 3))
+        return full_map(v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+    def test_random_map_against_itself_is_exactly_zero(self):
+        # the rounded dot products are not all exactly 1, so their arccos is not 0
+        a = self._random_unit_map(1)
+        assert metrics.normal_error(a, a, a.mask) == 0.0
+
+    def test_random_map_against_its_negation_is_exactly_180(self):
+        a = self._random_unit_map(2)
+        assert metrics.normal_error(a, full_map(-a.vectors), a.mask) == 180.0
+
+    def test_tiny_rotation_is_resolved(self):
+        # a 1e-8 rad rotation about z: cos(1e-8) rounds to 1.0, so the dot
+        # product alone cannot resolve the angle
+        t = 1e-8
+        a = self._random_unit_map(3)
+        rot = np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]])
+        v = a.vectors.copy()
+        v[..., 2] = 0.0  # in the xy plane, so the angle is exactly the rotation
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        b, c = full_map(v), full_map(v @ rot.T)
+        assert metrics.normal_error(b, c, b.mask) == pytest.approx(np.degrees(t), rel=1e-6)
+
     def test_symmetric(self):
         rng = SeededRng(0)
         v = rng.normal(size=(6, 6, 3))

@@ -1,5 +1,6 @@
 import functools
 import gc
+import re
 import struct
 import threading
 import weakref
@@ -581,6 +582,19 @@ class TestSeededRng:
     def test_key_outside_64_bits_rejected(self, seed, stream, named):
         with pytest.raises(ValueError, match=f"{named} is outside"):
             SeededRng(seed, stream)
+
+    @pytest.mark.parametrize("seed, stream, named", [
+        (1.5, 0, "seed"), (True, 0, "seed"), (np.float64(2.9), 0, "seed"), ("3", 0, "seed"),
+        (0, 1.0, "stream"), (0, np.bool_(True), "stream"),
+    ])
+    def test_non_integer_key_rejected(self, seed, stream, named):
+        value = seed if named == "seed" else stream
+        with pytest.raises(ValueError, match=re.escape(f"{named} must be an integer, got {value!r}")):
+            SeededRng(seed, stream)
+
+    def test_numpy_integer_key_accepted(self):
+        got = SeededRng(np.int64(5), np.uint64(9)).normal(size=(4,))
+        assert got.tobytes() == SeededRng(5, 9).normal(size=(4,)).tobytes()
 
     def test_key_at_the_64_bit_ends_accepted(self):
         assert SeededRng((1 << 64) - 1, (1 << 64) - 1).normal(size=(3,)).shape == (3,)

@@ -243,6 +243,13 @@ LABEL_DIGESTS = {
                    "d53e22a29634e3ec241a4c22a6d6e686491e35bb2d2ae26c75f3d10c4184cb3f"],
 }
 
+# sha256 of the four ``sample_digest`` hex strings, joined, of the same
+# datasets: pins the shaded images, albedo and sensor noise among them
+IMAGE_DIGESTS = {
+    Domain.REAL: "d7593ba5f98faf897120bcfbd3de93eddac992c734c4a724429103d472591ef3",
+    Domain.SYNTH: "8b5ac8110645c0a007daff9c42cb61e0d17ce35a428e476f66451d420716b9ea",
+}
+
 
 class TestMakeDataset:
     @pytest.mark.parametrize("domain", [Domain.REAL, Domain.SYNTH])
@@ -250,6 +257,17 @@ class TestMakeDataset:
         got = [hashlib.sha256(s.normal_gt.vectors.tobytes() + s.normal_gt.mask.tobytes()).hexdigest()
                for s in toydata.make_dataset(4, domain, 0)]
         assert got == LABEL_DIGESTS[domain]
+
+    @pytest.mark.parametrize("domain", [Domain.REAL, Domain.SYNTH])
+    def test_images_match_recorded_digest(self, domain):
+        digests = "".join(toydata.sample_digest(s) for s in toydata.make_dataset(4, domain, 0))
+        assert hashlib.sha256(digests.encode()).hexdigest() == IMAGE_DIGESTS[domain]
+
+    def test_non_integer_seed_rejected(self):
+        # truncated, 0.5 would key the scenes as seed 0 and the albedo
+        # as some other seed
+        with pytest.raises(ValueError, match="seed must be an integer, got 0.5"):
+            toydata.make_dataset(2, Domain.SYNTH, 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
