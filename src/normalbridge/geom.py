@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .maps import NormalMap
+from .maps import SENTINEL_NORMAL, NormalMap, _check_integer
 
 __all__ = [
     "TriMesh",
@@ -125,9 +125,10 @@ class Camera:
             raise ValueError(f"camera position must be a finite 3-vector, got {self.position!r}")
         if np.linalg.norm(self.position) < 1e-12:
             raise ValueError("camera position coincides with the origin it looks at")
-        if np.shape(self.resolution) != (2,) or not all(
-                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in self.resolution):
+        if np.shape(self.resolution) != (2,):
             raise ValueError(f"camera resolution must be two positive integers, got {self.resolution!r}")
+        for axis, n in zip(("height", "width"), self.resolution):
+            _check_integer(f"camera resolution {self.resolution!r}: {axis}", n, 1)
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,8 +175,7 @@ _VIEW_RADIUS = 3.0  # distance of every viewpoint from the origin
 def viewpoints(n: int = 22, resolution: tuple[int, int] = (96, 96)) -> list[Camera]:
     """Deterministic near-uniform cameras on a Fibonacci sphere of radius
     ``_VIEW_RADIUS``, all looking at the origin."""
-    if n < 1:
-        raise ValueError("need at least one viewpoint")
+    _check_integer("viewpoints: n", n, 1)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     cams = []
     for i in range(n):
@@ -275,8 +275,7 @@ def rasterize_normals(mesh: TriMesh, camera: Camera) -> RenderView:
     h_px, w_px = camera.resolution
     n_pix = h_px * w_px
     zbuf = np.full(n_pix, np.inf)
-    nbuf = np.zeros((n_pix, 3))
-    nbuf[:, 2] = 1.0
+    nbuf = np.tile(SENTINEL_NORMAL, (n_pix, 1))
     mask = np.zeros(n_pix, dtype=bool)
     if mesh.n_faces:
         if not np.isfinite(mesh.vertices).all():

@@ -34,6 +34,15 @@ SENTINEL_NORMAL = np.array([0.0, 0.0, 1.0])
 _UNIT_TOL = 1e-6
 
 
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise a ValueError naming ``name`` and ``value`` unless ``value`` is an
+    integer (not a bool) in ``low..high``, or ``>= low`` when ``high`` is None."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low
+            or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 @dataclass
 class Heightfield:
     """H x W grid of heights in world units; ``cell_size`` is units/pixel."""
@@ -113,28 +122,28 @@ def decode_normal_image(img: np.ndarray, mask: np.ndarray) -> NormalMap:
 # -- netpbm -------------------------------------------------------------
 
 
-def write_ppm(path, img: np.ndarray) -> None:
-    img = np.asarray(img)
-    if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError("write_ppm expects a uint8 HxWx3 array")
+def _write_netpbm(path, img: np.ndarray, magic: str, channels: int) -> None:
+    """``magic``, width, height and maxval 255, then the bytes of a uint8
+    H x W x ``channels`` image; another array raises, naming the writer."""
+    if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != channels:
+        name, shape = ("write_ppm", "HxWx3") if channels == 3 else ("write_pgm", "HxW")
+        raise ValueError(f"{name} expects a uint8 {shape} array")
     h, w = img.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
         fh.write(img.tobytes())
+
+
+def write_ppm(path, img: np.ndarray) -> None:
+    _write_netpbm(path, np.asarray(img), "P6", 3)
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    img = np.asarray(img)
-    if img.dtype != np.uint8 or img.ndim != 2:
-        raise ValueError("write_pgm expects a uint8 HxW array")
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(img.tobytes())
+    _write_netpbm(path, np.asarray(img)[..., None], "P5", 1)
 
 
 # magic, width, height and maxval, whitespace-separated, then one
-# whitespace byte; the writers above emit no comments
+# whitespace byte; the writer above emits no comments
 _NETPBM_HEADER = re.compile(rb"P[56]\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 

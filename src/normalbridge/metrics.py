@@ -17,13 +17,12 @@ per-pixel float expressions as a loop over channels, so the mask does
 not depend on how many channels share the pass. Each stage takes its
 input, with the reflect or edge border of ``numpy.pad``, through one
 index vector; flattened, every blur and Sobel tap is one contiguous
-slice and every product goes through one scratch. ``hypot`` runs only
-where both gradient components are nonzero: ``hypot(x, +-0)`` is ``|x|``
-(C99 Annex F). Non-maximum suppression looks only at the pixels that
-clear ``CANNY_LOW``. Hysteresis lists the pairs of 8-neighbouring weak pixels
-within a channel once, then grows the kept set from the strong pixels
-across those pairs until no pair has one end kept and the other not: the
-fixed point of growing the strong pixels through weak ones, without a
+slice and every product goes through one scratch. Non-maximum
+suppression looks only at the pixels that clear ``CANNY_LOW``.
+Hysteresis lists the pairs of 8-neighbouring weak pixels within a
+channel once, then grows the kept set from the strong pixels across
+those pairs until no pair has one end kept and the other not: the fixed
+point of growing the strong pixels through weak ones, without a
 full-image dilation per step. The square dilation is separable: the OR
 of 2r+1 row shifts, then of 2r+1 column shifts.
 """
@@ -238,21 +237,15 @@ def canny(source) -> EdgeMask:
             raise ValueError(f"unsupported image shape {img.shape}")
     img = gaussian_blur(img.reshape(img.shape[:2] + (-1,)), 1.4, "reflect")
     h, w = img.shape[:2]
-    out = np.zeros((h, w), dtype=bool)
 
     # (H+2, W+2, C) arrays from here on, flattened where indexed
     gx, gy = _sobel(img.take(_border_index(h, 1, "reflect"), axis=0).take(_border_index(w, 1, "reflect"), axis=1))
-    mag = np.abs(gx) + np.abs(gy)
-    both = np.flatnonzero((gx != 0) & (gy != 0))
-    mag.reshape(-1)[both] = np.hypot(gx.take(both), gy.take(both))
+    mag = np.hypot(gx, gy)
     # per-channel strided planes: reducing over the short last axis is slower
     peak = np.array([plane.max() for plane in mag.reshape(-1, mag.shape[2]).T])
     scale = np.array([np.abs(plane).max() for plane in img.reshape(-1, img.shape[2]).T])
-    live = peak > CANNY_PEAK_FLOOR * scale
-    if not live.any():
-        return EdgeMask(out)
-    if not live.all():
-        gx, gy, mag, peak = gx[..., live], gy[..., live], mag[..., live], peak[live]
+    # a dead channel's magnitudes scale to 0, so none of its pixels is weak
+    peak[peak <= CANNY_PEAK_FLOOR * scale] = np.inf
     col, row = len(peak), (w + 2) * len(peak)
     for plane, top in zip(mag.reshape(-1, col).T, peak):
         plane /= top  # unit-scaled gradients
@@ -269,11 +262,12 @@ def canny(source) -> EdgeMask:
     weak = at[(m > padm[at - step]) & (m >= padm[at + step])]
 
     edges = _hysteresis(weak, padm, (col, row - col, row, row + col))
+    out = np.zeros((h, w), dtype=bool)
     out[edges // row - 1, edges % row // col - 1] = True
     return EdgeMask(out)
 
 
-def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
+def dilate(mask: EdgeMask, radius: int) -> EdgeMask:
     """Chebyshev-ball (square) dilation; radius 0 is the identity.
 
     The square is separable: the OR of the 2r+1 row shifts, then of the
@@ -292,7 +286,7 @@ def dilate(mask: EdgeMask, radius: int = DEFAULT_DILATION_RADIUS) -> EdgeMask:
     return EdgeMask(out)
 
 
-def sharp_normal_error(pred: NormalMap, gt: NormalMap, radius: int = DEFAULT_DILATION_RADIUS) -> float | None:
+def sharp_normal_error(pred: NormalMap, gt: NormalMap, radius: int) -> float | None:
     """NE restricted to the sharp region: the Canny edges of the ground-truth
     normals, dilated by ``radius``, within the joint foreground
     ``pred.mask & gt.mask``.

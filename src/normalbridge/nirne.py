@@ -32,7 +32,7 @@ import numpy as np
 
 # called through the module, so a wrapper set on a module attribute sees the call
 from . import metrics, toydata
-from .maps import NormalMap
+from .maps import SENTINEL_NORMAL, NormalMap, _check_integer
 from .tensorcore import (
     AdamWState,
     Conv2d,
@@ -122,9 +122,6 @@ class _Encoder:
         f3 = self.norm3(self.down3(f2))
         return [f0, f1, f2, f3]
 
-    def layers(self, prefix):
-        return {f"{prefix}.{name}": layer for name, layer in vars(self).items()}
-
 
 class DualStreamModel:
     """Clean/noisy encoders + shared decoder with per-level fusion.
@@ -159,10 +156,9 @@ class DualStreamModel:
     # -- parameter bookkeeping ------------------------------------------
 
     def _layer_map(self) -> dict:
-        layers = {}
-        layers.update(self.noisy_enc.layers("noisy"))
+        layers = {f"noisy.{name}": layer for name, layer in vars(self.noisy_enc).items()}
         if self.dual_stream:
-            layers.update(self.clean_enc.layers("clean"))
+            layers.update({f"clean.{name}": layer for name, layer in vars(self.clean_enc).items()})
             layers.update({f"fuse{k}": self.fuse[k] for k in _LEVELS})
         layers.update({f"dec{k}": self.dec[k] for k in _LEVELS})
         layers["head"] = self.head
@@ -255,9 +251,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("steps", "batch_size", "log_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"TrainConfig.{name} must be an integer >= 1, got {value!r}")
+            _check_integer(f"TrainConfig.{name}", getattr(self, name), 1)
         if isinstance(self.lr, (bool, np.bool_)) or not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"TrainConfig.lr must be finite and > 0, got {self.lr!r}")
         if isinstance(self.weight_decay, (bool, np.bool_)) or not (
@@ -368,7 +362,7 @@ def predict_batch(model: DualStreamModel, samples: list[DomainSample]) -> list[N
             pred = model.forward_t(Tensor(imgs))
             for k, s in enumerate(chunk):
                 vec = pred.data[k].transpose(1, 2, 0).copy()
-                vec[~s.normal_gt.mask] = [0.0, 0.0, 1.0]
+                vec[~s.normal_gt.mask] = SENTINEL_NORMAL
                 if not np.isfinite(vec).all():
                     raise ValueError(f"predict_batch: the model output for sample {start + k} is non-finite")
                 out.append(NormalMap(vec, s.normal_gt.mask))
@@ -386,4 +380,4 @@ def evaluate_model(model: DualStreamModel, samples: list[DomainSample]) -> dict:
     preds = predict_batch(model, samples)
     gts = [toydata.heightfield_normals(s.height_gt) for s in samples]
     report = metrics.multiview_report(preds, gts, radius=_SNE_RADIUS)
-    return {"ne_deg": report.ne_deg, "sne_deg": report.sne_deg, "n_samples": len(samples)}
+    return {"ne_deg": report.ne_deg, "sne_deg": report.sne_deg}

@@ -27,6 +27,7 @@ from . import metrics
 from .maps import (
     Heightfield,
     NormalMap,
+    _check_integer,
     decode_normal_image,
     encode_normal_image,
     read_height_bin,
@@ -140,10 +141,8 @@ def generate_scene(
     """Union-by-max composite of ``complexity`` primitives on a ground plane,
     on a ``size`` x ``size`` grid (``size`` >= 8, which leaves room for
     every primitive's placement band)."""
-    if not 1 <= complexity <= 10:
-        raise ValueError(f"complexity must be in 1..10, got {complexity}")
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 8:
-        raise ValueError(f"generate_scene: size must be an integer >= 8, got {size!r}")
+    _check_integer("generate_scene: complexity", complexity, 1, 10)
+    _check_integer("generate_scene: size", size, 8)
     if not (np.isfinite(cell_size) and cell_size > 0):
         raise ValueError(f"generate_scene: cell_size must be finite and > 0, got {cell_size!r}")
     rng = SeededRng(seed, _STREAM_SCENE + stream)
@@ -241,17 +240,16 @@ def corrupt_labels_real_domain(
         raise ValueError("corruption expects a synthetic-domain sample")
     nm = sample.normal_gt
     band = np.flatnonzero(metrics.dilate(metrics.canny(nm), band_radius).mask)
+    n = metrics.gaussian_blur(nm.vectors, blur_sigma, "edge").reshape(-1, 3).take(band, axis=0)
+    rng = SeededRng(seed, _STREAM_CORRUPT)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    # random unit tangents: project a random vector onto each tangent plane
+    raw = rng.normal(size=n.shape)
+    raw -= np.sum(raw * n, axis=-1, keepdims=True) * n
+    tan = raw / np.maximum(np.linalg.norm(raw, axis=-1, keepdims=True), 1e-12)
+    theta = np.radians(rng.normal(0.0, angle_noise_deg, n.shape[:1]))[:, None]
     vec = nm.vectors.copy()
-    if band.size:
-        n = metrics.gaussian_blur(nm.vectors, blur_sigma, "edge").reshape(-1, 3).take(band, axis=0)
-        rng = SeededRng(seed, _STREAM_CORRUPT)
-        n /= np.linalg.norm(n, axis=-1, keepdims=True)
-        # random unit tangents: project a random vector onto each tangent plane
-        raw = rng.normal(size=n.shape)
-        raw -= np.sum(raw * n, axis=-1, keepdims=True) * n
-        tan = raw / np.maximum(np.linalg.norm(raw, axis=-1, keepdims=True), 1e-12)
-        theta = np.radians(rng.normal(0.0, angle_noise_deg, n.shape[:1]))[:, None]
-        vec.reshape(-1, 3)[band] = np.cos(theta) * n + np.sin(theta) * tan
+    vec.reshape(-1, 3)[band] = np.cos(theta) * n + np.sin(theta) * tan
     corrupted = NormalMap(vec, nm.mask.copy())
     corrupted.validate_unit()
     return DomainSample(sample.image, corrupted, sample.height_gt, Domain.REAL, sample.index)
@@ -296,8 +294,7 @@ def make_dataset(
 ) -> list[DomainSample]:
     """``n`` samples of ``domain``; sample i depends only on (seed, i), so
     the first k samples of a larger dataset are the k-sample dataset."""
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
+    _check_integer("make_dataset: n", n, 1)
     lo, hi = complexity_range
     if not (1 <= lo <= hi <= 10):
         raise ValueError(f"bad complexity range {complexity_range}")
@@ -325,12 +322,16 @@ def write_dataset(out_dir, samples: list[DomainSample]) -> None:
 
 def read_dataset(path) -> list[DomainSample]:
     """The samples ``write_dataset`` wrote to ``path``. A malformed
-    manifest or sample raises ``ValueError``, naming the directory and
+    manifest, one whose ``n`` is not its number of items, or a malformed
+    sample raises ``ValueError``, naming the directory and
     ``manifest.json`` or the sample's stem."""
     root = Path(path)
     try:
-        items = json.loads((root / "manifest.json").read_text())["items"]
+        manifest = json.loads((root / "manifest.json").read_text())
+        items = manifest["items"]
         stems = [item["stem"] for item in items]
+        if manifest["n"] != len(items):
+            raise ValueError(f"n is {manifest['n']!r} but the item count is {len(items)}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{root / 'manifest.json'}: {type(exc).__name__}: {exc}") from exc
     samples = []

@@ -107,6 +107,14 @@ class TestViewpoints:
                 worst = min(worst, ang)
         assert worst > 25.0
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "2", 0, -1])
+    def test_bad_count_named(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"viewpoints: n must be an integer >= 1, got {n!r}")):
+            geom.viewpoints(n)
+
+    def test_numpy_integer_count_accepted(self):
+        assert len(geom.viewpoints(np.int64(3))) == 3
+
     def test_deterministic(self):
         a = geom.viewpoints(22)
         b = geom.viewpoints(22)

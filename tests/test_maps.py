@@ -75,6 +75,35 @@ class TestNetpbm:
             read(path)
         assert str(path) in str(err.value)
 
+    def test_written_bytes_are_header_and_payload(self, tmp_path):
+        rgb = np.arange(5 * 7 * 3, dtype=np.uint8).reshape(5, 7, 3)
+        gray = np.ascontiguousarray(rgb[..., 1])
+        maps.write_ppm(tmp_path / "a.ppm", rgb)
+        maps.write_pgm(tmp_path / "a.pgm", gray)
+        assert (tmp_path / "a.ppm").read_bytes() == b"P6\n7 5\n255\n" + rgb.tobytes()
+        assert (tmp_path / "a.pgm").read_bytes() == b"P5\n7 5\n255\n" + gray.tobytes()
+        # a strided view is written in row-major order
+        maps.write_pgm(tmp_path / "b.pgm", rgb[..., 2])
+        assert (tmp_path / "b.pgm").read_bytes() == b"P5\n7 5\n255\n" + rgb[..., 2].copy().tobytes()
+
+    @pytest.mark.parametrize("img", [
+        np.zeros((4, 4, 3), np.float64), np.zeros((4, 4), np.uint8), np.zeros((4, 4, 1), np.uint8),
+        np.zeros((4, 4, 4), np.uint8), np.zeros(3, np.uint8),
+    ], ids=["float", "gray", "one_channel", "four_channels", "flat"])
+    def test_ppm_writer_names_itself_and_the_shape(self, tmp_path, img):
+        with pytest.raises(ValueError, match="^write_ppm expects a uint8 HxWx3 array$"):
+            maps.write_ppm(tmp_path / "a.ppm", img)
+        assert not (tmp_path / "a.ppm").exists()
+
+    @pytest.mark.parametrize("img", [
+        np.zeros((4, 4), np.int16), np.zeros((4, 4, 3), np.uint8), np.zeros((4, 4, 1), np.uint8),
+        np.zeros(4, np.uint8), np.uint8(7),
+    ], ids=["int16", "rgb", "one_channel", "flat", "scalar"])
+    def test_pgm_writer_names_itself_and_the_shape(self, tmp_path, img):
+        with pytest.raises(ValueError, match="^write_pgm expects a uint8 HxW array$"):
+            maps.write_pgm(tmp_path / "a.pgm", img)
+        assert not (tmp_path / "a.pgm").exists()
+
 
 class TestHeightfield:
     @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])

@@ -1,3 +1,6 @@
+import hashlib
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,22 @@ class TestCanny:
             vec[2] = abs(vec[2]) + 0.1
             assert metrics.canny(flat_map(h, w, vec / np.linalg.norm(vec))).count == 0, vec
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (7, 3), (16, 16), (19, 23), (40, 9)])
+    def test_constant_channel_same_as_without_it(self, shape):
+        for c in range(3):
+            r = SeededRng(30, 3 * shape[0] + c)
+            img = r.uniform(0, 1, shape + (3,))
+            img[..., c] = 10.0 ** r.uniform(-6.0, 3.0)
+            want = metrics.canny(np.delete(img, c, axis=2)).mask
+            np.testing.assert_array_equal(metrics.canny(img).mask, want, err_msg=f"channel {c}")
+            # with a second constant channel only the remaining one counts
+            other, rest = (c + 1) % 3, (c + 2) % 3
+            img[..., other] = -img[0, 0, c]
+            alone = metrics.canny(img[..., rest]).mask
+            np.testing.assert_array_equal(metrics.canny(img).mask, alone, err_msg=f"channels {c}, {other}")
+            img[..., rest] = 0.25
+            assert metrics.canny(img).count == 0
+
     def test_vertical_step_single_column(self):
         col = 16
         em = metrics.canny(step_map(32, 32, col))
@@ -153,12 +172,13 @@ def assert_canny_matches_oracle(source):
 
 
 def winding_chain(h=21, w=151, amp=2.0, period=40.0, level=0.3):
-    """A step edge that winds along a gentle sine across the whole width.
+    """A step edge that winds along a sine across the whole width.
 
-    Its slope stays under tan(22.5 deg), so every edge pixel survives
-    non-maximum suppression and the edge is one 8-connected chain. The
-    contrast is ``level`` until it rises to 1 over the last columns, so at
-    ``high=1`` the one strong pixel sits at the far right end.
+    At the defaults its slope stays under tan(22.5 deg), so every edge
+    pixel survives non-maximum suppression and the edge is one
+    8-connected chain. The contrast is ``level`` until it rises to 1
+    over the last columns, so at ``high=1`` the one strong pixel sits at
+    the far right end.
     """
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     contrast = level + (1.0 - level) * np.clip((xx - (w - 14)) / 10.0, 0.0, 1.0)
@@ -264,6 +284,76 @@ class TestCannyOracle:
         assert canny_at(img, 0.1, 0.2).mask[15:].any()
 
 
+def mask_digest(masks):
+    h = hashlib.sha256()
+    for m in masks:
+        h.update(m.tobytes())
+    return h.hexdigest()
+
+
+def components(mask):
+    """The 8-connected components of a bool mask, as lists of (row, col)."""
+    seen = np.zeros_like(mask)
+    found = []
+    for start in zip(*np.nonzero(mask)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, comp = deque([start]), []
+        while queue:
+            y, x = queue.popleft()
+            comp.append((y, x))
+            for ny in range(max(y - 1, 0), min(y + 2, mask.shape[0])):
+                for nx in range(max(x - 1, 0), min(x + 2, mask.shape[1])):
+                    if mask[ny, nx] and not seen[ny, nx]:
+                        seen[ny, nx] = True
+                        queue.append((ny, nx))
+        found.append(comp)
+    return found
+
+
+class TestCannyPins:
+    """sha256 of the concatenated edge masks of the benchmark inputs; a
+    rewrite of Canny must keep every bit of them."""
+
+    def test_mesh_eval_ground_truth_views(self):
+        # the mesh_eval benchmark's ground-truth mesh at seed 0: scene
+        # complexity 6 on a 16 x 16 grid spanning [-1, 1]^2, 22 views of
+        # 96 x 96 pixels, background included
+        mesh = geom.heightfield_to_mesh(toydata.generate_scene(0, 6, size=16, cell_size=2.0 / 15))
+        masks = [metrics.canny(geom.rasterize_normals(mesh, cam).normal_map).mask
+                 for cam in geom.viewpoints(22, resolution=(96, 96))]
+        assert sum(m.sum() for m in masks) == 13276
+        assert mask_digest(masks) == "6b1f51806bfe8080fa64978e1ac23572a13d8afa53ad3fd0b1fa7315464d16f4"
+
+    def test_synthetic_dataset_ground_truths(self):
+        masks = [metrics.canny(s.normal_gt).mask for s in toydata.make_dataset(8, toydata.Domain.SYNTH, 0)]
+        assert sum(m.sum() for m in masks) == 3824
+        assert mask_digest(masks) == "f4689124f95b2d1cef59e5ea8d25fcc1c257be3464027ec34ee8d197f3721e91"
+
+
+class TestCannyGeometry:
+    """What an edge detector must find, independent of the oracle. Both
+    fail because non-maximum suppression compares the diagonal sectors
+    along the edge instead of across it (ROADMAP item 3)."""
+
+    @pytest.mark.xfail(strict=True, reason="NMS compares diagonal sectors along the edge")
+    def test_diagonal_step_is_one_thin_line(self):
+        yy, xx = np.mgrid[0:48, 0:48]
+        # the 2-px frame, where the reflected border crosses the edge, is left out
+        edges = metrics.canny((xx >= yy).astype(np.float64)).mask[2:-2, 2:-2]
+        assert len(components(edges)) == 1
+        assert edges[0].any() and edges[-1].any()
+        assert edges.sum(axis=0).max() <= 2 and edges.sum(axis=1).max() <= 2
+
+    @pytest.mark.xfail(strict=True, reason="NMS compares diagonal sectors along the edge")
+    def test_steep_sine_step_is_one_chain(self):
+        # slope up to atan(4 * 2 pi / 40) = 32 degrees, past the 22.5 degree sector boundary
+        edges = metrics.canny(winding_chain(h=33, w=97, amp=4.0, level=1.0)).mask
+        assert len(components(edges)) == 1
+        assert edges[:, 0].any() and edges[:, -1].any()
+
+
 class TestDilate:
     @pytest.mark.parametrize("radius", range(7))
     def test_matches_square_loop(self, radius):
@@ -316,7 +406,8 @@ class TestSharpNormalError:
 
     def test_flat_scene_no_sharp_regions(self):
         flat = flat_map(16, 16)
-        assert metrics.sharp_normal_error(flat, flat) is None
+        for radius in (0, 2, metrics.DEFAULT_DILATION_RADIUS):
+            assert metrics.sharp_normal_error(flat, flat, radius) is None
 
     def test_radius_monotone_when_band_clean(self):
         # errors concentrated exactly on the edge; growing the band adds

@@ -27,6 +27,11 @@ def _blur_edge_loop(img, sigma):
     return sum(k[i] * pad[:, i : i + img.shape[1]] for i in range(len(k)))
 
 
+def _no_draw(*args):
+    """Stands in for ``SeededRng`` where a call must fail before it draws."""
+    raise AssertionError("a random stream was opened")
+
+
 class TestGenerateScene:
     def test_single_box_is_piecewise_constant_with_four_step_edges(self):
         hf = toydata.generate_scene(3, 1, size=32, primitives=("box",))
@@ -61,6 +66,13 @@ class TestGenerateScene:
             toydata.generate_scene(0, 0)
         with pytest.raises(ValueError):
             toydata.generate_scene(0, 11)
+
+    @pytest.mark.parametrize("complexity", [True, 2.5, 3.0, np.float64(4.0), "3", 0, 11])
+    def test_bad_complexity_named_before_any_draw(self, complexity, monkeypatch):
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"generate_scene: complexity must be an integer in 1..10, got {complexity!r}")):
+            toydata.generate_scene(0, complexity)
 
     @pytest.mark.parametrize("size", [0, 4, 7, 8.0, True])
     def test_bad_size_named(self, size):
@@ -186,7 +198,8 @@ class TestCorruptLabels:
         sample = toydata.DomainSample(np.ones((32, 32, 3)) * 0.5, nm, hf, Domain.SYNTH)
         out = toydata.corrupt_labels_real_domain(sample, 0)
         assert out.domain is Domain.REAL
-        assert np.max(np.abs(out.normal_gt.vectors - nm.vectors)) <= 1e-6
+        # no edge, so an empty band: not one label moves
+        assert out.normal_gt.vectors.tobytes() == nm.vectors.tobytes()
 
     def test_corruption_localized_to_edge_band(self):
         sample = self._synth_sample(4)
@@ -273,6 +286,15 @@ class TestMakeDataset:
         with pytest.raises(ValueError):
             toydata.make_dataset(0, Domain.SYNTH, 0)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "2", -1])
+    def test_bad_count_named_before_any_draw(self, n, monkeypatch):
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(f"make_dataset: n must be an integer >= 1, got {n!r}")):
+            toydata.make_dataset(n, Domain.SYNTH, 0)
+
+    def test_numpy_integer_count_accepted(self):
+        assert len(toydata.make_dataset(np.int64(2), Domain.SYNTH, 0, size=16)) == 2
+
     def test_disjoint_seeds_distinct_images(self):
         a = toydata.make_dataset(4, Domain.SYNTH, seed=1, size=32)
         b = toydata.make_dataset(4, Domain.SYNTH, seed=2, size=32)
@@ -317,12 +339,17 @@ def _edit_manifest(ds, edit):
     path.write_text(edit(path.read_text()))
 
 
-def _edit_second_entry(ds, edit):
+def _edit_manifest_object(ds, edit):
+    """Rewrite the manifest of the dataset at ``ds`` after ``edit`` changes its object in place."""
     def rewrite(text):
         manifest = json.loads(text)
-        edit(manifest["items"][1])
+        edit(manifest)
         return json.dumps(manifest)
     _edit_manifest(ds, rewrite)
+
+
+def _edit_second_entry(ds, edit):
+    _edit_manifest_object(ds, lambda manifest: edit(manifest["items"][1]))
 
 
 # how sample 0001 or the manifest of a two-sample 32x32 dataset is broken,
@@ -346,6 +373,13 @@ _BROKEN_DATASETS = {
     "manifest_not_an_object": (
         lambda ds: _edit_manifest(ds, lambda text: "[]"),
         ["manifest.json", "TypeError"]),
+    # a manifest cut after its first entry still parses
+    "manifest_lists_fewer_items_than_n": (
+        lambda ds: _edit_manifest_object(ds, lambda manifest: manifest["items"].pop()),
+        ["manifest.json", "n is 2", "item count is 1"]),
+    "manifest_without_n": (
+        lambda ds: _edit_manifest_object(ds, lambda manifest: manifest.pop("n")),
+        ["manifest.json", "KeyError", "'n'"]),
 }
 
 
