@@ -411,8 +411,8 @@ def dataset_stats(meshes) -> DatasetStats:
 def uv_sphere_mesh(n_lat: int = 24, n_lon: int = 48) -> TriMesh:
     """The unit sphere: the poles and ``n_lat - 1`` rings of ``n_lon``
     vertices, a fan at each pole and two triangles per quad between rings."""
-    if n_lat < 2 or n_lon < 3:
-        raise ValueError(f"uv_sphere_mesh needs n_lat >= 2 and n_lon >= 3, got ({n_lat}, {n_lon})")
+    for name, value, low in (("n_lat", n_lat, 2), ("n_lon", n_lon, 3)):
+        _check_integer(f"uv_sphere_mesh, got {(n_lat, n_lon)!r}: {name}", value, low)
     theta = np.pi * np.arange(1, n_lat) / n_lat
     phi = 2.0 * np.pi * np.arange(n_lon) / n_lon
     st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]

@@ -25,6 +25,20 @@ those pairs until no pair has one end kept and the other not: the fixed
 point of growing the strong pixels through weak ones, without a
 full-image dilation per step. The square dilation is separable: the OR
 of 2r+1 row shifts, then of 2r+1 column shifts.
+
+Canny of a NormalMap runs only on the foreground's bounding box widened
+by ``_CANNY_MARGIN``, the blur radius + 2 (7 px), and pastes the box's
+mask into an all-False one; a map without foreground has no edge. The
+crop gives the mask of the whole encoded image, bit for bit. More than
+the blur radius out from the foreground, the blurred image is the white
+constant, the same taps summed in the same order; one pixel further,
+Sobel is exactly 0, so no pixel there is weak. At the box's edge the
+reflect border mirrors only pixels that are white on both sides, so no
+blur or Sobel value inside the box changes. Each channel's gradient
+peak is unchanged, and so is its largest blurred value, as the white
+constant also occurs inside the margin, so ``CANNY_PEAK_FLOOR`` decides
+alike. NMS and hysteresis see only pixels within 6 px of the
+foreground, all inside the box.
 """
 
 from __future__ import annotations
@@ -114,6 +128,12 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+_CANNY_SIGMA = 1.4
+# the margin of a NormalMap's foreground box in canny: the blur radius, one
+# pixel for Sobel and one for Sobel's reflected border (module docstring)
+_CANNY_MARGIN = len(_gaussian_kernel1d(_CANNY_SIGMA)) // 2 + 2
+
+
 @lru_cache(maxsize=64)
 def _border_index(n: int, r: int, mode: str) -> np.ndarray:
     """``numpy.pad(numpy.arange(n), r, mode)``, read-only: it is shared."""
@@ -126,12 +146,15 @@ def gaussian_blur(img: np.ndarray, sigma: float, mode: str) -> np.ndarray:
     """Separable Gaussian blur of the first two axes, taps ``ceil(3 sigma)`` each side.
 
     ``mode`` is the border in ``numpy.pad``'s meaning, ``reflect`` or ``edge``;
-    another mode raises. Trailing axes, such as channels, are blurred
-    independently. Each pass sums its taps left to right from zero, so the
-    result, signed zeros included, equals ``numpy.pad`` and that sum.
+    another mode, or a ``sigma`` that is not finite and positive, raises.
+    Trailing axes, such as channels, are blurred independently. Each pass
+    sums its taps left to right from zero, so the result, signed zeros
+    included, equals ``numpy.pad`` and that sum.
     """
     if mode not in ("reflect", "edge"):
         raise ValueError(f"gaussian_blur: unsupported border mode {mode!r}, use 'reflect' or 'edge'")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"gaussian_blur: sigma must be finite and > 0, got {sigma!r}")
     k = _gaussian_kernel1d(sigma)
     out = np.asarray(img, dtype=np.float64)
     for axis in (0, 1):
@@ -217,25 +240,32 @@ def canny(source) -> EdgeMask:
     """Edge mask of a NormalMap (encoded rgb, per-channel union) or float
     image, at the thresholds ``CANNY_LOW`` and ``CANNY_HIGH``.
 
-    Accepts a NormalMap, an HxWx3 float image in [0,1], or an HxW gray
-    image; a non-finite pixel raises. Per-channel masks are unioned so
+    Accepts a NormalMap, filtered on its foreground box only (module
+    docstring), an HxWx3 float image in [0,1], or an HxW gray image; a
+    non-finite pixel raises. Per-channel masks are unioned so
     pure-direction discontinuities with equal luminance still register. A
     channel whose gradient peak does not exceed ``CANNY_PEAK_FLOOR`` times
     its largest absolute blurred value, such as a constant one, adds
     nothing.
     """
     if isinstance(source, NormalMap):
-        # the encoded image over 255: background white, foreground levels
-        img = np.ones(source.shape + (3,))
-        fg = np.flatnonzero(source.mask)
-        img.reshape(-1, 3)[fg] = _encoded_levels(source.vectors.reshape(-1, 3).take(fg, axis=0)) / 255.0
+        # the encoded image over 255, background white, on the foreground's
+        # bounding box widened by _CANNY_MARGIN: no edge lies outside it
+        out = np.zeros(source.shape, dtype=bool)
+        rows, cols = (np.flatnonzero(source.mask.any(axis=a)) for a in (1, 0))
+        if not rows.size:
+            return EdgeMask(out)
+        box = tuple(slice(max(i[0] - _CANNY_MARGIN, 0), i[-1] + _CANNY_MARGIN + 1) for i in (rows, cols))
+        img = _encoded_levels(source.vectors[box]) / 255.0
+        img[~source.mask[box]] = 1.0
     else:
         img = np.asarray(source, dtype=np.float64)
         if not np.isfinite(img).all():
             raise ValueError("canny: image contains non-finite values")
         if img.ndim not in (2, 3):
             raise ValueError(f"unsupported image shape {img.shape}")
-    img = gaussian_blur(img.reshape(img.shape[:2] + (-1,)), 1.4, "reflect")
+        out, box = np.zeros(img.shape[:2], dtype=bool), (slice(None), slice(None))
+    img = gaussian_blur(img.reshape(img.shape[:2] + (-1,)), _CANNY_SIGMA, "reflect")
     h, w = img.shape[:2]
 
     # (H+2, W+2, C) arrays from here on, flattened where indexed
@@ -262,8 +292,7 @@ def canny(source) -> EdgeMask:
     weak = at[(m > padm[at - step]) & (m >= padm[at + step])]
 
     edges = _hysteresis(weak, padm, (col, row - col, row, row + col))
-    out = np.zeros((h, w), dtype=bool)
-    out[edges // row - 1, edges % row // col - 1] = True
+    out[box][edges // row - 1, edges % row // col - 1] = True
     return EdgeMask(out)
 
 

@@ -296,8 +296,8 @@ def make_dataset(
     the first k samples of a larger dataset are the k-sample dataset."""
     _check_integer("make_dataset: n", n, 1)
     lo, hi = complexity_range
-    if not (1 <= lo <= hi <= 10):
-        raise ValueError(f"bad complexity range {complexity_range}")
+    _check_integer(f"make_dataset: complexity_range {complexity_range!r}: low", lo, 1, 10)
+    _check_integer(f"make_dataset: complexity_range {complexity_range!r}: high", hi, lo, 10)
     return [_make_sample(seed, i, domain, complexity_range, size, cell_size) for i in range(n)]
 
 
@@ -330,6 +330,7 @@ def read_dataset(path) -> list[DomainSample]:
         manifest = json.loads((root / "manifest.json").read_text())
         items = manifest["items"]
         stems = [item["stem"] for item in items]
+        _check_integer("n", manifest["n"], 0)
         if manifest["n"] != len(items):
             raise ValueError(f"n is {manifest['n']!r} but the item count is {len(items)}")
     except (ValueError, KeyError, TypeError) as exc:

@@ -66,6 +66,12 @@ class TestUvSphere:
         with pytest.raises(ValueError, match=re.escape(f"got {size}")):
             geom.uv_sphere_mesh(*size)
 
+    @pytest.mark.parametrize("size", [(2.5, 4), (4, 4.0), (True, 4), (4, np.float64(3))])
+    def test_non_integer_counts_rejected(self, size):
+        # int(2.5) rings would give a 16-face mesh without complaint
+        with pytest.raises(ValueError, match=re.escape(f"got {size!r}")):
+            geom.uv_sphere_mesh(*size)
+
 
 class TestVertexNormalsReference:
     @pytest.mark.parametrize("seed", range(5))

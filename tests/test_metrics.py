@@ -1,11 +1,12 @@
 import hashlib
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 
 from normalbridge import geom, metrics, toydata
-from normalbridge.maps import NormalMap
+from normalbridge.maps import NormalMap, encode_normal_image
 from normalbridge.tensorcore import SeededRng
 
 from canny_oracle import canny_oracle, dilate_loop
@@ -225,6 +226,12 @@ class TestGaussianBlur:
         with pytest.raises(ValueError, match=f"unsupported border mode '{mode}'"):
             metrics.gaussian_blur(np.zeros((8, 8)), 1.4, mode)
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+    def test_sigma_not_finite_and_positive_rejected(self, sigma):
+        # -1 would blur to zeros and 0 to NaN
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be finite and > 0, got {sigma!r}")):
+            metrics.gaussian_blur(np.ones((8, 8)), sigma, "edge")
+
 
 class TestCannyOracle:
     @pytest.mark.parametrize("h", range(1, 9))
@@ -330,6 +337,54 @@ class TestCannyPins:
         masks = [metrics.canny(s.normal_gt).mask for s in toydata.make_dataset(8, toydata.Domain.SYNTH, 0)]
         assert sum(m.sum() for m in masks) == 3824
         assert mask_digest(masks) == "f4689124f95b2d1cef59e5ea8d25fcc1c257be3464027ec34ee8d197f3721e91"
+
+
+def _box_mask(h, w, rows, cols):
+    m = np.zeros((h, w), dtype=bool)
+    m[rows, cols] = True
+    return m
+
+
+# foreground masks of a 40 x 48 map: the number of borders a box touches,
+# a box one pixel in from the borders, and masks whose box is not full
+_CROP_MASKS = {
+    "no_border": lambda r: _box_mask(40, 48, slice(10, 25), slice(12, 30)),
+    "one_border": lambda r: _box_mask(40, 48, slice(0, 20), slice(10, 30)),
+    "two_opposite_borders": lambda r: _box_mask(40, 48, slice(0, 40), slice(10, 30)),
+    "two_borders_at_a_corner": lambda r: _box_mask(40, 48, slice(0, 20), slice(0, 30)),
+    "three_borders": lambda r: _box_mask(40, 48, slice(0, 40), slice(0, 30)),
+    "four_borders": lambda r: _box_mask(40, 48, slice(0, 40), slice(3, 48)) | _box_mask(40, 48, 20, slice(0, 3)),
+    "one_px_from_every_border": lambda r: _box_mask(40, 48, slice(1, 39), slice(1, 47)),
+    "one_px_from_one_border": lambda r: _box_mask(40, 48, slice(1, 20), slice(10, 30)),
+    "single_pixel": lambda r: _box_mask(40, 48, 17, 29),
+    "sparse": lambda r: r.uniform(0, 1, (40, 48)) < 0.05,
+    "disk": lambda r: np.hypot(*(np.mgrid[0:40, 0:48] - np.array([25, 14])[:, None, None])) <= 9.5,
+    "empty": lambda r: np.zeros((40, 48), dtype=bool),
+    "full": lambda r: np.ones((40, 48), dtype=bool),
+}
+
+
+class TestCannyCrop:
+    """Canny of a NormalMap runs on its foreground box widened by the
+    blur radius + 2; an exact crop gives the mask of the whole encoded
+    image, which the float-image path filters uncropped."""
+
+    @pytest.mark.parametrize("case", list(_CROP_MASKS))
+    def test_mask_equals_uncropped_float_path(self, case):
+        for seed in range(4):
+            r = SeededRng(40, seed)
+            # 8 x 8-pixel blocks of random unit normals facing the viewer:
+            # steps inside the foreground and at its outline
+            v = r.normal(size=(5, 6, 3))
+            v[..., 2] = np.abs(v[..., 2]) + 0.2
+            v = np.repeat(np.repeat(v / np.linalg.norm(v, axis=-1, keepdims=True), 8, 0), 8, 1)
+            mask = _CROP_MASKS[case](r)
+            v[~mask] = (0.0, 0.0, 1.0)
+            nm = NormalMap(v, mask)
+            got = metrics.canny(nm).mask
+            np.testing.assert_array_equal(got, metrics.canny(encode_normal_image(nm) / 255.0).mask,
+                                          err_msg=f"seed {seed}")
+            assert got.any() == mask.any()
 
 
 class TestCannyGeometry:

@@ -166,6 +166,12 @@ class TestEvaluateModel:
         with pytest.raises(ValueError, match="model output for sample 2 is non-finite"):
             nirne.predict_batch(model, samples)
 
+    def test_untrained_model_matches_recorded_scores(self):
+        # data_eval's scoring; SNE is NE on the Canny edges of the ground
+        # truths, so a change to any of their masks moves it
+        ev = nirne.evaluate_model(nirne.DualStreamModel(seed=0), toydata.make_dataset(4, Domain.REAL, 0))
+        assert ev == {"ne_deg": 137.8339372897247, "sne_deg": 136.87011053720136}
+
 
 class TestNoiseFreeInference:
     @pytest.mark.parametrize("schedule", [

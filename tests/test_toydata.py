@@ -211,6 +211,11 @@ class TestCorruptLabels:
         assert dev[band].mean() > 5.0
         assert dev[~band].mean() < 0.5
 
+    @pytest.mark.parametrize("sigma", [0.0, -4.0, float("nan")])
+    def test_bad_blur_sigma_named(self, sigma):
+        with pytest.raises(ValueError, match=re.escape(f"sigma must be finite and > 0, got {sigma!r}")):
+            toydata.corrupt_labels_real_domain(self._synth_sample(5), 7, blur_sigma=sigma)
+
     def test_unit_norm_preserved(self):
         out = toydata.corrupt_labels_real_domain(self._synth_sample(5), 7)
         norms = np.linalg.norm(out.normal_gt.vectors, axis=-1)
@@ -292,6 +297,12 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match=re.escape(f"make_dataset: n must be an integer >= 1, got {n!r}")):
             toydata.make_dataset(n, Domain.SYNTH, 0)
 
+    @pytest.mark.parametrize("bounds", [(1, 3.7), (True, 3), (2.0, 5), (1, "3"), (0, 3), (5, 3), (4, 11)])
+    def test_bad_complexity_range_named_before_any_draw(self, bounds, monkeypatch):
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(f"make_dataset: complexity_range {bounds!r}")):
+            toydata.make_dataset(2, Domain.SYNTH, 0, complexity_range=bounds)
+
     def test_numpy_integer_count_accepted(self):
         assert len(toydata.make_dataset(np.int64(2), Domain.SYNTH, 0, size=16)) == 2
 
@@ -352,6 +363,12 @@ def _edit_second_entry(ds, edit):
     _edit_manifest_object(ds, lambda manifest: edit(manifest["items"][1]))
 
 
+def _one_item_n_true(manifest):
+    # True == 1, the item count once one item is gone
+    manifest["items"].pop()
+    manifest["n"] = True
+
+
 # how sample 0001 or the manifest of a two-sample 32x32 dataset is broken,
 # and what the error names besides the directory
 _BROKEN_DATASETS = {
@@ -377,6 +394,9 @@ _BROKEN_DATASETS = {
     "manifest_lists_fewer_items_than_n": (
         lambda ds: _edit_manifest_object(ds, lambda manifest: manifest["items"].pop()),
         ["manifest.json", "n is 2", "item count is 1"]),
+    "manifest_n_is_a_bool": (
+        lambda ds: _edit_manifest_object(ds, _one_item_n_true),
+        ["manifest.json", "n must be an integer >= 0, got True"]),
     "manifest_without_n": (
         lambda ds: _edit_manifest_object(ds, lambda manifest: manifest.pop("n")),
         ["manifest.json", "KeyError", "'n'"]),
