@@ -43,6 +43,15 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+def _check_real(name: str, value, positive: bool) -> None:
+    """Raise a ValueError naming ``name`` and ``value`` unless ``value`` is a
+    finite real number (not a bool), ``> 0`` when ``positive`` and ``>= 0``
+    otherwise; NaN fails both comparisons."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (value > 0 if positive else value >= 0) or not value < np.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+
+
 @dataclass
 class Heightfield:
     """H x W grid of heights in world units; ``cell_size`` is units/pixel."""
@@ -59,8 +68,7 @@ class Heightfield:
             raise ValueError(f"heightfield must be at least 8x8, got {h}x{w}")
         if not np.isfinite(self.heights).all():
             raise ValueError("heightfield contains non-finite values")
-        if not (0 < self.cell_size < np.inf):
-            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size!r}")
+        _check_real("Heightfield.cell_size", self.cell_size, positive=True)
 
     @property
     def shape(self) -> tuple[int, int]:

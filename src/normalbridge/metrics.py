@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .maps import NormalMap, _encoded_levels
+from .maps import NormalMap, _check_integer, _check_real, _encoded_levels
 
 __all__ = [
     "EdgeMask",
@@ -153,8 +153,7 @@ def gaussian_blur(img: np.ndarray, sigma: float, mode: str) -> np.ndarray:
     """
     if mode not in ("reflect", "edge"):
         raise ValueError(f"gaussian_blur: unsupported border mode {mode!r}, use 'reflect' or 'edge'")
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"gaussian_blur: sigma must be finite and > 0, got {sigma!r}")
+    _check_real("gaussian_blur: sigma", sigma, positive=True)
     k = _gaussian_kernel1d(sigma)
     out = np.asarray(img, dtype=np.float64)
     for axis in (0, 1):
@@ -302,8 +301,7 @@ def dilate(mask: EdgeMask, radius: int) -> EdgeMask:
     The square is separable: the OR of the 2r+1 row shifts, then of the
     2r+1 column shifts of that, each shift ORed into the slice it overlaps.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    _check_integer("dilate: radius", radius, 0)
     rows = mask.mask.copy()
     for d in range(1, radius + 1):
         rows[d:] |= mask.mask[:-d]

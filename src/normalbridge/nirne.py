@@ -5,10 +5,10 @@ weights are meant to be independent, but both encoders draw their init
 from the same random keys, so they start equal (see ``_Encoder``); the
 decoder, fusion and head convs reuse those keys too. During training
 the "noisy" stream's features receive scaled Gaussian noise (one sigma
-per sample, log-uniform and shared by every feature level, times a
-fresh standard normal draw per level), biasing it toward
-high-frequency structure that survives corruption; the clean stream
-keeps low-frequency reliability. The decoder upsamples from the clean
+per sample, log-uniform in [``NOISE_SIGMA_LO``, ``NOISE_SIGMA_HI``] and
+shared by every feature level, times a fresh standard normal draw per
+level), biasing it toward high-frequency structure that survives
+corruption; the clean stream keeps low-frequency reliability. The decoder upsamples from the clean
 stream's skips while the noisy stream enters through per-level 1x1
 fusion projections added to each decoder block, so the noisy path is a
 residual detail channel that can be fine-tuned alone.
@@ -32,7 +32,7 @@ import numpy as np
 
 # called through the module, so a wrapper set on a module attribute sees the call
 from . import metrics, toydata
-from .maps import SENTINEL_NORMAL, NormalMap, _check_integer
+from .maps import SENTINEL_NORMAL, NormalMap, _check_integer, _check_real
 from .tensorcore import (
     AdamWState,
     Conv2d,
@@ -49,7 +49,6 @@ from .tensorcore import (
 from .toydata import DomainSample, Domain
 
 __all__ = [
-    "NoiseSchedule",
     "TrainConfig",
     "DualStreamModel",
     "train_stage1",
@@ -66,28 +65,9 @@ _PREDICT_CHUNK = 2
 _SNE_RADIUS = 2
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Injection noise band: training draws sigma log-uniformly from
-    ``[sigma_lo, sigma_hi]``, which keeps coarse shape while perturbing
-    detail. ``NoiseSchedule(0, 0)`` disables injection entirely.
-    """
-
-    sigma_lo: float = 0.002
-    sigma_hi: float = 1.0
-
-    def __post_init__(self):
-        if self.disabled:
-            return  # explicit no-injection configuration
-        if not (0.0 < self.sigma_lo <= self.sigma_hi < np.inf):
-            raise ValueError(
-                f"need 0 < sigma_lo <= sigma_hi, both finite, or both 0; got "
-                f"[{self.sigma_lo}, {self.sigma_hi}]"
-            )
-
-    @property
-    def disabled(self) -> bool:
-        return self.sigma_lo == self.sigma_hi == 0.0
+# injection noise band: training draws sigma log-uniformly from it, which
+# keeps coarse shape while perturbing detail
+NOISE_SIGMA_LO, NOISE_SIGMA_HI = 0.002, 1.0
 
 
 class _Encoder:
@@ -128,13 +108,14 @@ class DualStreamModel:
 
     ``dual_stream=False`` builds the single-stream ablation: one encoder
     (still noise-injected in training) feeds the decoder directly and no
-    fusion layers exist.
+    fusion layers exist. ``inject_noise=False`` builds the no-injection
+    ablation: training draws no noise.
     """
 
     def __init__(self, channels=(8, 12, 16, 24), seed: int = 0, dual_stream: bool = True,
-                 schedule: NoiseSchedule = NoiseSchedule()):
+                 inject_noise: bool = True):
         self.dual_stream = dual_stream
-        self.schedule = schedule
+        self.inject_noise = inject_noise
         self.stage_trained = 0
         ch = tuple(channels)
         self.noisy_enc = _Encoder(ch, seed)
@@ -188,12 +169,13 @@ class DualStreamModel:
         training pass's raw output.
 
         With ``rng`` the pass injects noise on the noisy stream's encoder
-        output: it draws one sigma per sample, log-uniform in the
-        schedule's band and shared by the levels, then adds sigma times one
-        standard normal draw per level, levels in order 0 -> 3. It returns
-        the raw 3-channel output, which the regression loss fits against
-        unit targets; without ``rng`` nothing is drawn and the output is
-        normalized per pixel. Whether a loss on the normalized output
+        output, unless ``inject_noise`` is False: it draws one sigma per
+        sample, log-uniform in [``NOISE_SIGMA_LO``, ``NOISE_SIGMA_HI``] and
+        shared by the levels, then adds sigma times one standard normal draw
+        per level, levels in order 0 -> 3. It returns the raw 3-channel
+        output, which the regression loss fits against unit targets;
+        without ``rng`` nothing is drawn and the output is normalized per
+        pixel. Whether a loss on the normalized output
         trains worse is open: a cosine loss on it trained 600 steps at
         64 x 64 without trouble, to a held-out NE of 7.1-7.5 degrees
         against 7.2-7.3 for this loss. The decoder runs levels 3 -> 0;
@@ -209,7 +191,7 @@ class DualStreamModel:
             raise ValueError(f"image dims must be divisible by 8, got {h}x{w}")
         if zero_noisy_stream and not self.dual_stream:
             raise ValueError("zero_noisy_stream would zero the single-stream model's only stream")
-        inject = rng is not None and not self.schedule.disabled and not zero_noisy_stream
+        inject = rng is not None and self.inject_noise and not zero_noisy_stream
 
         clean_feats = self.clean_enc(images) if self.dual_stream else None
         if zero_noisy_stream:
@@ -217,7 +199,7 @@ class DualStreamModel:
         else:
             noisy_feats = self.noisy_enc(images)
         if inject:
-            lo, hi = np.log(self.schedule.sigma_lo), np.log(self.schedule.sigma_hi)
+            lo, hi = np.log(NOISE_SIGMA_LO), np.log(NOISE_SIGMA_HI)
             sigma = np.exp(rng.uniform(lo, hi, (n,)))[:, None, None, None]
             noisy_feats = [f + Tensor(sigma * rng.normal(size=f.shape)) for f in noisy_feats]
         x = None
@@ -252,12 +234,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("steps", "batch_size", "log_every"):
             _check_integer(f"TrainConfig.{name}", getattr(self, name), 1)
-        if isinstance(self.lr, (bool, np.bool_)) or not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"TrainConfig.lr must be finite and > 0, got {self.lr!r}")
-        if isinstance(self.weight_decay, (bool, np.bool_)) or not (
-                np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(
-                f"TrainConfig.weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        _check_real("TrainConfig.lr", self.lr, positive=True)
+        _check_real("TrainConfig.weight_decay", self.weight_decay, positive=False)
 
 
 def _batch_arrays(samples: list[DomainSample], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

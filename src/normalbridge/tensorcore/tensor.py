@@ -382,9 +382,10 @@ def conv2d(
     image without a copy and the input gradient is accumulated straight
     into ``dx``. Accumulator rows are then as wide as output rows
     (``wq == OW``), so the taps add into the output, and backward reads
-    the output gradient as the tap operand without padding it when each
-    sample's gradient is one C-ordered block. None of this changes a bit:
-    the matrix products and the order of the additions are the same.
+    the output gradient as the tap operand without padding it (a view when
+    each sample's gradient is one C-ordered block, else numpy's reshape
+    copies it). None of this changes a bit: the matrix products and the
+    order of the additions are the same.
     """
     x = Tensor._coerce(x)
     kernel = Tensor._coerce(kernel)
@@ -449,10 +450,7 @@ def conv2d(
     def bwd():
         want_w = kernel.requires_grad or kernel._parents
         want_x = x.requires_grad or x._parents
-        # the output gradient is read as accumulator rows, without a copy,
-        # when each sample's gradient is one C-ordered block
-        g_direct = in_place and out.grad.strides[1:] == (span * 8, ow * 8, 8)
-        gpad = None if g_direct else np.zeros((nb, k, oh, wq))
+        gpad = None if in_place else np.zeros((nb, k, oh, wq))
         if want_w:
             prods = np.empty((len(taps), n, k, c))
         if want_x:
@@ -466,7 +464,7 @@ def conv2d(
             dtmp = np.empty((nb, c, span))
         for blk in samples:
             m = blk.stop - blk.start
-            if g_direct:
+            if in_place:
                 g = out.grad[blk].reshape(m, k, span)
             else:
                 gpad[:m, ..., :ow] = out.grad[blk]

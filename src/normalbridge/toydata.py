@@ -28,6 +28,7 @@ from .maps import (
     Heightfield,
     NormalMap,
     _check_integer,
+    _check_real,
     decode_normal_image,
     encode_normal_image,
     read_height_bin,
@@ -57,6 +58,11 @@ _STREAM_SCENE = 0
 _STREAM_SHADE = 10_000_000
 _STREAM_CORRUPT = 20_000_000
 _STREAM_ITEM = 30_000_000
+# sample i of a dataset keys its albedo and sensor noise by seed *
+# _SHADE_KEY + i and, for a real sample, its label corruption by seed *
+# _CORRUPT_KEY + i
+_SHADE_KEY = 1_000_003
+_CORRUPT_KEY = 2_000_003
 
 DEFAULT_PRIMITIVES = ("box", "ramp", "sphere", "ridge")
 
@@ -143,8 +149,7 @@ def generate_scene(
     every primitive's placement band)."""
     _check_integer("generate_scene: complexity", complexity, 1, 10)
     _check_integer("generate_scene: size", size, 8)
-    if not (np.isfinite(cell_size) and cell_size > 0):
-        raise ValueError(f"generate_scene: cell_size must be finite and > 0, got {cell_size!r}")
+    _check_real("generate_scene: cell_size", cell_size, positive=True)
     rng = SeededRng(seed, _STREAM_SCENE + stream)
     h = np.zeros((size, size))
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
@@ -238,6 +243,7 @@ def corrupt_labels_real_domain(
     """
     if sample.domain is not Domain.SYNTH:
         raise ValueError("corruption expects a synthetic-domain sample")
+    _check_real("corrupt_labels_real_domain: angle_noise_deg", angle_noise_deg, positive=False)
     nm = sample.normal_gt
     band = np.flatnonzero(metrics.dilate(metrics.canny(nm), band_radius).mask)
     n = metrics.gaussian_blur(nm.vectors, blur_sigma, "edge").reshape(-1, 3).take(band, axis=0)
@@ -277,10 +283,13 @@ def _make_sample(seed: int, index: int, domain: Domain, complexity_range, size, 
     style = DOMAIN_STYLES[domain]
     tilt = item.normal(0.0, style["light_tilt"], (2,))
     light = np.array([0.2 + tilt[0], -0.2 + tilt[1], 0.95])
-    img = shade_image(nm, light, seed * 1_000_003 + index, style)
+    # SeededRng has refused a seed that is not an integer; a numpy one
+    # would wrap in the products below
+    seed = int(seed)
+    img = shade_image(nm, light, seed * _SHADE_KEY + index, style)
     sample = DomainSample(img, nm, hf, Domain.SYNTH, index)
     if domain is Domain.REAL:
-        sample = corrupt_labels_real_domain(sample, seed * 2_000_003 + index)
+        sample = corrupt_labels_real_domain(sample, seed * _CORRUPT_KEY + index)
     return sample
 
 
@@ -298,6 +307,12 @@ def make_dataset(
     lo, hi = complexity_range
     _check_integer(f"make_dataset: complexity_range {complexity_range!r}: low", lo, 1, 10)
     _check_integer(f"make_dataset: complexity_range {complexity_range!r}: high", hi, lo, 10)
+    # every derived key must fit SeededRng's 64 bits; SeededRng refuses a
+    # seed that is not an integer, or negative, itself
+    largest = ((1 << 64) - int(n)) // (_CORRUPT_KEY if domain is Domain.REAL else _SHADE_KEY)
+    if isinstance(seed, (int, np.integer)) and seed > largest:
+        raise ValueError(f"make_dataset: seed must be <= {largest} for {n} {domain.value} samples, "
+                         f"got {seed!r}")
     return [_make_sample(seed, i, domain, complexity_range, size, cell_size) for i in range(n)]
 
 

@@ -296,9 +296,8 @@ DEFAULT_EXEMPT = {
     "toydata.py:make_dataset.complexity_range", "toydata.py:make_dataset.cell_size",
     "toydata.py:generate_scene.primitives",
     # the ablation arms of the noise-injection comparison: single stream,
-    # no injection, and the dual-stream model without its noisy stream
-    "nirne.py:DualStreamModel.dual_stream", "nirne.py:DualStreamModel.schedule",
-    "nirne.py:NoiseSchedule.sigma_lo", "nirne.py:NoiseSchedule.sigma_hi",
+    # inject_noise=False, and the dual-stream model without its noisy stream
+    "nirne.py:DualStreamModel.dual_stream", "nirne.py:DualStreamModel.inject_noise",
     "nirne.py:DualStreamModel.forward_t.zero_noisy_stream",
 }
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -106,10 +107,34 @@ class TestNetpbm:
 
 
 class TestHeightfield:
-    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
+                                      True, np.True_, "1", None])
     def test_bad_cell_size_rejected(self, cell):
-        with pytest.raises(ValueError, match="cell_size"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Heightfield.cell_size must be finite and > 0, got {cell!r}")):
             Heightfield(np.zeros((8, 8)), cell)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [1, 0.5, np.int64(3), np.float32(1e-30), 1e308])
+    def test_positive_accepted(self, value):
+        maps._check_real("x", value, positive=True)
+        maps._check_real("x", value, positive=False)
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, np.uint8(0)])
+    def test_zero_is_non_negative_not_positive(self, value):
+        maps._check_real("x", value, positive=False)
+        with pytest.raises(ValueError, match=re.escape(f"x must be finite and > 0, got {value!r}")):
+            maps._check_real("x", value, positive=True)
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.True_, "1", None, 1j, [1.0], np.array(1.0),
+        float("nan"), float("inf"), -float("inf"), -1e-300, -1, np.float64("nan"),
+    ])
+    def test_refused_naming_the_value(self, value):
+        for positive, op in ((True, ">"), (False, ">=")):
+            with pytest.raises(ValueError, match=re.escape(f"x must be finite and {op} 0, got {value!r}")):
+                maps._check_real("x", value, positive=positive)
 
 
 class TestNormalMap:

@@ -226,10 +226,11 @@ class TestGaussianBlur:
         with pytest.raises(ValueError, match=f"unsupported border mode '{mode}'"):
             metrics.gaussian_blur(np.zeros((8, 8)), 1.4, mode)
 
-    @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan"), float("inf"), -float("inf"),
+                                       True, np.True_, "1", None])
     def test_sigma_not_finite_and_positive_rejected(self, sigma):
-        # -1 would blur to zeros and 0 to NaN
-        with pytest.raises(ValueError, match=re.escape(f"sigma must be finite and > 0, got {sigma!r}")):
+        # -1 would blur to zeros and 0 to NaN; True would blur as 1
+        with pytest.raises(ValueError, match=re.escape(f"gaussian_blur: sigma must be finite and > 0, got {sigma!r}")):
             metrics.gaussian_blur(np.ones((8, 8)), sigma, "edge")
 
 
@@ -443,6 +444,15 @@ class TestDilate:
         with pytest.raises(ValueError):
             metrics.dilate(metrics.EdgeMask(np.zeros((4, 4), bool)), -1)
 
+    @pytest.mark.parametrize("radius", [1.5, 2.0, True, "1", None, -1])
+    def test_bad_radius_named(self, radius):
+        with pytest.raises(ValueError, match=re.escape(f"dilate: radius must be an integer >= 0, got {radius!r}")):
+            metrics.dilate(metrics.EdgeMask(np.zeros((4, 4), bool)), radius)
+
+    def test_numpy_integer_radius_accepted(self):
+        m = metrics.EdgeMask(SeededRng(4).uniform(0, 1, (16, 16)) > 0.8)
+        np.testing.assert_array_equal(metrics.dilate(m, np.int64(2)).mask, metrics.dilate(m, 2).mask)
+
 
 class TestSharpNormalError:
     def test_identical_zero(self):
@@ -504,6 +514,11 @@ class TestMultiview:
         v[3, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             metrics.multiview_report([full_map(v)], [gt], radius=2)
+
+    def test_negative_radius_names_dilate(self):
+        views = [step_map(16, 16, 8)]
+        with pytest.raises(ValueError, match=re.escape("dilate: radius must be an integer >= 0, got -1")):
+            metrics.multiview_report(views, views, radius=-1)
 
     def test_mismatched_shapes_name_the_view(self):
         gt = self._views(2)

@@ -83,9 +83,10 @@ class TestGenerateScene:
         for seed in range(20):
             assert toydata.generate_scene(seed, 10, size=8).shape == (8, 8)
 
-    @pytest.mark.parametrize("cell_size", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("cell_size", [0.0, -1.0, float("nan"), float("inf"), True, np.True_, "1", None])
     def test_bad_cell_size_named(self, cell_size):
-        with pytest.raises(ValueError, match=re.escape(f"cell_size must be finite and > 0, got {cell_size!r}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"generate_scene: cell_size must be finite and > 0, got {cell_size!r}")):
             toydata.generate_scene(0, 3, cell_size=cell_size)
 
 
@@ -216,6 +217,28 @@ class TestCorruptLabels:
         with pytest.raises(ValueError, match=re.escape(f"sigma must be finite and > 0, got {sigma!r}")):
             toydata.corrupt_labels_real_domain(self._synth_sample(5), 7, blur_sigma=sigma)
 
+    @pytest.mark.parametrize("angle", [-5.0, float("nan"), float("inf"), True, "25"])
+    def test_bad_angle_named_before_any_draw(self, angle, monkeypatch):
+        sample = self._synth_sample(5)
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt_labels_real_domain: angle_noise_deg must be finite and >= 0, got {angle!r}")):
+            toydata.corrupt_labels_real_domain(sample, 7, angle_noise_deg=angle)
+
+    def test_zero_angle_leaves_the_blurred_labels(self):
+        sample = self._synth_sample(4)
+        band = metrics.dilate(metrics.canny(sample.normal_gt), 4).mask
+        blurred = metrics.gaussian_blur(sample.normal_gt.vectors, 4.0, "edge")[band]
+        got = toydata.corrupt_labels_real_domain(sample, 7, angle_noise_deg=0).normal_gt.vectors[band]
+        np.testing.assert_allclose(got, blurred / np.linalg.norm(blurred, axis=-1, keepdims=True), atol=1e-15)
+
+    @pytest.mark.parametrize("radius", [2.5, True, -1])
+    def test_bad_band_radius_named_before_any_draw(self, radius, monkeypatch):
+        sample = self._synth_sample(5)
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(f"dilate: radius must be an integer >= 0, got {radius!r}")):
+            toydata.corrupt_labels_real_domain(sample, 7, band_radius=radius)
+
     def test_unit_norm_preserved(self):
         out = toydata.corrupt_labels_real_domain(self._synth_sample(5), 7)
         norms = np.linalg.norm(out.normal_gt.vectors, axis=-1)
@@ -330,6 +353,30 @@ class TestMakeDataset:
             return np.mean(devs)
 
         assert edge_noise(real) > edge_noise(synth) + 1.0
+
+    @pytest.mark.parametrize("domain, n", [(Domain.SYNTH, 1), (Domain.SYNTH, 3), (Domain.REAL, 2)])
+    def test_largest_seed_accepted_and_the_next_named_before_any_draw(self, domain, n, monkeypatch):
+        # sample i keys its albedo by seed * 1_000_003 + i and a real
+        # sample its label corruption by seed * 2_000_003 + i, in 64 bits
+        stride = 2_000_003 if domain is Domain.REAL else 1_000_003
+        largest = ((1 << 64) - n) // stride
+        assert largest * stride + n - 1 < 1 << 64 <= (largest + 1) * stride + n - 1
+        assert len(toydata.make_dataset(n, domain, largest, size=8)) == n
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        for seed in (largest + 1, 2**62, np.uint64(2**63)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"make_dataset: seed must be <= {largest} for {n} {domain.value} samples, got {seed!r}")):
+                toydata.make_dataset(n, domain, seed)
+
+    @pytest.mark.parametrize("domain", [Domain.REAL, Domain.SYNTH])
+    def test_numpy_integer_seed_keys_as_its_value(self, domain):
+        # near the largest seed a numpy integer times a key stride would wrap
+        seed = ((1 << 64) - 2) // 2_000_003
+        want = toydata.make_dataset(2, domain, seed, size=8)
+        for got in (toydata.make_dataset(2, domain, np.int64(seed), size=8),
+                    toydata.make_dataset(2, domain, np.uint64(seed), size=8)):
+            assert [x.image.tobytes() for x in got] == [x.image.tobytes() for x in want]
+            assert [x.normal_gt.vectors.tobytes() for x in got] == [x.normal_gt.vectors.tobytes() for x in want]
 
     @pytest.mark.parametrize("domain", [Domain.REAL, Domain.SYNTH])
     def test_sample_depends_only_on_seed_and_index(self, domain):
