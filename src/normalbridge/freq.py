@@ -21,6 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .maps import _check_integer, _check_real
 from .tensorcore import SeededRng
 
 __all__ = [
@@ -68,8 +69,7 @@ def radial_power_spectrum(spec: np.ndarray, n_bins: int = 8) -> RadialProfile:
     Empty bins stay in the profile with count 0 so callers can see them;
     they are skipped by :func:`fit_alpha`.
     """
-    if n_bins < 2:
-        raise ValueError("need at least 2 radial bins")
+    _check_integer("radial_power_spectrum: n_bins", n_bins, 2)
     r = radial_freq(spec.shape)
     keep = r > 0  # exclude DC
     r = r[keep]
@@ -145,8 +145,7 @@ def snr_crossing_time(t_grid, snr, threshold: float) -> float:
     threshold at its first sample, that sample's t is returned (the grid
     cannot see an earlier crossing).
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_real("snr_crossing_time: threshold", threshold, positive=True)
     t = np.asarray(t_grid, dtype=np.float64)
     snr = np.asarray(snr, dtype=np.float64)
     if snr.ndim != 1 or snr.size == 0 or snr.shape != t.shape:
@@ -174,8 +173,12 @@ def power_law_image(
     random phases, Hermitian symmetry enforced by construction) and
     inverted. With ``random_amplitude`` False the radial power profile is
     exact; with True, complex Gaussian coefficients give natural-looking
-    statistics around the same law.
+    statistics around the same law. ``alpha`` may be any finite number.
     """
+    _check_integer("power_law_image: size", size, 1)
+    if (isinstance(alpha, bool) or not isinstance(alpha, (int, float, np.integer, np.floating))
+            or not np.isfinite(alpha)):
+        raise ValueError(f"power_law_image: alpha must be a finite real number, got {alpha!r}")
     rng = SeededRng(0 if seed is None else seed, 77)
     ghat = np.fft.fft2(rng.normal(size=(size, size)))  # Hermitian by construction
     r = radial_freq((size, size))

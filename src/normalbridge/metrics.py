@@ -8,16 +8,16 @@ by a Chebyshev ball, intersected with the foreground.
 ``sharp_normal_error`` gives SNE as None, not 0, when that region is
 empty; ``multiview_report`` averages NE and SNE over the views.
 
-The Canny gradient magnitude is normalized to max 1 before thresholding,
-so ``CANNY_LOW``/``CANNY_HIGH`` are relative thresholds on unit-scaled
-gradients.
+Each channel's Canny gradient magnitude is normalized to max 1 before
+thresholding, so ``CANNY_LOW``/``CANNY_HIGH`` are relative thresholds on
+unit-scaled gradients; a channel whose peak is at most the absolute
+``CANNY_PEAK_FLOOR`` adds no edge.
 
-Canny works on all channels at once, as one (H, W, C) image, in the same
-per-pixel float expressions as a loop over channels, so the mask does
-not depend on how many channels share the pass. Each stage takes its
-input, with the reflect or edge border of ``numpy.pad``, through one
-index vector; flattened, every blur and Sobel tap is one contiguous
-slice and every product goes through one scratch. Non-maximum
+Canny works on the three channels at once, as one (H, W, 3) image, in
+the same per-pixel float expressions as a loop over channels. Each stage
+takes its input, with the reflect or edge border of ``numpy.pad``,
+through one index vector; flattened, every blur and Sobel tap is one
+contiguous slice and every product goes through one scratch. Non-maximum
 suppression looks only at the pixels that clear ``CANNY_LOW``.
 Hysteresis lists the pairs of 8-neighbouring weak pixels within a
 channel once, then grows the kept set from the strong pixels across
@@ -26,19 +26,17 @@ point of growing the strong pixels through weak ones, without a
 full-image dilation per step. The square dilation is separable: the OR
 of 2r+1 row shifts, then of 2r+1 column shifts.
 
-Canny of a NormalMap runs only on the foreground's bounding box widened
-by ``_CANNY_MARGIN``, the blur radius + 2 (7 px), and pastes the box's
-mask into an all-False one; a map without foreground has no edge. The
-crop gives the mask of the whole encoded image, bit for bit. More than
-the blur radius out from the foreground, the blurred image is the white
-constant, the same taps summed in the same order; one pixel further,
-Sobel is exactly 0, so no pixel there is weak. At the box's edge the
-reflect border mirrors only pixels that are white on both sides, so no
-blur or Sobel value inside the box changes. Each channel's gradient
-peak is unchanged, and so is its largest blurred value, as the white
-constant also occurs inside the margin, so ``CANNY_PEAK_FLOOR`` decides
-alike. NMS and hysteresis see only pixels within 6 px of the
-foreground, all inside the box.
+Canny reads only a NormalMap, and runs only on the foreground's bounding
+box widened by ``_CANNY_MARGIN``, the blur radius + 2 (7 px); it pastes
+the box's mask into an all-False one, and a map without foreground has
+no edge. The crop gives the mask of the whole encoded image, bit for
+bit. More than the blur radius out from the foreground, the blurred
+image is the white constant, the same taps summed in the same order; one
+pixel further, Sobel is exactly 0, so no pixel there is weak. At the
+box's edge the reflect border mirrors only pixels that are white on both
+sides, so no blur or Sobel value inside the box changes, nor does any
+channel's gradient peak. NMS and hysteresis see only pixels within 6 px
+of the foreground, all inside the box.
 """
 
 from __future__ import annotations
@@ -67,9 +65,9 @@ REFERENCE_RESOLUTION = 768  # dilation radius 5 is calibrated at this height
 DEFAULT_DILATION_RADIUS = 5
 CANNY_LOW = 0.1  # relative Canny thresholds, read at call time
 CANNY_HIGH = 0.2
-# a channel whose gradient peak is at most this times its largest absolute
-# blurred value adds no edge: a constant image's Sobel residue is at most
-# ~3.3e-16 times its value, and a real step's peak is many orders above
+# a channel whose gradient peak is at most this adds no edge: encoded values
+# lie in [0, 1], where a constant channel's Sobel residue is at most ~2.2e-16
+# and a one-level step's peak is ~7.9e-3
 CANNY_PEAK_FLOOR = 1e-12
 
 
@@ -235,36 +233,25 @@ def _hysteresis(weak: np.ndarray, mag: np.ndarray, forward: tuple[int, ...]) -> 
     return weak[keep]
 
 
-def canny(source) -> EdgeMask:
-    """Edge mask of a NormalMap (encoded rgb, per-channel union) or float
-    image, at the thresholds ``CANNY_LOW`` and ``CANNY_HIGH``.
+def canny(nm: NormalMap) -> EdgeMask:
+    """Edge mask of a NormalMap's encoded rgb image, the union of the
+    per-channel masks, at the thresholds ``CANNY_LOW`` and ``CANNY_HIGH``.
 
-    Accepts a NormalMap, filtered on its foreground box only (module
-    docstring), an HxWx3 float image in [0,1], or an HxW gray image; a
-    non-finite pixel raises. Per-channel masks are unioned so
-    pure-direction discontinuities with equal luminance still register. A
-    channel whose gradient peak does not exceed ``CANNY_PEAK_FLOOR`` times
-    its largest absolute blurred value, such as a constant one, adds
-    nothing.
+    Only the foreground box is filtered (module docstring). The union
+    registers pure-direction discontinuities of equal luminance. A channel
+    whose gradient peak does not exceed ``CANNY_PEAK_FLOOR``, such as a
+    constant one, adds nothing.
     """
-    if isinstance(source, NormalMap):
-        # the encoded image over 255, background white, on the foreground's
-        # bounding box widened by _CANNY_MARGIN: no edge lies outside it
-        out = np.zeros(source.shape, dtype=bool)
-        rows, cols = (np.flatnonzero(source.mask.any(axis=a)) for a in (1, 0))
-        if not rows.size:
-            return EdgeMask(out)
-        box = tuple(slice(max(i[0] - _CANNY_MARGIN, 0), i[-1] + _CANNY_MARGIN + 1) for i in (rows, cols))
-        img = _encoded_levels(source.vectors[box]) / 255.0
-        img[~source.mask[box]] = 1.0
-    else:
-        img = np.asarray(source, dtype=np.float64)
-        if not np.isfinite(img).all():
-            raise ValueError("canny: image contains non-finite values")
-        if img.ndim not in (2, 3):
-            raise ValueError(f"unsupported image shape {img.shape}")
-        out, box = np.zeros(img.shape[:2], dtype=bool), (slice(None), slice(None))
-    img = gaussian_blur(img.reshape(img.shape[:2] + (-1,)), _CANNY_SIGMA, "reflect")
+    # the encoded image over 255, background white, on the foreground's
+    # bounding box widened by _CANNY_MARGIN: no edge lies outside it
+    out = np.zeros(nm.shape, dtype=bool)
+    rows, cols = (np.flatnonzero(nm.mask.any(axis=a)) for a in (1, 0))
+    if not rows.size:
+        return EdgeMask(out)
+    box = tuple(slice(max(i[0] - _CANNY_MARGIN, 0), i[-1] + _CANNY_MARGIN + 1) for i in (rows, cols))
+    img = _encoded_levels(nm.vectors[box]) / 255.0
+    img[~nm.mask[box]] = 1.0
+    img = gaussian_blur(img, _CANNY_SIGMA, "reflect")
     h, w = img.shape[:2]
 
     # (H+2, W+2, C) arrays from here on, flattened where indexed
@@ -272,9 +259,8 @@ def canny(source) -> EdgeMask:
     mag = np.hypot(gx, gy)
     # per-channel strided planes: reducing over the short last axis is slower
     peak = np.array([plane.max() for plane in mag.reshape(-1, mag.shape[2]).T])
-    scale = np.array([np.abs(plane).max() for plane in img.reshape(-1, img.shape[2]).T])
     # a dead channel's magnitudes scale to 0, so none of its pixels is weak
-    peak[peak <= CANNY_PEAK_FLOOR * scale] = np.inf
+    peak[peak <= CANNY_PEAK_FLOOR] = np.inf
     col, row = len(peak), (w + 2) * len(peak)
     for plane, top in zip(mag.reshape(-1, col).T, peak):
         plane /= top  # unit-scaled gradients

@@ -114,6 +114,10 @@ class DualStreamModel:
 
     def __init__(self, channels=(8, 12, 16, 24), seed: int = 0, dual_stream: bool = True,
                  inject_noise: bool = True):
+        if not isinstance(channels, (tuple, list)) or len(channels) != 4:
+            raise ValueError(f"DualStreamModel: channels must be four integers >= 1, got {channels!r}")
+        for c in channels:
+            _check_integer(f"DualStreamModel: channels {channels!r}: each", c, 1)
         self.dual_stream = dual_stream
         self.inject_noise = inject_noise
         self.stage_trained = 0

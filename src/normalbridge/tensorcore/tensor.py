@@ -298,7 +298,6 @@ def _leaky_relu_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; the gradient splits back per input."""
-    tensors = [Tensor._coerce(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     out = Tensor._result(data, tensors, "concat")
 
@@ -387,9 +386,6 @@ def conv2d(
     copies it). None of this changes a bit: the matrix products and the
     order of the additions are the same.
     """
-    x = Tensor._coerce(x)
-    kernel = Tensor._coerce(kernel)
-    bias = Tensor._coerce(bias)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input/kernel, got {x.shape} and {kernel.shape}")
     n, c, h, w = x.shape
@@ -498,7 +494,6 @@ def conv2d(
 
 def upsample_nearest(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling of [N,C,H,W]."""
-    x = Tensor._coerce(x)
     if x.ndim != 4:
         raise ValueError(f"upsample_nearest expects 4-d input, got {x.shape}")
     data = x.data.repeat(2, axis=2).repeat(2, axis=3)

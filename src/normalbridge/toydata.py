@@ -274,11 +274,11 @@ DOMAIN_STYLES = {
 }
 
 
-def _make_sample(seed: int, index: int, domain: Domain, complexity_range, size, cell_size) -> DomainSample:
+def _make_sample(seed: int, index: int, domain: Domain, complexity_range, size) -> DomainSample:
     item = SeededRng(seed, _STREAM_ITEM + index)
     lo, hi = complexity_range
     complexity = int(item.integers(lo, hi + 1))
-    hf = generate_scene(seed, complexity, size=size, cell_size=cell_size, stream=index + 1)
+    hf = generate_scene(seed, complexity, size=size, stream=index + 1)
     nm = heightfield_normals(hf)
     style = DOMAIN_STYLES[domain]
     tilt = item.normal(0.0, style["light_tilt"], (2,))
@@ -299,7 +299,6 @@ def make_dataset(
     seed: int,
     complexity_range: tuple[int, int] = (1, 10),
     size: int = 64,
-    cell_size: float = 1.0,
 ) -> list[DomainSample]:
     """``n`` samples of ``domain``; sample i depends only on (seed, i), so
     the first k samples of a larger dataset are the k-sample dataset."""
@@ -313,7 +312,7 @@ def make_dataset(
     if isinstance(seed, (int, np.integer)) and seed > largest:
         raise ValueError(f"make_dataset: seed must be <= {largest} for {n} {domain.value} samples, "
                          f"got {seed!r}")
-    return [_make_sample(seed, i, domain, complexity_range, size, cell_size) for i in range(n)]
+    return [_make_sample(seed, i, domain, complexity_range, size) for i in range(n)]
 
 
 def sample_digest(sample: DomainSample) -> str:
@@ -337,9 +336,11 @@ def write_dataset(out_dir, samples: list[DomainSample]) -> None:
 
 def read_dataset(path) -> list[DomainSample]:
     """The samples ``write_dataset`` wrote to ``path``. A malformed
-    manifest, one whose ``n`` is not its number of items, or a malformed
-    sample raises ``ValueError``, naming the directory and
-    ``manifest.json`` or the sample's stem."""
+    manifest, one whose ``n`` is not its number of items, whose stem is not
+    one plain file-name component or whose index is not an integer >= 0,
+    or a malformed sample raises ``ValueError``, naming the directory and
+    ``manifest.json`` or the sample's stem. The manifest is checked before
+    any sample is read."""
     root = Path(path)
     try:
         manifest = json.loads((root / "manifest.json").read_text())
@@ -348,6 +349,11 @@ def read_dataset(path) -> list[DomainSample]:
         _check_integer("n", manifest["n"], 0)
         if manifest["n"] != len(items):
             raise ValueError(f"n is {manifest['n']!r} but the item count is {len(items)}")
+        for i, (item, stem) in enumerate(zip(items, stems)):
+            # a stem with a separator or a dot entry would read another directory
+            if not isinstance(stem, str) or stem in ("", ".", "..") or Path(stem).name != stem:
+                raise ValueError(f"items[{i}]: stem must be one plain file-name component, got {stem!r}")
+            _check_integer(f"items[{i}]: index", item["index"], 0)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{root / 'manifest.json'}: {type(exc).__name__}: {exc}") from exc
     samples = []

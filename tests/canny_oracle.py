@@ -1,19 +1,22 @@
 """Per-channel Canny reference with dilation-loop hysteresis.
 
-One channel at a time: separable Gaussian blur with reflect padding,
-3x3 Sobel with every tap (zeros included), no edge where the gradient
-peak is at most 1e-12 times the largest absolute blurred value,
-gradient magnitude scaled to its peak, non-maximum suppression along the quantized direction, then
-hysteresis by growing the strong pixels one full-image 3x3 dilation at
-a time, restricted to the weak pixels, until nothing changes. The
-per-channel masks are unioned. Every float expression is in the order
-``metrics.canny`` uses, so agreement must be exact, while the stacking
-and the connected-component hysteresis are independent.
+One channel of the encoded image at a time: separable Gaussian blur
+with reflect padding, 3x3 Sobel with every tap (zeros included), no edge
+where the gradient peak is at most 1e-12 times the largest absolute
+blurred value (a relative floor, where ``metrics.canny`` has an absolute
+one; on encoded values in [0, 1] both keep the same channels), gradient
+magnitude scaled to its peak, non-maximum suppression along the
+quantized direction, then hysteresis by growing the strong pixels one
+full-image 3x3 dilation at a time, restricted to the weak pixels, until
+nothing changes. The per-channel masks are unioned. Every float
+expression is in the order ``metrics.canny`` uses, so agreement must be
+exact, while the stacking and the connected-component hysteresis are
+independent.
 """
 
 import numpy as np
 
-from normalbridge.maps import NormalMap, encode_normal_image
+from normalbridge.maps import encode_normal_image
 
 
 def _gaussian_kernel1d(sigma):
@@ -97,14 +100,10 @@ def _canny_channel(gray, low, high, sigma=1.4):
         result = grown
 
 
-def canny_oracle(source, low, high):
-    """Union of the per-channel edge masks of a NormalMap or float image."""
-    if isinstance(source, NormalMap):
-        img = encode_normal_image(source).astype(np.float64) / 255.0
-    else:
-        img = np.asarray(source, dtype=np.float64)
-    channels = [img] if img.ndim == 2 else [img[..., c] for c in range(img.shape[2])]
+def canny_oracle(nm, low, high):
+    """Union of the per-channel edge masks of a NormalMap's encoded image over 255."""
+    img = encode_normal_image(nm).astype(np.float64) / 255.0
     mask = np.zeros(img.shape[:2], dtype=bool)
-    for ch in channels:
-        mask |= _canny_channel(ch, low, high)
+    for c in range(3):
+        mask |= _canny_channel(img[..., c], low, high)
     return mask

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,3 +258,36 @@ class TestCrossingTime:
             if all(b <= a + 1e-12 for a, b in zip(t_stars, t_stars[1:])):
                 ok += 1
         assert ok >= 0.95 * n
+
+
+class TestNamedInputChecks:
+    @pytest.mark.parametrize("size", [2.5, 0, -4, True, "16", None])
+    def test_power_law_image_bad_size(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"power_law_image: size must be an integer >= 1, got {size!r}")):
+            freq.power_law_image(size, 1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True, np.True_, "1", None])
+    def test_power_law_image_bad_alpha(self, alpha):
+        # NaN would make an all-NaN image
+        with pytest.raises(ValueError, match=re.escape(
+                f"power_law_image: alpha must be a finite real number, got {alpha!r}")):
+            freq.power_law_image(16, alpha)
+
+    @pytest.mark.parametrize("alpha", [-1.5, 0, 2, np.float32(0.5), np.int64(3)])
+    def test_power_law_image_any_finite_alpha(self, alpha):
+        img = freq.power_law_image(16, alpha, seed=3)
+        assert img.shape == (16, 16) and np.isfinite(img).all()
+
+    @pytest.mark.parametrize("n_bins", [2.5, 1, True, "8", None])
+    def test_radial_power_spectrum_bad_n_bins(self, n_bins):
+        with pytest.raises(ValueError, match=re.escape(
+                f"radial_power_spectrum: n_bins must be an integer >= 2, got {n_bins!r}")):
+            freq.radial_power_spectrum(freq.dft2(np.ones((8, 8))), n_bins=n_bins)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0, True, "1", None])
+    def test_snr_crossing_time_bad_threshold(self, threshold):
+        # NaN would read as a curve that never crosses, inf
+        t = [1.0, 2.0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"snr_crossing_time: threshold must be finite and > 0, got {threshold!r}")):
+            freq.snr_crossing_time(t, freq.snr_curves(4.0, t), threshold)

@@ -293,7 +293,7 @@ DEFAULT_EXEMPT = {
     "toydata.py:corrupt_labels_real_domain.blur_sigma",
     "toydata.py:corrupt_labels_real_domain.angle_noise_deg",
     "toydata.py:corrupt_labels_real_domain.band_radius",
-    "toydata.py:make_dataset.complexity_range", "toydata.py:make_dataset.cell_size",
+    "toydata.py:make_dataset.complexity_range",
     "toydata.py:generate_scene.primitives",
     # the ablation arms of the noise-injection comparison: single stream,
     # inject_noise=False, and the dual-stream model without its noisy stream

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from normalbridge import geom, metrics, toydata
-from normalbridge.maps import NormalMap, encode_normal_image
+from normalbridge.maps import NormalMap
 from normalbridge.tensorcore import SeededRng
 
 from canny_oracle import canny_oracle, dilate_loop
@@ -21,12 +21,42 @@ def flat_map(h, w, vec=(0.0, 0.0, 1.0)):
     return full_map(np.broadcast_to(np.asarray(vec, dtype=np.float64), (h, w, 3)).copy())
 
 
-def canny_at(source, low, high):
-    """``metrics.canny`` of ``source`` with its thresholds set to (low, high)."""
+def level_map(levels):
+    """A full-foreground NormalMap whose encoded image is ``levels``, integers
+    0..255, per channel (H x W x 3) or in all three channels (H x W). Canny
+    reads only the encoded levels, so these vectors need not be unit length."""
+    lv = np.asarray(levels, dtype=np.float64)
+    if lv.ndim == 2:
+        lv = np.repeat(lv[..., None], 3, axis=2)
+    return full_map(lv / 255.0 * 2.0 - 1.0)
+
+
+def random_levels(rng, shape):
+    return rng.integers(0, 256, shape).astype(np.float64)
+
+
+def random_masked_map(rng, h, w):
+    """Random unit normals facing the viewer on a random foreground, (0, 0, 1) behind."""
+    v = rng.normal(size=(h, w, 3))
+    v[..., 2] = np.abs(v[..., 2])
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    mask = rng.uniform(0, 1, (h, w)) < 0.7
+    v[~mask] = (0.0, 0.0, 1.0)
+    return NormalMap(v, mask)
+
+
+def blend_map(weight):
+    """Unit normals that turn from (0, 0, 1) to (0.6, 0, 0.8) as ``weight`` goes from 0 to 1."""
+    v = (1.0 - weight)[..., None] * np.array([0.0, 0.0, 1.0]) + weight[..., None] * np.array([0.6, 0.0, 0.8])
+    return full_map(v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+
+def canny_at(nm, low, high):
+    """``metrics.canny`` of ``nm`` with its thresholds set to (low, high)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "CANNY_LOW", low)
         mp.setattr(metrics, "CANNY_HIGH", high)
-        return metrics.canny(source)
+        return metrics.canny(nm)
 
 
 def step_map(h, w, col, left=(0.0, 0.0, 1.0), right=(1.0, 0.0, 0.0)):
@@ -109,31 +139,43 @@ class TestCanny:
     def test_constant_images_have_no_edges(self):
         # a constant's blur and Sobel leave a rounding residue at every
         # pixel; scaled by its own peak it would read as a full-strength edge
-        for i in range(60):
-            r = SeededRng(12, i)
+        for level in range(256):
+            r = SeededRng(12, level)
             h, w = (int(n) for n in r.integers(1, 40, 2))
-            gray = np.full((h, w), 10.0 ** r.uniform(-6.0, 3.0))
-            assert metrics.canny(gray).count == 0, gray[0, 0]
-            np.testing.assert_array_equal(canny_oracle(gray, 0.1, 0.2), np.zeros((h, w), bool))
+            nm = level_map(np.full((h, w), level))
+            assert metrics.canny(nm).count == 0, level
+            np.testing.assert_array_equal(canny_oracle(nm, 0.1, 0.2), np.zeros((h, w), bool))
             vec = r.normal(size=3)
             vec[2] = abs(vec[2]) + 0.1
             assert metrics.canny(flat_map(h, w, vec / np.linalg.norm(vec))).count == 0, vec
 
+    def test_one_level_step_is_an_edge(self):
+        # the encoding's smallest step peaks near 7.9e-3, far above the
+        # absolute floor, at every level and in every channel
+        for level in range(255):
+            lv = np.full((12, 16, 3), 128.0)
+            lv[..., level % 3] = level
+            lv[:, 8:, level % 3] = level + 1
+            edges = metrics.canny(level_map(lv)).mask
+            assert edges.any(axis=1).all(), level
+            assert not edges[:, :6].any() and not edges[:, 10:].any(), level
+
     @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (7, 3), (16, 16), (19, 23), (40, 9)])
     def test_constant_channel_same_as_without_it(self, shape):
+        # the union over a channel and a copy of another is the union without it
         for c in range(3):
             r = SeededRng(30, 3 * shape[0] + c)
-            img = r.uniform(0, 1, shape + (3,))
-            img[..., c] = 10.0 ** r.uniform(-6.0, 3.0)
-            want = metrics.canny(np.delete(img, c, axis=2)).mask
-            np.testing.assert_array_equal(metrics.canny(img).mask, want, err_msg=f"channel {c}")
-            # with a second constant channel only the remaining one counts
+            lv = random_levels(r, shape + (3,))
+            lv[..., c] = r.integers(0, 256)
             other, rest = (c + 1) % 3, (c + 2) % 3
-            img[..., other] = -img[0, 0, c]
-            alone = metrics.canny(img[..., rest]).mask
-            np.testing.assert_array_equal(metrics.canny(img).mask, alone, err_msg=f"channels {c}, {other}")
-            img[..., rest] = 0.25
-            assert metrics.canny(img).count == 0
+            want = metrics.canny(level_map(lv[..., [other, other, rest]])).mask
+            np.testing.assert_array_equal(metrics.canny(level_map(lv)).mask, want, err_msg=f"channel {c}")
+            # with a second constant channel only the remaining one counts
+            lv[..., other] = 255 - lv[0, 0, c]
+            alone = metrics.canny(level_map(lv[..., rest])).mask
+            np.testing.assert_array_equal(metrics.canny(level_map(lv)).mask, alone, err_msg=f"channels {c}, {other}")
+            lv[..., rest] = 64
+            assert metrics.canny(level_map(lv)).count == 0
 
     def test_vertical_step_single_column(self):
         col = 16
@@ -147,33 +189,24 @@ class TestCanny:
         assert per_row.max() <= 2
 
     def test_count_non_increasing_in_high(self):
-        rng = SeededRng(3)
-        img = rng.uniform(0, 1, (32, 32, 3))
-        counts = [canny_at(img, 0.05, h).count for h in (0.1, 0.2, 0.4, 0.6, 0.8)]
+        nm = level_map(random_levels(SeededRng(3), (32, 32, 3)))
+        counts = [canny_at(nm, 0.05, h).count for h in (0.1, 0.2, 0.4, 0.6, 0.8)]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("channels", [(), (3,)])
-    def test_non_finite_image_rejected(self, bad, channels):
-        img = np.zeros((32, 32) + channels)
-        img[:, 16:] = 1.0
-        img[5, 3] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            metrics.canny(img)
 
 
 ORACLE_PAIRS = ((0.1, 0.2), (0.05, 0.5), (0.1, 1.0))
 
 
-def assert_canny_matches_oracle(source):
+def assert_canny_matches_oracle(nm):
     for low, high in ORACLE_PAIRS:
         np.testing.assert_array_equal(
-            canny_at(source, low, high).mask, canny_oracle(source, low, high), err_msg=f"({low}, {high})"
+            canny_at(nm, low, high).mask, canny_oracle(nm, low, high), err_msg=f"({low}, {high})"
         )
 
 
 def winding_chain(h=21, w=151, amp=2.0, period=40.0, level=0.3):
-    """A step edge that winds along a sine across the whole width.
+    """A step edge, with values in [0, 1], that winds along a sine across the
+    whole width.
 
     At the defaults its slope stays under tan(22.5 deg), so every edge
     pixel survives non-maximum suppression and the edge is one
@@ -239,8 +272,8 @@ class TestCannyOracle:
     def test_small_random_images(self, h):
         rng = SeededRng(20 + h)
         for w in range(1, 9):
-            for channels in [(), (3,)]:
-                assert_canny_matches_oracle(rng.uniform(0, 1, (h, w) + channels))
+            assert_canny_matches_oracle(level_map(random_levels(rng, (h, w, 3))))
+            assert_canny_matches_oracle(random_masked_map(rng, h, w))
 
     def test_rendered_mesh_views(self):
         hf = toydata.generate_scene(0, 6, size=16, cell_size=2.0 / 15)
@@ -252,17 +285,20 @@ class TestCannyOracle:
         for seed in range(6):
             assert_canny_matches_oracle(toydata.heightfield_normals(toydata.generate_scene(seed, 2 + seed)))
 
-    @pytest.mark.parametrize("shape", [(13, 29, 3), (31, 17, 3), (9, 45), (27, 11)])
+    @pytest.mark.parametrize("shape", [(13, 29), (31, 17), (9, 45), (27, 11)])
     def test_random_images_odd_non_square(self, shape):
-        assert_canny_matches_oracle(SeededRng(7).uniform(0, 1, shape))
+        rng = SeededRng(7)
+        assert_canny_matches_oracle(level_map(random_levels(rng, shape + (3,))))
+        assert_canny_matches_oracle(random_masked_map(rng, *shape))
 
     def test_constant_channel_adds_nothing(self):
-        img = SeededRng(8).uniform(0, 1, (19, 23, 3))
-        img[..., 1] = 0.5  # zero gradient, so its peak is 0
-        assert_canny_matches_oracle(img)
+        lv = random_levels(SeededRng(8), (19, 23, 3))
+        lv[..., 1] = 128  # zero gradient, so its peak is 0
+        nm = level_map(lv)
+        assert_canny_matches_oracle(nm)
         for low, high in ORACLE_PAIRS:
-            got = canny_at(img, low, high).mask
-            others = canny_at(img[..., 0], low, high).mask | canny_at(img[..., 2], low, high).mask
+            got = canny_at(nm, low, high).mask
+            others = canny_at(level_map(lv[..., 0]), low, high).mask | canny_at(level_map(lv[..., 2]), low, high).mask
             assert got.any()
             np.testing.assert_array_equal(got, others)
 
@@ -270,26 +306,27 @@ class TestCannyOracle:
         # a step along a diagonal: the blurred magnitude is bit-equal along
         # each anti-diagonal, so neighbours tie exactly
         yy, xx = np.mgrid[0:23, 0:31]
-        down = np.where(xx + yy >= 26, 1.0, 0.0)
-        up = np.where(xx - yy >= 5, 0.8, 0.1)
-        for img in (down, up, np.dstack([down, up, down])):
-            assert_canny_matches_oracle(img)
+        down = np.where(xx + yy >= 26, 255, 0)
+        up = np.where(xx - yy >= 5, 204, 26)
+        for lv in (down, up, np.dstack([down, up, down])):
+            assert_canny_matches_oracle(level_map(lv))
 
     def test_long_winding_chain_from_one_strong_pixel(self):
-        img = winding_chain()
-        assert_canny_matches_oracle(img)
-        assert canny_at(img, 1.0 - 1e-9, 1.0).count == 1  # the one strong pixel
-        edges = canny_at(img, 0.1, 1.0).mask
-        assert edges.sum() == img.shape[1] and edges[:, 0].any()  # grown across the full width
+        nm = level_map(np.rint(255.0 * winding_chain()))
+        assert_canny_matches_oracle(nm)
+        assert canny_at(nm, 1.0 - 1e-9, 1.0).count == 1  # the one strong pixel
+        edges = canny_at(nm, 0.1, 1.0).mask
+        assert edges.sum() == nm.shape[1] and edges[:, 0].any()  # grown across the full width
 
     def test_weak_pixels_without_strong_pixel_dropped(self):
-        img = np.zeros((31, 37))
-        img[:10] = 1.0  # strong edge near row 10
-        img[20:] = 0.3  # a weak edge near row 20, not connected to it
-        assert_canny_matches_oracle(img)
-        edges = canny_at(img, 0.1, 0.5).mask
+        lv = np.zeros((31, 37))
+        lv[:10] = 255  # strong edge near row 10
+        lv[20:] = 77  # a weak edge near row 20, not connected to it
+        nm = level_map(lv)
+        assert_canny_matches_oracle(nm)
+        edges = canny_at(nm, 0.1, 0.5).mask
         assert edges[:15].any() and not edges[15:].any()
-        assert canny_at(img, 0.1, 0.2).mask[15:].any()
+        assert canny_at(nm, 0.1, 0.2).mask[15:].any()
 
 
 def mask_digest(masks):
@@ -368,7 +405,7 @@ _CROP_MASKS = {
 class TestCannyCrop:
     """Canny of a NormalMap runs on its foreground box widened by the
     blur radius + 2; an exact crop gives the mask of the whole encoded
-    image, which the float-image path filters uncropped."""
+    image, which the float oracle filters uncropped."""
 
     @pytest.mark.parametrize("case", list(_CROP_MASKS))
     def test_mask_equals_uncropped_float_path(self, case):
@@ -383,8 +420,8 @@ class TestCannyCrop:
             v[~mask] = (0.0, 0.0, 1.0)
             nm = NormalMap(v, mask)
             got = metrics.canny(nm).mask
-            np.testing.assert_array_equal(got, metrics.canny(encode_normal_image(nm) / 255.0).mask,
-                                          err_msg=f"seed {seed}")
+            want = canny_oracle(nm, metrics.CANNY_LOW, metrics.CANNY_HIGH)
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
             assert got.any() == mask.any()
 
 
@@ -393,19 +430,19 @@ class TestCannyGeometry:
     fail because non-maximum suppression compares the diagonal sectors
     along the edge instead of across it (ROADMAP item 3)."""
 
-    @pytest.mark.xfail(strict=True, reason="NMS compares diagonal sectors along the edge")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="NMS compares diagonal sectors along the edge")
     def test_diagonal_step_is_one_thin_line(self):
         yy, xx = np.mgrid[0:48, 0:48]
         # the 2-px frame, where the reflected border crosses the edge, is left out
-        edges = metrics.canny((xx >= yy).astype(np.float64)).mask[2:-2, 2:-2]
+        edges = metrics.canny(blend_map((xx >= yy).astype(np.float64))).mask[2:-2, 2:-2]
         assert len(components(edges)) == 1
         assert edges[0].any() and edges[-1].any()
         assert edges.sum(axis=0).max() <= 2 and edges.sum(axis=1).max() <= 2
 
-    @pytest.mark.xfail(strict=True, reason="NMS compares diagonal sectors along the edge")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="NMS compares diagonal sectors along the edge")
     def test_steep_sine_step_is_one_chain(self):
         # slope up to atan(4 * 2 pi / 40) = 32 degrees, past the 22.5 degree sector boundary
-        edges = metrics.canny(winding_chain(h=33, w=97, amp=4.0, level=1.0)).mask
+        edges = metrics.canny(blend_map(winding_chain(h=33, w=97, amp=4.0, level=1.0))).mask
         assert len(components(edges)) == 1
         assert edges[:, 0].any() and edges[:, -1].any()
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestInitialization:
         assert _digest(nirne.DualStreamModel(seed=0)) == \
             "cec7e463941e44a266036aa5185f345e906c1195b3e35bfee5fe74904c68c8cd"
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "known defect: the conv weights of DualStreamModel(seed) come from 5 Philox streams, "
         "not 19, so the noisy and clean encoders start equal and the decoder, fusion and head "
         "layers reuse their draws"))
@@ -96,6 +97,22 @@ class TestInitialization:
         shared = [(a, b) for a in weights for b in weights if a < b
                   and np.allclose(weights[a] / weights[a][0], weights[b] / weights[b][0], rtol=1e-12, atol=0)]
         assert not shared, shared
+
+    @pytest.mark.parametrize("channels", [
+        (8, 0, 16, 24), (8, -4, 16, 24), (8, True, 16, 24), (8, 12.5, 16, 24), (8, "12", 16, 24),
+        12.5, None, "8121", (8, 12, 16), (8, 12, 16, 24, 32), (),
+    ])
+    def test_bad_channels_named_before_any_draw(self, monkeypatch, channels):
+        def no_layer(*args, **kwargs):
+            raise AssertionError("a layer was built before channels was checked")
+
+        monkeypatch.setattr(nirne, "Conv2d", no_layer)
+        with pytest.raises(ValueError, match=r"DualStreamModel: channels .*" + re.escape(repr(channels))):
+            nirne.DualStreamModel(channels, seed=0)
+
+    def test_channels_as_a_list_of_numpy_integers(self):
+        ch = [np.int64(2), 2, 2, np.int32(2)]
+        assert _digest(nirne.DualStreamModel(ch, seed=4)) == _digest(nirne.DualStreamModel((2, 2, 2, 2), seed=4))
 
 
 class TestTrainedParameters:

@@ -450,6 +450,37 @@ _BROKEN_DATASETS = {
 }
 
 
+def _stem_in_a_sibling_directory(ds):
+    # a second dataset beside ``ds``, so the escaping stem names real files
+    toydata.write_dataset(ds.parent / "other", toydata.make_dataset(1, Domain.SYNTH, seed=6, size=32))
+    _edit_second_entry(ds, lambda item: item.update(stem="../other/0000"))
+
+
+def _set_second(**fields):
+    return lambda ds: _edit_second_entry(ds, lambda item: item.update(fields))
+
+
+_PLAIN_STEM = "stem must be one plain file-name component"
+_INDEX = "items[1]: index must be an integer >= 0, got "
+
+# how the second manifest entry of a two-sample 32x32 dataset is broken,
+# and what the error names besides manifest.json
+_BAD_MANIFEST_ENTRIES = {
+    "stem_in_a_sibling_directory": (_stem_in_a_sibling_directory, [_PLAIN_STEM, "'../other/0000'"]),
+    "absolute_stem": (lambda ds: _set_second(stem=str(ds / "0000"))(ds), [_PLAIN_STEM]),
+    "stem_with_a_separator": (_set_second(stem="sub/0001"), [_PLAIN_STEM, "'sub/0001'"]),
+    "dot_dot_stem": (_set_second(stem=".."), [_PLAIN_STEM, "'..'"]),
+    "empty_stem": (_set_second(stem=""), [_PLAIN_STEM, "''"]),
+    "stem_is_a_number": (_set_second(stem=1), [_PLAIN_STEM, "got 1"]),
+    "index_is_a_string": (_set_second(index="abc"), [_INDEX + "'abc'"]),
+    "index_is_a_bool": (_set_second(index=True), [_INDEX + "True"]),
+    "index_is_negative": (_set_second(index=-1), [_INDEX + "-1"]),
+    "index_is_a_float": (_set_second(index=1.0), [_INDEX + "1.0"]),
+    "entry_without_index": (lambda ds: _edit_second_entry(ds, lambda item: item.pop("index")),
+                            ["KeyError", "'index'"]),
+}
+
+
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         # a slice, so each sample's index differs from its list position
@@ -475,4 +506,22 @@ class TestDatasetIo:
             toydata.read_dataset(ds)
         message = str(info.value)
         for part in [str(ds)] + named:
+            assert part in message, f"{part!r} not in {message!r}"
+
+    @pytest.mark.parametrize("case", list(_BAD_MANIFEST_ENTRIES))
+    def test_bad_manifest_entry_refused_before_any_read(self, tmp_path, monkeypatch, case):
+        ds = tmp_path / "ds"
+        toydata.write_dataset(ds, toydata.make_dataset(2, Domain.SYNTH, seed=5, size=32))
+        breaks, named = _BAD_MANIFEST_ENTRIES[case]
+        breaks(ds)
+
+        def no_read(path):
+            raise AssertionError(f"{path} read before the manifest was checked")
+
+        for name in ("read_ppm", "read_pgm", "read_height_bin"):
+            monkeypatch.setattr(toydata, name, no_read)
+        with pytest.raises(ValueError) as info:
+            toydata.read_dataset(ds)
+        message = str(info.value)
+        for part in [str(ds / "manifest.json")] + named:
             assert part in message, f"{part!r} not in {message!r}"
