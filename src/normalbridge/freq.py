@@ -110,7 +110,7 @@ def _noise_energy(g: GFunc, t_grid: np.ndarray) -> np.ndarray:
     elementwise: one call gets the samples of every segment as a
     (len(t_grid), 33) array.
     """
-    if g is None or isinstance(g, (int, float)):
+    if not callable(g):
         g2 = 1.0 if g is None else float(g) ** 2
         return g2 * t_grid
     starts = np.concatenate(([0.0], t_grid[:-1]))
@@ -130,6 +130,10 @@ def snr_curves(power, t_grid, g: GFunc = None) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
         raise ValueError("empty t grid")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("snr_curves: t_grid has a non-finite entry")
+    if g is not None and not callable(g):
+        _check_real("snr_curves: g", g, positive=True)
     if np.any(t_grid <= 0):
         raise ValueError("t grid must be strictly positive (SNR diverges at t=0)")
     if np.any(np.diff(t_grid) <= 0):

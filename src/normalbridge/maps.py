@@ -3,17 +3,19 @@
 Normal maps are camera-space unit vectors with +z toward the viewer,
 stored alongside a boolean foreground mask. Background pixels carry the
 sentinel normal (0, 0, 1) and mask False. The 8-bit image encoding is
-rgb = round((n + 1) / 2 * 255) with background forced to white.
+rgb = round((n + 1) / 2 * 255) with background forced to white. Images
+and masks are netpbm files, heightfields NBLB1 (``tensorcore.checkpoint``).
 """
 
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .tensorcore.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Heightfield",
@@ -26,7 +28,6 @@ __all__ = [
     "read_pgm",
     "write_height_bin",
     "read_height_bin",
-    "HEIGHT_MAGIC",
 ]
 
 SENTINEL_NORMAL = np.array([0.0, 0.0, 1.0])
@@ -50,6 +51,12 @@ def _check_real(name: str, value, positive: bool) -> None:
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not (value > 0 if positive else value >= 0) or not value < np.inf):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` and ``value`` unless ``value`` is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass
@@ -183,32 +190,19 @@ def read_pgm(path) -> np.ndarray:
 
 # -- height binaries -----------------------------------------------------
 
-HEIGHT_MAGIC = b"NBH2"
-# magic, u32 H, u32 W, 4 pad bytes, f64 cell size: 24 bytes, so the f64
-# grid that follows starts 8-byte aligned
-_HEIGHT_HEADER = struct.Struct("<4sIIxxxxd")
-
 
 def write_height_bin(path, hf: Heightfield) -> None:
-    """24-byte header (magic, u32 H, u32 W, padding, f64 cell size), then the f64 grid."""
-    h, w = hf.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEIGHT_HEADER.pack(HEIGHT_MAGIC, h, w, hf.cell_size))
-        fh.write(np.asarray(hf.heights, dtype="<f8", order="C").tobytes())
+    """``hf`` as the NBLB1 records ``heights`` and a 0-d ``cell_size``."""
+    save_checkpoint(path, {"heights": hf.heights, "cell_size": np.float64(hf.cell_size)})
 
 
 def read_height_bin(path) -> Heightfield:
-    blob = Path(path).read_bytes()
-    if blob[:4] != HEIGHT_MAGIC:
-        raise ValueError(f"{path}: not a height binary (bad magic)")
-    if len(blob) < _HEIGHT_HEADER.size:
-        raise ValueError(f"{path}: truncated height binary header ({len(blob)} bytes)")
-    _, h, w, cell = _HEIGHT_HEADER.unpack_from(blob)
-    need = _HEIGHT_HEADER.size + 8 * h * w
-    if len(blob) != need:
-        raise ValueError(f"{path}: a {h}x{w} height binary has {need} bytes, this file {len(blob)}")
-    heights = np.frombuffer(blob, dtype="<f8", count=h * w, offset=_HEIGHT_HEADER.size).reshape(h, w)
+    """Invert :func:`write_height_bin`; any other file raises ValueError naming ``path``."""
+    records = load_checkpoint(path)
+    shapes = {name: arr.shape for name, arr in records.items()}
+    if shapes.keys() != {"heights", "cell_size"} or shapes["cell_size"] != ():
+        raise ValueError(f"{path}: a height file holds 'heights' and a 0-d 'cell_size', not {shapes}")
     try:
-        return Heightfield(heights.astype(np.float64), cell)
+        return Heightfield(records["heights"], float(records["cell_size"]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

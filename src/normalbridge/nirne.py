@@ -32,7 +32,7 @@ import numpy as np
 
 # called through the module, so a wrapper set on a module attribute sees the call
 from . import metrics, toydata
-from .maps import SENTINEL_NORMAL, NormalMap, _check_integer, _check_real
+from .maps import SENTINEL_NORMAL, NormalMap, _check_bool, _check_integer, _check_real
 from .tensorcore import (
     AdamWState,
     Conv2d,
@@ -118,6 +118,8 @@ class DualStreamModel:
             raise ValueError(f"DualStreamModel: channels must be four integers >= 1, got {channels!r}")
         for c in channels:
             _check_integer(f"DualStreamModel: channels {channels!r}: each", c, 1)
+        _check_bool("DualStreamModel: dual_stream", dual_stream)
+        _check_bool("DualStreamModel: inject_noise", inject_noise)
         self.dual_stream = dual_stream
         self.inject_noise = inject_noise
         self.stage_trained = 0
@@ -190,6 +192,7 @@ class DualStreamModel:
         encoder does not run, no noise is drawn and each fusion layer
         reads zeros (so adds only its bias).
         """
+        _check_bool("forward_t: zero_noisy_stream", zero_noisy_stream)
         n, c, h, w = images.shape
         if h % 8 or w % 8:
             raise ValueError(f"image dims must be divisible by 8, got {h}x{w}")

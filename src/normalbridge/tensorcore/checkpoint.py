@@ -1,9 +1,9 @@
-"""Parameter checkpoint files.
+"""NBLB1 files of named float64 arrays: parameter checkpoints and heightfields.
 
 Little-endian binary layout:
 
     magic  b"NBLB1"
-    per parameter, repeated to EOF:
+    per array (a "parameter" in messages), repeated to EOF:
         u32   name length in bytes
         ...   name, utf-8
         u32   rank
@@ -66,14 +66,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     path = Path(path)
     blob = memoryview(path.read_bytes())
     if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
+        raise ValueError(f"{path}: not an NBLB1 file (bad magic)")
     off = len(MAGIC)
     out: dict[str, np.ndarray] = {}
 
     def take(nbytes: int, what: str) -> memoryview:
         nonlocal off
         if off + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint, the file ends inside the {what} of {label}")
+            raise ValueError(f"{path}: truncated NBLB1 file, the file ends inside the {what} of {label}")
         chunk = blob[off : off + nbytes]
         off += nbytes
         return chunk

@@ -291,3 +291,15 @@ class TestNamedInputChecks:
         with pytest.raises(ValueError, match=re.escape(
                 f"snr_crossing_time: threshold must be finite and > 0, got {threshold!r}")):
             freq.snr_crossing_time(t, freq.snr_curves(4.0, t), threshold)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, 0.0, -2.0, True, np.True_, "1"])
+    def test_snr_curves_bad_constant_g(self, g):
+        # NaN gave an all-NaN curve and True was taken as 1
+        with pytest.raises(ValueError, match=re.escape(f"snr_curves: g must be finite and > 0, got {g!r}")):
+            freq.snr_curves(1.0, [1.0, 2.0], g=g)
+
+    @pytest.mark.parametrize("t_grid", [[1.0, math.nan], [math.nan, 1.0], [1.0, math.inf]])
+    def test_snr_curves_non_finite_t_grid(self, t_grid):
+        # NaN passes both the positivity and the ascending check
+        with pytest.raises(ValueError, match="^snr_curves: t_grid has a non-finite entry$"):
+            freq.snr_curves(1.0, t_grid)

@@ -6,10 +6,17 @@ import pytest
 
 from normalbridge import maps
 from normalbridge.maps import Heightfield, NormalMap
+from normalbridge.tensorcore.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 
 
 def _field():
     return Heightfield(np.arange(80.0).reshape(8, 10) * 0.01, cell_size=0.1)
+
+
+# magic, then per record: name length, name, rank, extents, payload;
+# _field()'s 80 heights start at _HEIGHTS_AT, its cell size is the last 8 bytes
+_HEIGHTS_AT = 5 + 4 + len("heights") + 4 + 2 * 4
+_HEIGHT_FILE_BYTES = _HEIGHTS_AT + 8 * 80 + 4 + len("cell_size") + 4 + 8
 
 
 class TestHeightBinary:
@@ -20,23 +27,31 @@ class TestHeightBinary:
         back = maps.read_height_bin(path)
         assert back.cell_size == 0.1
         assert back.heights.tobytes() == hf.heights.tobytes()
-        blob = path.read_bytes()
-        assert blob[:4] == maps.HEIGHT_MAGIC == b"NBH2"
-        assert len(blob) == 24 + 8 * 80  # the grid starts 8-byte aligned
+        assert path.read_bytes()[:5] == MAGIC == b"NBLB1"
+        assert path.stat().st_size == _HEIGHT_FILE_BYTES
+        records = load_checkpoint(path)
+        assert list(records) == ["heights", "cell_size"]
+        assert records["cell_size"].shape == () and records["cell_size"] == 0.1
 
-    @pytest.mark.parametrize("size", [0, 3, 10, 23, 24, 100, 24 + 8 * 80 - 1, 24 + 8 * 80 + 8])
-    def test_wrong_length_names_path(self, tmp_path, size):
-        path = tmp_path / "h.bin"
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("height") / "h.bin"
         maps.write_height_bin(path, _field())
-        blob = path.read_bytes()
-        path.write_bytes((blob + b"\0" * 8)[:size])
+        return path
+
+    @pytest.mark.parametrize("size", range(_HEIGHT_FILE_BYTES))
+    def test_wrong_length_names_path(self, written, size):
+        # every truncation point: inside the magic, a name, a rank, an
+        # extent or a payload, and at the boundary between the two records
+        path = written.with_name(f"cut{size}.bin")
+        path.write_bytes(written.read_bytes()[:size])
         with pytest.raises(ValueError) as err:
             maps.read_height_bin(path)
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("offset, value, match", [
-        (24 + 8 * 5, float("nan"), "non-finite"),  # the sixth height
-        (16, -1.0, "cell_size"),
+        (_HEIGHTS_AT + 8 * 5, float("nan"), "non-finite"),  # the sixth height
+        (_HEIGHT_FILE_BYTES - 8, -1.0, "cell_size"),
     ], ids=["nan_height", "negative_cell_size"])
     def test_bad_value_names_path(self, tmp_path, offset, value, match):
         path = tmp_path / "h.bin"
@@ -45,6 +60,19 @@ class TestHeightBinary:
         struct.pack_into("<d", blob, offset, value)
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=match) as err:
+            maps.read_height_bin(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("records", [
+        {"weight": np.ones((2, 3, 3, 3)), "bias": np.zeros(2)},
+        {"heights": np.zeros((8, 10)), "cell_size": np.float64(0.1), "extra": np.zeros(1)},
+        {"heights": np.zeros((8, 10)), "cell_size": np.array([0.1])},
+        {"heights": np.zeros((8, 10))},
+    ], ids=["parameter_checkpoint", "third_record", "cell_size_not_0d", "no_cell_size"])
+    def test_other_records_name_path(self, tmp_path, records):
+        path = tmp_path / "h.bin"
+        save_checkpoint(path, records)
+        with pytest.raises(ValueError, match="a height file holds 'heights' and a 0-d 'cell_size'") as err:
             maps.read_height_bin(path)
         assert str(path) in str(err.value)
 

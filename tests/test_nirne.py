@@ -110,6 +110,21 @@ class TestInitialization:
         with pytest.raises(ValueError, match=r"DualStreamModel: channels .*" + re.escape(repr(channels))):
             nirne.DualStreamModel(channels, seed=0)
 
+    @pytest.mark.parametrize("value", ["False", 0, 1, None], ids=["str", "zero", "one", "none"])
+    @pytest.mark.parametrize("switch", ["dual_stream", "inject_noise"])
+    def test_non_bool_switch_named_before_any_draw(self, monkeypatch, switch, value):
+        def no_layer(*args, **kwargs):
+            raise AssertionError(f"a layer was built before {switch} was checked")
+
+        monkeypatch.setattr(nirne, "Conv2d", no_layer)
+        with pytest.raises(ValueError, match=f"^DualStreamModel: {switch} must be a bool, got {value!r}$"):
+            nirne.DualStreamModel((2, 2, 2, 2), seed=0, **{switch: value})
+
+    def test_numpy_bool_switches_accepted(self):
+        model = nirne.DualStreamModel((2, 2, 2, 2), seed=4, dual_stream=np.False_, inject_noise=np.True_)
+        assert model.fuse == [] and model.clean_enc is None
+        assert _digest(model) == _digest(nirne.DualStreamModel((2, 2, 2, 2), seed=4, dual_stream=False))
+
     def test_channels_as_a_list_of_numpy_integers(self):
         ch = [np.int64(2), 2, 2, np.int32(2)]
         assert _digest(nirne.DualStreamModel(ch, seed=4)) == _digest(nirne.DualStreamModel((2, 2, 2, 2), seed=4))
@@ -381,6 +396,17 @@ class TestZeroNoisyStream:
             evaluated = model.forward_t(images, zero_noisy_stream=True).data
         np.testing.assert_array_equal(rng.normal(size=(4,)), SeededRng(1).normal(size=(4,)))  # nothing drawn
         np.testing.assert_array_equal(trained, evaluated)
+
+    @pytest.mark.parametrize("value", ["False", 0, 1, None], ids=["str", "zero", "one", "none"])
+    def test_non_bool_flag_named_before_any_draw(self, real, monkeypatch, value):
+        images = _images(real[:2])
+        model = nirne.DualStreamModel(CHANNELS, seed=3)
+        calls = self._count_convs(monkeypatch)
+        rng = SeededRng(1)
+        with pytest.raises(ValueError, match=f"^forward_t: zero_noisy_stream must be a bool, got {value!r}$"):
+            model.forward_t(images, rng=rng, zero_noisy_stream=value)
+        assert calls == []
+        np.testing.assert_array_equal(rng.normal(size=(4,)), SeededRng(1).normal(size=(4,)))  # nothing drawn
 
     def test_single_stream_model_rejects_flag(self, real):
         images = _images(real[:2])

@@ -216,6 +216,34 @@ class TestLeakyRelu:
         assert _same_bits(x.grad, g0 * np.where(x0 > 0.0, 1.0, slope))
 
 
+class TestUpsampleNearest:
+    @staticmethod
+    def _grad(g0):
+        n, c, h, w = g0.shape
+        x = Tensor(np.zeros((n, c, h // 2, w // 2)), requires_grad=True)
+        backward((tc.upsample_nearest(x) * Tensor(g0)).sum())
+        return x.grad
+
+    @staticmethod
+    def _reference(g0):
+        n, c, h, w = g0.shape
+        return g0.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
+    def test_backward_matches_multi_axis_sum_bit_for_bit(self):
+        # magnitudes over 16 decades, so each summation order rounds differently
+        rng = np.random.default_rng(7)
+        g0 = rng.normal(size=(3, 4, 12, 10)) * 10.0 ** rng.integers(-8, 8, size=(3, 4, 12, 10))
+        assert _same_bits(self._grad(g0), self._reference(g0))
+
+    def test_backward_keeps_signed_zeros(self):
+        # block b of the 16 2x2 blocks holds -0.0 where bit k of b is set
+        signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        g0 = np.where(signs, -0.0, 0.0).reshape(4, 4, 2, 2).transpose(0, 2, 1, 3).reshape(1, 1, 8, 8)
+        grad = self._grad(g0)
+        assert _same_bits(grad, self._reference(g0))
+        assert not np.signbit(grad).any()  # the reduction starts from +0.0, so four -0.0 give +0.0
+
+
 class TestGroupNorm:
     @pytest.mark.parametrize("shape", [(3, 6, 5, 7), (1, 6, 9, 3)], ids=["3x6x5x7", "1x6x9x3"])
     def test_matches_composed_form(self, shape):

@@ -7,7 +7,7 @@ import pytest
 
 from normalbridge import metrics, toydata
 from normalbridge.maps import Heightfield, write_pgm, write_ppm
-from normalbridge.tensorcore import SeededRng, Tensor, backward
+from normalbridge.tensorcore import SeededRng, Tensor, backward, save_checkpoint
 from normalbridge.toydata import Domain
 
 from canny_oracle import canny_oracle, dilate_loop
@@ -447,6 +447,9 @@ _BROKEN_DATASETS = {
     "manifest_without_n": (
         lambda ds: _edit_manifest_object(ds, lambda manifest: manifest.pop("n")),
         ["manifest.json", "KeyError", "'n'"]),
+    "height_file_is_a_checkpoint": (
+        lambda ds: save_checkpoint(ds / "0001_height.bin", {"weight": np.ones((2, 3))}),
+        ["'0001'", "0001_height.bin", "a height file holds"]),
 }
 
 
