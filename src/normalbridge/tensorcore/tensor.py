@@ -178,8 +178,6 @@ class Tensor:
         out._set_backward(bwd)
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = Tensor._coerce(other)
         out = Tensor._result(self.data - other.data, (self, other), "sub")
@@ -201,8 +199,6 @@ class Tensor:
 
         out._set_backward(bwd)
         return out
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._coerce(other)
@@ -256,24 +252,6 @@ class Tensor:
     def reshape(self, *shape):
         out = Tensor._result(self.data.reshape(shape), (self,), "reshape")
         out._set_backward(lambda: self._accumulate(out.grad.reshape(self.shape)))
-        return out
-
-    def transpose(self, *axes):
-        inv = tuple(np.argsort(axes))
-        out = Tensor._result(self.data.transpose(axes), (self,), "transpose")
-        out._set_backward(lambda: self._accumulate(out.grad.transpose(inv)))
-        return out
-
-    def __getitem__(self, idx):
-        out = Tensor._result(self.data[idx], (self,), "slice")
-
-        def bwd():
-            buf = np.zeros_like(self.data)
-            # unbuffered: an entry that idx repeats gets every share of it
-            np.add.at(buf, idx, out.grad)
-            self._accumulate(buf)
-
-        out._set_backward(bwd)
         return out
 
 
@@ -392,6 +370,12 @@ def conv2d(
     k, ck, kh, kw = kernel.shape
     if ck != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ck}")
+    if bias.shape != (k,):
+        raise ValueError(f"conv2d: bias must have shape ({k},), got {bias.shape}")
+    # inline, as maps._check_integer is not importable here (maps imports tensorcore)
+    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"conv2d: {name} must be an integer >= {low}, got {value!r}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ValueError(
             f"conv2d spatial dims too small: input {h}x{w}, pad {padding}, kernel {kh}x{kw}"

@@ -10,7 +10,9 @@ how many others are generated with it.
 
 The toy world is an orthographic top-down view: axis 1 of the grid is
 x (right), axis 0 is y, and normals live in that frame with +z toward
-the viewer, n = normalize(-dh/dx, -dh/dy, 1).
+the viewer, n = normalize(-dh/dx, -dh/dy, 1). The slopes are
+``np.gradient``'s: central differences inside, one-sided at the border,
+divided by ``cell_size``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "DomainSample",
     "generate_scene",
     "heightfield_normals",
-    "normals_from_heights_t",
     "shade_image",
     "corrupt_labels_real_domain",
     "make_dataset",
@@ -124,7 +125,7 @@ def _paint_primitive(h: np.ndarray, kind: str, rng: SeededRng, cell: float,
         r2 = (yy - cy) ** 2 + (xx - cx) ** 2
         cap = np.sqrt(np.maximum(extent ** 2 - r2, 0.0)) * cell
         np.maximum(h, cap * (height / (extent * cell)), out=h)
-    elif kind == "ridge":
+    else:  # "ridge": generate_scene has refused any other name
         ey = extent * rng.uniform(1.2, 2.2)
         along_x = rng.uniform() < 0.5
         dist = np.abs(xx - cx) if along_x else np.abs(yy - cy)
@@ -132,8 +133,6 @@ def _paint_primitive(h: np.ndarray, kind: str, rng: SeededRng, cell: float,
         profile = np.clip(1.0 - dist / extent, 0.0, 1.0)
         region = other < ey
         np.maximum(h, np.where(region, height * profile, 0.0), out=h)
-    else:
-        raise ValueError(f"unknown primitive {kind!r}")
 
 
 def generate_scene(
@@ -150,6 +149,10 @@ def generate_scene(
     _check_integer("generate_scene: complexity", complexity, 1, 10)
     _check_integer("generate_scene: size", size, 8)
     _check_real("generate_scene: cell_size", cell_size, positive=True)
+    if not (isinstance(primitives, (tuple, list)) and primitives
+            and all(kind in DEFAULT_PRIMITIVES for kind in primitives)):
+        raise ValueError(f"generate_scene: primitives must be a non-empty tuple or list of names "
+                         f"from {DEFAULT_PRIMITIVES}, got {primitives!r}")
     rng = SeededRng(seed, _STREAM_SCENE + stream)
     h = np.zeros((size, size))
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
@@ -162,33 +165,12 @@ def generate_scene(
 # -- normals ----------------------------------------------------------------
 
 
-def normals_from_heights_t(heights: Tensor, cell_size: float = 1.0) -> Tensor:
-    """Differentiable unit normals of an H x W height Tensor -> (H, W, 3).
-
-    Central differences inside, one-sided at borders; gradients flow back
-    into the heights.
-    """
-    c = float(cell_size)
-
-    def grad_axis1(h):
-        left = (h[:, 1:2] - h[:, 0:1]) * (1.0 / c)
-        inner = (h[:, 2:] - h[:, :-2]) * (1.0 / (2.0 * c))
-        right = (h[:, -1:] - h[:, -2:-1]) * (1.0 / c)
-        return concat([left, inner, right], axis=1)
-
-    gx = grad_axis1(heights)
-    gy = grad_axis1(heights.transpose(1, 0)).transpose(1, 0)
-    hgt, wid = heights.shape
-    ones = Tensor(np.ones((hgt, wid, 1)))
-    stacked = concat([(-1.0 * gx).reshape(hgt, wid, 1), (-1.0 * gy).reshape(hgt, wid, 1), ones], axis=2)
-    # squared norm is >= 1 (z component is 1), so no eps is needed and
-    # flat regions normalize to exactly (0, 0, 1)
-    return l2_normalize(stacked, axis=2, eps=0.0)
-
-
 def heightfield_normals(hf: Heightfield) -> NormalMap:
     """Exact normals of a heightfield (full-frame foreground)."""
-    vec = normals_from_heights_t(Tensor(hf.heights), hf.cell_size).data
+    gy, gx = np.gradient(hf.heights, hf.cell_size)
+    # tracing.py times these two calls here; z = 1, so eps=0 is safe and flat is (0, 0, 1)
+    stacked = concat([Tensor(v[..., None]) for v in (-gx, -gy, np.ones_like(gx))], axis=2)
+    vec = l2_normalize(stacked, axis=2, eps=0.0).data
     return NormalMap(vec, np.ones(hf.shape, dtype=bool))
 
 
@@ -217,8 +199,9 @@ def shade_image(normals: NormalMap, light_dir, albedo_seed: int, style: dict) ->
     """
     light = np.asarray(light_dir, dtype=np.float64)
     norm = np.linalg.norm(light)
-    if norm < 1e-12:
-        raise ValueError("light direction must be nonzero")
+    # a NaN or infinite component fails both comparisons
+    if light.shape != (3,) or not 1e-12 <= norm < np.inf:
+        raise ValueError(f"shade_image: light_dir must be a finite nonzero 3-vector, got {light_dir!r}")
     light = light / norm
     lam = np.maximum(normals.vectors @ light, 0.0)
     img = lam[..., None] * _procedural_albedo(normals.shape, SeededRng(albedo_seed, _STREAM_SHADE), style)

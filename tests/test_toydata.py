@@ -7,11 +7,10 @@ import pytest
 
 from normalbridge import metrics, toydata
 from normalbridge.maps import Heightfield, write_pgm, write_ppm
-from normalbridge.tensorcore import SeededRng, Tensor, backward, save_checkpoint
+from normalbridge.tensorcore import SeededRng, save_checkpoint
 from normalbridge.toydata import Domain
 
 from canny_oracle import canny_oracle, dilate_loop
-from fdcheck import central_fd_grads, max_rel_err
 
 
 def _blur_edge_loop(img, sigma):
@@ -74,6 +73,19 @@ class TestGenerateScene:
                 f"generate_scene: complexity must be an integer in 1..10, got {complexity!r}")):
             toydata.generate_scene(0, complexity)
 
+    @pytest.mark.parametrize("primitives", [("box", "cone"), (), [], "box", None, ("box", 1)])
+    def test_bad_primitives_named_before_any_draw(self, primitives, monkeypatch):
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"generate_scene: primitives must be a non-empty tuple or list of names from "
+                f"{toydata.DEFAULT_PRIMITIVES}, got {primitives!r}")):
+            toydata.generate_scene(0, 1, primitives=primitives)
+
+    def test_primitives_as_list_accepted(self):
+        a = toydata.generate_scene(3, 4, primitives=["box", "ridge"])
+        b = toydata.generate_scene(3, 4, primitives=("box", "ridge"))
+        assert a.heights.tobytes() == b.heights.tobytes()
+
     @pytest.mark.parametrize("size", [0, 4, 7, 8.0, True])
     def test_bad_size_named(self, size):
         with pytest.raises(ValueError, match=re.escape(f"size must be an integer >= 8, got {size!r}")):
@@ -111,24 +123,6 @@ class TestHeightfieldNormals:
         want /= np.linalg.norm(want)
         np.testing.assert_allclose(nm.vectors[8, 8], want, atol=1e-12)
 
-    def test_gradient_matches_finite_differences(self):
-        rng = SeededRng(11)
-        h = rng.normal(size=(8, 8))
-        w = rng.uniform(-1, 1, (8, 8, 3))
-
-        def loss_fn(arr):
-            t = Tensor(arr, requires_grad=True)
-            return t, (toydata.normals_from_heights_t(t, 0.7) * Tensor(w)).sum()
-
-        t, loss = loss_fn(h)
-        backward(loss)
-
-        def eval_np(arr):
-            return (toydata.normals_from_heights_t(Tensor(arr), 0.7).data * w).sum()
-
-        (fd,) = central_fd_grads(eval_np, [h.copy()])
-        assert max_rel_err(t.grad, fd) < 1e-4
-
 
 LIGHT = (0.35, -0.25, 0.9)
 # no albedo pattern and no noise: the albedo is 0.7 everywhere
@@ -159,6 +153,14 @@ class TestShadeImage:
         nm = toydata.heightfield_normals(Heightfield(np.zeros((16, 16))))
         with pytest.raises(ValueError, match="nonzero"):
             toydata.shade_image(nm, (0, 0, 0), 0, PLAIN_STYLE)
+
+    @pytest.mark.parametrize("light", [(np.nan, 0, 1), (np.inf, 0, 1), (0, 0, -np.inf), (0.3, 0.9)])
+    def test_light_not_a_finite_3_vector_named_before_any_draw(self, light, monkeypatch):
+        nm = toydata.heightfield_normals(Heightfield(np.zeros((8, 8))))
+        monkeypatch.setattr(toydata, "SeededRng", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"shade_image: light_dir must be a finite nonzero 3-vector, got {light!r}")):
+            toydata.shade_image(nm, light, 0, PLAIN_STYLE)
 
     def test_range_clamped(self):
         nm = toydata.heightfield_normals(toydata.generate_scene(1, 6))
